@@ -1,8 +1,14 @@
 """Command-line interface.
 
 Subcommands: sample, sweep, moments, validate, purify.  Exit codes:
-0 success, 1 validation failure, 2 invalid input or configuration,
-3 numerical failure.
+0 success, 1 validation failure (``validate`` only), 2 invalid input or
+configuration, 3 numerical failure.  Exit code 2 covers unreadable or
+malformed input files (covariance, config and ``file:`` profile files),
+non-finite inputs and output paths that cannot be written; ``validate
+--cov`` reports a covariance matrix that breaks an invariant, non-finite
+entries included, with exit code 1.  A new or plain regular output
+file is written to a temporary file and renamed into place, so a failed
+run leaves no half-written output; see ``_write_output``.
 
 A key=value config file can be passed with --config; explicit flags
 override file entries.
@@ -11,42 +17,19 @@ override file entries.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import stat
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import harness, phasespace, validate
-from .errors import (
-    BadDimension,
-    BadModeCount,
-    DimensionMismatch,
-    EmptyConstraintSet,
-    EmptyInput,
-    GaussworkError,
-    InvalidConfig,
-    InvalidCovariance,
-    InvalidProfile,
-    MalformedFile,
-    NotUnitary,
-    NumericalFailure,
-    RejectionTimeout,
-)
+from .errors import GaussworkError, InvalidConfig, MalformedFile
 from .sampling import RandomStateConfig, ZProfile
 from .stats import CSV_COLUMNS
-
-_INVALID_INPUT = (
-    MalformedFile,
-    InvalidProfile,
-    InvalidConfig,
-    InvalidCovariance,
-    BadModeCount,
-    BadDimension,
-    DimensionMismatch,
-    NotUnitary,
-    EmptyConstraintSet,
-    EmptyInput,
-)
-_NUMERICAL = (NumericalFailure, RejectionTimeout)
 
 
 def _int_list(text: str) -> list[int]:
@@ -68,7 +51,7 @@ def load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     for raw in text.splitlines():
         line = raw.strip()
@@ -81,94 +64,76 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-# Per-subcommand option schema: dest -> (converter, default).  A None
-# default with required=True must be present on the CLI or in the file.
-_SCHEMAS = {
-    "sample": {
-        "n": (int, None),
-        "m": (int, 1),
-        "z_profile": (str, None),
-        "samples": (int, None),
-        "seed": (int, 0),
-        "pipeline": (str, "purified"),
-        "threads": (int, 1),
-        "format": (str, "csv"),
-        "out": (str, None),
-    },
-    "sweep": {
-        "n_grid": (_int_list, None),
-        "m": (int, 1),
-        "z_profile": (str, None),
-        "samples": (int, None),
-        "seed": (int, 0),
-        "pipeline": (str, "purified"),
-        "threads": (int, 1),
-        "epsilon": (_float_list, list(harness.DEFAULT_EPSILONS)),
-        "out": (str, None),
-    },
-    "moments": {
-        "n": (int, None),
-        "m": (int, 1),
-        "z_profile": (str, None),
-        "samples": (int, None),
-        "seed": (int, 0),
-        "pipeline": (str, "purified"),
-        "threads": (int, 1),
-        "out": (str, None),
-    },
-    "validate": {
-        "seed": (int, 2024),
-        "sizes": (_int_list, [2, 4, 8]),
-        "lipschitz_pairs": (int, 1000),
-        "cov": (str, None),
-    },
-    "purify": {},
-}
+class Option(NamedTuple):
+    """One ``--flag`` of a subcommand, also accepted as a config-file key.
 
-_REQUIRED = {
-    "sample": ("n", "z_profile", "samples"),
-    "sweep": ("n_grid", "z_profile", "samples"),
-    "moments": ("n", "z_profile", "samples"),
-    "validate": (),
-    "purify": (),
-}
+    A required option has no default; it must be given as a flag or in the
+    config file.
+    """
+
+    convert: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+    def help_text(self) -> str | None:
+        if self.default is None:
+            return self.help
+        shown = self.default
+        if isinstance(shown, tuple):
+            shown = ",".join(map(str, shown))
+        return f"{self.help} (default {shown})" if self.help else f"(default {shown})"
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[args.command]
-    file_entries = load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_entries) - set(schema)
-    if unknown:
-        raise InvalidConfig(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    resolved = {}
-    for dest, (convert, default) in schema.items():
-        value = getattr(args, dest, None)
-        if value is None and dest in file_entries:
-            value = convert(file_entries[dest])
-        if value is None:
-            value = default
-        resolved[dest] = value
-    missing = [dest for dest in _REQUIRED[args.command] if resolved.get(dest) is None]
-    if missing:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in missing)
-        raise InvalidConfig(f"missing required option(s): {flags}")
-    return resolved
-
-
-def _write_text(out: str | None, text: str) -> None:
-    if out is None:
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout or to ``path``.  A new file, or a regular
+    file of ours with one link, is replaced by a temporary file from the
+    same directory, given its mode, only once complete.  Any other path (a
+    symlink, FIFO, device, hard link or another owner's file) is written in
+    place, because a rename would replace it rather than write to it."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        old = os.lstat(path)
+    except OSError:
+        old = None
+    in_place = old is not None and (
+        not stat.S_ISREG(old.st_mode) or old.st_nlink != 1
+        or (old.st_uid, old.st_gid) != (os.geteuid(), os.getegid())
+    )
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        if in_place:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        tmp.write_text(text, encoding="utf-8")
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
+
+
+def _read_covariance(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return phasespace.read_covariance_text(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read {path}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _state_config(opts: dict, n_key: str = "n") -> RandomStateConfig:
+def _state_config(opts: dict) -> RandomStateConfig:
     return RandomStateConfig(
-        n_full=opts[n_key],
+        n_full=opts["n"],
         m_sys=opts["m"],
         profile=ZProfile.parse(opts["z_profile"]),
         master_seed=opts["seed"],
@@ -180,10 +145,10 @@ def cmd_sample(opts: dict) -> int:
     config = _state_config(opts)
     records = harness.compute_records(config, opts["samples"], opts["threads"])
     if opts["format"] == "csv":
-        _write_text(opts["out"], harness.records_csv(records))
+        _write_output(opts["out"], harness.records_csv(records))
     elif opts["format"] == "json":
         rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
-        _write_text(opts["out"], _json_text(rows))
+        _write_output(opts["out"], _json_text(rows))
     else:
         raise InvalidConfig(f"format must be 'csv' or 'json', got {opts['format']!r}")
     return 0
@@ -200,28 +165,22 @@ def cmd_sweep(opts: dict) -> int:
         epsilons=opts["epsilon"],
         threads=opts["threads"],
     )
-    _write_text(opts["out"], _json_text(summary))
+    _write_output(opts["out"], _json_text(summary))
     if opts["out"] is not None:
-        csv_path = Path(opts["out"]).with_suffix(".csv")
-        csv_path.write_text(harness.records_csv(records), encoding="utf-8")
+        _write_output(str(Path(opts["out"]).with_suffix(".csv")), harness.records_csv(records))
     return 0
 
 
 def cmd_moments(opts: dict) -> int:
     config = _state_config(opts)
     reports = harness.run_moments(config, opts["samples"], opts["threads"])
-    _write_text(opts["out"], _json_text([r.to_dict() for r in reports]))
+    _write_output(opts["out"], _json_text([r.to_dict() for r in reports]))
     return 0
 
 
 def cmd_validate(opts: dict) -> int:
     if opts["cov"] is not None:
-        try:
-            with open(opts["cov"], "r", encoding="utf-8") as fh:
-                gamma = phasespace.read_covariance_text(fh)
-        except OSError as exc:
-            raise MalformedFile(f"cannot read {opts['cov']}: {exc}") from exc
-        result = validate.validate_covariance_matrix(gamma)
+        result = validate.validate_covariance_matrix(_read_covariance(opts["cov"]))
         if result.ok:
             print(f"ok {result.name}")
             return 0
@@ -239,25 +198,76 @@ def cmd_validate(opts: dict) -> int:
     return 0
 
 
-def cmd_purify(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            gamma = phasespace.read_covariance_text(fh)
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {args.input}: {exc}") from exc
-    m = phasespace.check_covariance(gamma, require_physical=True)
-    pure = phasespace.purify(gamma)
-    # verify the round trip before writing anything
-    roundtrip = float(abs(phasespace.partial_trace(pure, m) - gamma).max())
-    if roundtrip > 1e-10:
-        raise NumericalFailure(f"purification round trip error {roundtrip:.3e} exceeds 1e-10")
-    nus = phasespace.symplectic_eigenvalues(pure).nus
-    purity = float(abs(nus - 0.5).max())
-    if purity > 1e-8:
-        raise NumericalFailure(f"purification impurity {purity:.3e} exceeds 1e-8")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        phasespace.write_covariance_text(pure, fh)
+def cmd_purify(input_path: str, output_path: str) -> int:
+    # purify checks the input and the round trip and purity of its result
+    pure = phasespace.purify(_read_covariance(input_path))
+    text = io.StringIO()
+    phasespace.write_covariance_text(pure, text)
+    _write_output(output_path, text.getvalue())
     return 0
+
+
+_STATE_OPTIONS = {
+    "m": Option(int, 1, "kept system modes"),
+    "z_profile": Option(
+        str, help="vacuum | uniform:<z0> | power:<beta> | flat:<E> | file:<path>", required=True
+    ),
+    "samples": Option(int, help="samples per grid point", required=True),
+    "seed": Option(int, 0, "master seed"),
+    "pipeline": Option(str, "purified", choices=("direct", "purified")),
+    "threads": Option(int, 1, "worker processes"),
+    "out": Option(str, help="output path (default stdout)"),
+}
+_N_OPTION = Option(int, help="full system modes before tracing", required=True)
+
+
+# subcommand -> (handler, summary, shared options, own options).  --help
+# lists the shared options before the command's own; a missing-option
+# message lists the command's own first.
+_COMMANDS = {
+    "sample": (cmd_sample, "emit one record per sampled state", _STATE_OPTIONS, {
+        "n": _N_OPTION,
+        "format": Option(str, "csv", choices=("csv", "json")),
+    }),
+    "sweep": (cmd_sweep, "n-grid sweep with tail table and slope fit", _STATE_OPTIONS, {
+        "n_grid": Option(_int_list, help="e.g. 16,32,64", required=True),
+        "epsilon": Option(_float_list, harness.DEFAULT_EPSILONS, "tail thresholds, e.g. 0.05,0.1"),
+    }),
+    "moments": (cmd_moments, "analytic vs Monte Carlo moment table", _STATE_OPTIONS, {
+        "n": _N_OPTION,
+    }),
+    "validate": (cmd_validate, "run the invariant self-checks", {}, {
+        "seed": Option(int, 2024),
+        "sizes": Option(_int_list, (2, 4, 8), "mode counts, e.g. 2,4,8"),
+        "lipschitz_pairs": Option(int, 1000),
+        "cov": Option(str, help="validate one covariance text file instead"),
+    }),
+}
+
+
+def _resolve_options(args: argparse.Namespace) -> dict:
+    _, _, shared, own = _COMMANDS[args.command]
+    options = {**own, **shared}
+    file_entries = load_config_file(args.config) if args.config else {}
+    unknown = set(file_entries) - set(options)
+    if unknown:
+        raise InvalidConfig(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    resolved = {}
+    for dest, option in options.items():
+        value = getattr(args, dest)
+        if value is None and dest in file_entries:
+            try:
+                value = option.convert(file_entries[dest])
+            except GaussworkError:
+                raise
+            except ValueError as exc:
+                raise InvalidConfig(f"config key {dest}: {exc}") from exc
+        resolved[dest] = option.default if value is None else value
+    missing = [dest for dest, opt in options.items() if opt.required and resolved[dest] is None]
+    if missing:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in missing)
+        raise InvalidConfig(f"missing required option(s): {flags}")
+    return resolved
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,51 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
         "of random energy-bounded Gaussian states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_state: bool = True) -> None:
+    for name, (handler, summary, shared, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file; flags override")
-        if with_state:
-            p.add_argument("--m", type=int, help="kept system modes (default 1)")
+        for dest, option in {**shared, **own}.items():
             p.add_argument(
-                "--z-profile",
-                dest="z_profile",
-                help="vacuum | uniform:<z0> | power:<beta> | flat:<E> | file:<path>",
+                "--" + dest.replace("_", "-"),
+                type=option.convert,
+                choices=option.choices,
+                help=option.help_text(),
             )
-            p.add_argument("--samples", type=int, help="samples per grid point")
-            p.add_argument("--seed", type=int, help="master seed (default 0)")
-            p.add_argument("--pipeline", choices=["direct", "purified"])
-            p.add_argument("--threads", type=int, help="worker processes (default 1)")
-            p.add_argument("--out", help="output path (default stdout)")
-
-    p_sample = sub.add_parser("sample", help="emit one record per sampled state")
-    add_common(p_sample)
-    p_sample.add_argument("--n", type=int, help="full system modes before tracing")
-    p_sample.add_argument("--format", choices=["csv", "json"])
-    p_sample.set_defaults(fn=lambda args: cmd_sample(_resolve_options(args)))
-
-    p_sweep = sub.add_parser("sweep", help="n-grid sweep with tail table and slope fit")
-    add_common(p_sweep)
-    p_sweep.add_argument("--n-grid", dest="n_grid", type=_int_list, help="e.g. 16,32,64")
-    p_sweep.add_argument("--epsilon", type=_float_list, help="tail thresholds, e.g. 0.05,0.1")
-    p_sweep.set_defaults(fn=lambda args: cmd_sweep(_resolve_options(args)))
-
-    p_moments = sub.add_parser("moments", help="analytic vs Monte Carlo moment table")
-    add_common(p_moments)
-    p_moments.add_argument("--n", type=int, help="full system modes before tracing")
-    p_moments.set_defaults(fn=lambda args: cmd_moments(_resolve_options(args)))
-
-    p_validate = sub.add_parser("validate", help="run the invariant self-checks")
-    p_validate.add_argument("--config", help="key=value config file; flags override")
-    p_validate.add_argument("--seed", type=int)
-    p_validate.add_argument("--sizes", type=_int_list, help="mode counts, e.g. 2,4,8")
-    p_validate.add_argument("--lipschitz-pairs", dest="lipschitz_pairs", type=int)
-    p_validate.add_argument("--cov", help="validate one covariance text file instead")
-    p_validate.set_defaults(fn=lambda args: cmd_validate(_resolve_options(args)))
+        p.set_defaults(fn=lambda args, handler=handler: handler(_resolve_options(args)))
 
     p_purify = sub.add_parser("purify", help="purify a covariance text file")
     p_purify.add_argument("input", help="input covariance file")
     p_purify.add_argument("output", help="output covariance file")
-    p_purify.set_defaults(fn=cmd_purify)
+    p_purify.set_defaults(fn=lambda args: cmd_purify(args.input, args.output))
     return parser
 
 
@@ -320,15 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except _INVALID_INPUT as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except GaussworkError as exc:  # unmapped package errors default to invalid input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except GaussworkError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -2,14 +2,18 @@
 
 
 class GaussworkError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  The command line prints
+    ``"<label>: <message>"`` to stderr and exits with ``exit_code``."""
+
+    exit_code = 2
+    label = "invalid input"
 
 
 class InvalidCovariance(GaussworkError, ValueError):
     """A matrix failed one of the covariance-matrix invariants.
 
     The message starts with the name of the violated invariant
-    (``symmetry``, ``positive-definite`` or ``uncertainty``).
+    (``finite``, ``symmetry``, ``positive-definite`` or ``uncertainty``).
     """
 
 
@@ -20,6 +24,9 @@ class NonPositiveDefinite(InvalidCovariance):
 class NumericalFailure(GaussworkError, ArithmeticError):
     """An eigensolver or factorization did not converge, or a guaranteed
     numerical identity was violated beyond tolerance."""
+
+    exit_code = 3
+    label = "numerical failure"
 
 
 class BadModeCount(GaussworkError, ValueError):
@@ -45,6 +52,9 @@ class EmptyConstraintSet(GaussworkError, ValueError):
 class RejectionTimeout(GaussworkError, RuntimeError):
     """Flat-measure rejection sampling accepted nothing; the acceptance
     rate is below 1e-6.  Use a deterministic profile instead."""
+
+    exit_code = 3
+    label = "numerical failure"
 
 
 class EmptyInput(GaussworkError, ValueError):

@@ -185,8 +185,5 @@ def run_sweep(
 def run_moments(
     config: RandomStateConfig, n_samples: int, threads: int = 1
 ) -> list[weingarten.MomentReport]:
-    """Moment reports for every supported quantity."""
-    return [
-        weingarten.mc_moment(q, config, n_samples, threads=threads)
-        for q in weingarten.QUANTITIES
-    ]
+    """Moment reports for every supported quantity, from one draw per sample."""
+    return weingarten.mc_moments(weingarten.QUANTITIES, config, n_samples, threads=threads)

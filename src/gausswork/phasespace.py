@@ -31,6 +31,7 @@ SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 PHYSICAL_SLACK = 1e-9
 RECONSTRUCTION_TOL = 1e-8
+ROUNDTRIP_TOL = 1e-10
 PURITY_TOL = 1e-8
 
 
@@ -56,13 +57,15 @@ def mode_count(matrix: np.ndarray) -> int:
 def check_covariance(gamma: np.ndarray, require_physical: bool = True) -> int:
     """Validate the covariance-matrix invariants and return the mode count.
 
-    Checks, in order: symmetry (max asymmetry <= 1e-10), positive
-    definiteness, and, when ``require_physical``, the uncertainty relation
-    nu_k >= 1/2 - 1e-9.  Raises :class:`InvalidCovariance` (or the
+    Checks, in order: finite entries, symmetry (max asymmetry <= 1e-10),
+    positive definiteness, and, when ``require_physical``, the uncertainty
+    relation nu_k >= 1/2 - 1e-9.  Raises :class:`InvalidCovariance` (or the
     :class:`NonPositiveDefinite` subclass) naming the violated invariant.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidCovariance("finite: Gamma has a non-finite entry")
     asym = float(np.max(np.abs(gamma - gamma.T)))
     if asym > SYMMETRY_TOL:
         raise InvalidCovariance(f"symmetry: max |Gamma - Gamma^T| = {asym:.3e} exceeds {SYMMETRY_TOL}")
@@ -94,14 +97,6 @@ def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
     if evals[0] <= 0.0:
         raise NonPositiveDefinite(f"positive-definite: smallest eigenvalue {evals[0]:.3e} <= 0")
     return (vecs * np.sqrt(evals)) @ vecs.T
-
-
-def _interleaved_to_split(n_modes: int) -> np.ndarray:
-    """Column permutation mapping (q1,p1,...,qn,pn) indices to (q..q,p..p)."""
-    idx = np.empty(2 * n_modes, dtype=int)
-    idx[:n_modes] = 2 * np.arange(n_modes)
-    idx[n_modes:] = 2 * np.arange(n_modes) + 1
-    return idx
 
 
 @dataclass
@@ -162,13 +157,9 @@ def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> Will
         raise NumericalFailure("non-positive symplectic eigenvalue in Schur form")
     order = np.argsort(-nus, kind="stable")
     nus = nus[order]
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    q_orth = q_orth[:, cols]
-    scale = np.repeat(nus, 2) ** -0.5
-    factor = (root @ q_orth) * scale
-    factor = factor[:, _interleaved_to_split(n)]
+    # Schur columns come in (q, p) pairs; the factor wants all q columns first.
+    cols = np.concatenate([2 * order, 2 * order + 1])
+    factor = (root @ q_orth[:, cols]) * np.tile(nus, 2) ** -0.5
     return WilliamsonResult(nus=nus, symplectic_factor=factor)
 
 
@@ -221,7 +212,9 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     Williamson-factor the input as S D S^T, attach one two-mode-squeezed
     partner per thermal mode, and apply S on the original half.  The result
     is a 2m-mode pure state (all nu = 1/2) whose first-m-mode partial trace
-    reproduces the input, with Tr of the output <= 2 Tr of the input.
+    reproduces the input, with Tr of the output <= 2 Tr of the input.  The
+    round trip (``ROUNDTRIP_TOL``) and the purity (``PURITY_TOL``) are
+    checked before returning; a breach raises :class:`NumericalFailure`.
     """
     gamma_m = np.asarray(gamma_m, dtype=float)
     m = check_covariance(gamma_m)
@@ -237,22 +230,22 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     big = np.zeros((4 * m, 4 * m))
     q_a, q_r = np.arange(m), m + np.arange(m)
     p_a, p_r = 2 * m + np.arange(m), 3 * m + np.arange(m)
-    big[q_a, q_a] = nus
-    big[q_r, q_r] = nus
-    big[p_a, p_a] = nus
-    big[p_r, p_r] = nus
-    big[q_a, q_r] = cross
-    big[q_r, q_a] = cross
-    big[p_a, p_r] = -cross
-    big[p_r, p_a] = -cross
+    for a, r, c in ((q_a, q_r, cross), (p_a, p_r, -cross)):
+        big[a, a] = big[r, r] = nus
+        big[a, r] = big[r, a] = c
 
-    s = res.symplectic_factor
+    # S acts on the original half, whose rows are q_a then p_a
     embed = np.eye(4 * m)
-    embed[np.ix_(q_a, q_a)] = s[:m, :m]
-    embed[np.ix_(q_a, p_a)] = s[:m, m:]
-    embed[np.ix_(p_a, q_a)] = s[m:, :m]
-    embed[np.ix_(p_a, p_a)] = s[m:, m:]
-    return embed @ big @ embed.T
+    embed[np.ix_(np.r_[q_a, p_a], np.r_[q_a, p_a])] = res.symplectic_factor
+    pure = embed @ big @ embed.T
+
+    roundtrip = float(np.max(np.abs(partial_trace(pure, m) - gamma_m)))
+    if roundtrip > ROUNDTRIP_TOL:
+        raise NumericalFailure(f"purification round trip error {roundtrip:.3e} exceeds 1e-10")
+    purity = float(np.max(np.abs(symplectic_eigenvalues(pure).nus - 0.5)))
+    if purity > PURITY_TOL:
+        raise NumericalFailure(f"purification impurity {purity:.3e} exceeds 1e-8")
+    return pure
 
 
 def single_mode_squeezer(z: float, n_modes: int, target_mode: int) -> np.ndarray:
@@ -275,14 +268,6 @@ def is_symplectic(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     n = mode_count(matrix)
     omega = symplectic_form(n)
     return float(np.max(np.abs(matrix @ omega @ matrix.T - omega))) <= tol
-
-
-def is_orthosymplectic(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    matrix = np.asarray(matrix, dtype=float)
-    if not is_symplectic(matrix, tol):
-        return False
-    gram = matrix.T @ matrix
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0])))) <= tol
 
 
 def williamson_reconstruction_error(gamma: np.ndarray, result: WilliamsonResult) -> float:

@@ -9,7 +9,9 @@ before the trace, so the ambient unitary lives in U(2 n_full).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +140,9 @@ class ZProfile:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise InvalidProfile(f"unknown profile kind {self.kind!r}")
+        for value in (self.z0, self.beta, self.energy):
+            if value is not None and not math.isfinite(value):
+                raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
         if self.kind == "uniform" and (self.z0 is None or self.z0 < 1.0):
             raise InvalidProfile(f"uniform profile needs z0 >= 1, got {self.z0}")
         if self.kind == "power" and (self.beta is None or self.beta < 0.0):
@@ -205,7 +210,7 @@ class SqueezingSpec:
         z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
         if z.ndim != 1 or z.size == 0:
             raise InvalidProfile("squeezing vector must be a nonempty 1-D array")
-        if np.any(z < 1.0):
+        if not (z >= 1.0).all():  # also rejects NaN
             raise InvalidProfile(f"squeezing values must be >= 1, min is {z.min()}")
         if self.energy_bound is not None:
             budget = float(np.sum(z * z + z ** -2.0))
@@ -228,6 +233,31 @@ def flat_z_max(energy: float) -> float:
     return math.sqrt(2.0 * energy + math.sqrt(4.0 * energy * energy - 1.0))
 
 
+def _profile_file_values(path: str) -> np.ndarray:
+    """The z values of a ``file:`` profile, read-only.  Read once per
+    version of the file (absolute path, mtime, size), not once per sample."""
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise InvalidProfile(f"cannot read profile file {path}: {exc}") from exc
+    return _read_profile_file(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
+
+
+@functools.lru_cache(maxsize=8)
+def _read_profile_file(path: str, key: tuple) -> np.ndarray:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = np.array([float(line) for line in fh if line.strip()])
+    except OSError as exc:
+        raise InvalidProfile(f"cannot read profile file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidProfile(f"profile file {path} has a non-numeric line: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise InvalidProfile(f"profile file {path} has a non-finite value")
+    values.flags.writeable = False
+    return values
+
+
 def draw_squeezing(
     profile: ZProfile, n_modes: int, rng: np.random.Generator | None = None
 ) -> SqueezingSpec:
@@ -248,13 +278,12 @@ def draw_squeezing(
         z[: math.ceil(n_modes / 4)] = float(n_modes) ** (profile.beta / 2.0)
         return SqueezingSpec(z)
     if profile.kind == "file":
-        with open(profile.path, "r", encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+        values = _profile_file_values(profile.path)
         if len(values) != n_modes:
             raise DimensionMismatch(
                 f"profile file has {len(values)} entries, ambient dimension is {n_modes}"
             )
-        return SqueezingSpec(np.array(values))
+        return SqueezingSpec(values)
 
     # flat measure on the energy ball
     energy = float(profile.energy)

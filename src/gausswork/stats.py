@@ -91,23 +91,8 @@ class TypicalityRecord:
     eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.sample_index),
-                str(self.n_modes_full),
-                str(self.n_modes_sys),
-                repr(self.beta),
-                self.z_profile,
-                str(self.master_seed),
-                repr(self.energy),
-                repr(self.sum_sympl),
-                repr(self.work),
-                repr(self.stat_T),
-                repr(self.stat_frakT),
-                repr(self.stat_delta),
-                repr(self.nu_th),
-            )
-        )
+        # str of a Python float is its shortest round-trip repr
+        return ",".join(str(getattr(self, col)) for col in CSV_COLUMNS)
 
 
 def work_bound(m_sys: int, delta: float) -> float:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phasespace, sampling, stats
-from .errors import GaussworkError
+from .errors import GaussworkError, NumericalFailure
 from .phasespace import (
     PHYSICAL_SLACK,
     RECONSTRUCTION_TOL,
     check_covariance,
     extractable_work,
-    partial_trace,
     purify,
     symplectic_eigenvalues,
     symplectic_eigenvalues_direct,
@@ -109,16 +108,15 @@ def check_williamson_reconstruction(sizes, per_size: int, rng) -> CheckResult:
 
 
 def check_purification(per_size: int, rng) -> CheckResult:
+    # purify enforces the round trip and purity itself; the energy bound is checked here
     name = "purification-roundtrip"
     for m in (1, 2, 3):
         for _ in range(per_size):
             gamma = random_covariance(m, rng)
-            pure = purify(gamma)
-            if np.max(np.abs(partial_trace(pure, m) - gamma)) > 1e-10:
-                return _fail(name, f"partial trace does not return the input at m={m}")
-            nus = symplectic_eigenvalues(pure).nus
-            if np.max(np.abs(nus - 0.5)) > 1e-8:
-                return _fail(name, f"purification is not pure at m={m}")
+            try:
+                pure = purify(gamma)
+            except NumericalFailure as exc:
+                return _fail(name, f"{exc} at m={m}")
             if np.trace(pure) > 2.0 * np.trace(gamma) + 1e-9:
                 return _fail(name, f"purification energy bound violated at m={m}")
     return _ok(name)

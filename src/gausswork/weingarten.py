@@ -93,17 +93,26 @@ def expected_tr_gamma(spec: SqueezingSpec, config: RandomStateConfig) -> float:
     return 2.0 * config.m_sys * nu
 
 
-def expected_tr_gamma_sq(spec: SqueezingSpec, config: RandomStateConfig) -> float:
-    """Haar mean of Tr[Gamma_m^2] at ambient unitary dimension d."""
+def _second_moment_terms(
+    spec: SqueezingSpec, config: RandomStateConfig, dm_divisor: float
+) -> tuple[float, float, float]:
+    """(m, B term, A term): both second moments are +-m/2 (B term +- A term),
+    with Tr[B^2] coefficient d m / dm_divisor - 1 in the B term."""
     d = float(config.ambient_modes)
     if d < 2:
         raise BadDimension("second moments need ambient dimension >= 2")
     m = float(config.m_sys)
     ab = ABDecomposition.from_squeezing(spec)
     term_b1 = (d - m) * ab.trB ** 2 / (d * (d * d - 1.0))
-    term_b2 = (d * m - 1.0) * ab.trB2 / (d * (d * d - 1.0))
+    term_b2 = (d * m / dm_divisor - 1.0) * ab.trB2 / (d * (d * d - 1.0))
     term_a = (m + 1.0) * ab.trA2 / (d * (d + 1.0))
-    return 0.5 * m * (term_b1 + term_b2 + term_a)
+    return m, term_b1 + term_b2, term_a
+
+
+def expected_tr_gamma_sq(spec: SqueezingSpec, config: RandomStateConfig) -> float:
+    """Haar mean of Tr[Gamma_m^2] at ambient unitary dimension d."""
+    m, term_b, term_a = _second_moment_terms(spec, config, 1.0)
+    return 0.5 * m * (term_b + term_a)
 
 
 def expected_tr_omega_gamma_sq(
@@ -117,21 +126,11 @@ def expected_tr_omega_gamma_sq(
     retained, Monte-Carlo-confirmed variant) or ``half_dm_minus_1`` (the
     rejected alternate, kept for the disambiguation run).
     """
-    d = float(config.ambient_modes)
-    if d < 2:
-        raise BadDimension("second moments need ambient dimension >= 2")
-    m = float(config.m_sys)
-    ab = ABDecomposition.from_squeezing(spec)
-    if trb2_coeff == OMEGA_TRB2_RETAINED:
-        coeff = d * m - 1.0
-    elif trb2_coeff == OMEGA_TRB2_ALTERNATE:
-        coeff = d * m / 2.0 - 1.0
-    else:
+    dm_divisor = {OMEGA_TRB2_RETAINED: 1.0, OMEGA_TRB2_ALTERNATE: 2.0}.get(trb2_coeff)
+    if dm_divisor is None:
         raise ValueError(f"unknown trb2_coeff {trb2_coeff!r}")
-    term_b1 = (d - m) * ab.trB ** 2 / (d * (d * d - 1.0))
-    term_b2 = coeff * ab.trB2 / (d * (d * d - 1.0))
-    term_a = (m + 1.0) * ab.trA2 / (d * (d + 1.0))
-    return -0.5 * m * (term_b1 + term_b2 - term_a)
+    m, term_b, term_a = _second_moment_terms(spec, config, dm_divisor)
+    return -0.5 * m * (term_b - term_a)
 
 
 def measure_tr_gamma(gamma: np.ndarray) -> float:
@@ -190,9 +189,11 @@ class MomentReport:
         }
 
 
-def _moment_chunk(quantity: str, config: RandomStateConfig, lo: int, hi: int) -> list[float]:
-    fn = _MEASURES[quantity]
-    return [fn(sample_random_state(config, i)) for i in range(lo, hi)]
+def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> list[tuple]:
+    """One draw per sample index, measured for every quantity."""
+    fns = [_MEASURES[q] for q in quantities]
+    gammas = (sample_random_state(config, i) for i in range(lo, hi))
+    return [tuple(fn(gamma) for fn in fns) for gamma in gammas]
 
 
 def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
@@ -204,6 +205,51 @@ def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
     return diff / std_error
 
 
+def mc_moments(
+    quantities,
+    config: RandomStateConfig,
+    n_samples: int,
+    threads: int = 1,
+    trb2_coeff: str = OMEGA_TRB2_RETAINED,
+) -> list[MomentReport]:
+    """Monte Carlo estimates of several moments next to their analytic values.
+
+    Every sample is drawn once and measured for all ``quantities``.
+    Deterministic under a fixed master seed for any thread count; the mean
+    and standard error are accumulated with compensated summation.
+    """
+    quantities = tuple(quantities)
+    for quantity in quantities:
+        if quantity not in _MEASURES:
+            raise InvalidConfig(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+    if n_samples < 2:
+        raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
+    spec = _ambient_spec(config)
+    analytics = [
+        expected_tr_omega_gamma_sq(spec, config, trb2_coeff)
+        if quantity == "tr_omega_gamma_sq"
+        else _ANALYTIC[quantity](spec, config)
+        for quantity in quantities
+    ]
+    rows = parallel.run_chunked(_moment_chunk, (quantities, config), n_samples, threads)
+    reports = []
+    for quantity, analytic, values in zip(quantities, analytics, zip(*rows)):
+        mean = math.fsum(values) / n_samples
+        var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
+        std_error = math.sqrt(var / n_samples)
+        reports.append(
+            MomentReport(
+                quantity=quantity,
+                analytic=analytic,
+                estimate=mean,
+                std_error=std_error,
+                n_samples=n_samples,
+                z_ratio=_z_ratio(analytic, mean, std_error),
+            )
+        )
+    return reports
+
+
 def mc_moment(
     quantity: str,
     config: RandomStateConfig,
@@ -211,32 +257,8 @@ def mc_moment(
     threads: int = 1,
     trb2_coeff: str = OMEGA_TRB2_RETAINED,
 ) -> MomentReport:
-    """Monte Carlo estimate of a moment next to its analytic value.
-
-    Deterministic under a fixed master seed for any thread count; the mean
-    and standard error are accumulated with compensated summation.
-    """
-    if quantity not in _MEASURES:
-        raise InvalidConfig(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
-    if n_samples < 2:
-        raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
-    spec = _ambient_spec(config)
-    if quantity == "tr_omega_gamma_sq":
-        analytic = expected_tr_omega_gamma_sq(spec, config, trb2_coeff)
-    else:
-        analytic = _ANALYTIC[quantity](spec, config)
-    values = parallel.run_chunked(_moment_chunk, (quantity, config), n_samples, threads)
-    mean = math.fsum(values) / n_samples
-    var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
-    std_error = math.sqrt(var / n_samples)
-    return MomentReport(
-        quantity=quantity,
-        analytic=analytic,
-        estimate=mean,
-        std_error=std_error,
-        n_samples=n_samples,
-        z_ratio=_z_ratio(analytic, mean, std_error),
-    )
+    """Monte Carlo estimate of one moment next to its analytic value."""
+    return mc_moments((quantity,), config, n_samples, threads, trb2_coeff)[0]
 
 
 def omega_coefficient_probe(

@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import stat
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from gausswork import cli
 from gausswork import phasespace as ps
 
 
@@ -48,6 +53,54 @@ class TestSample:
         result = run_cli("sample", "--n", "4", "--z-profile", "gauss:2", "--samples", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command, profile", [
+        ("sample", "uniform:nan"), ("sample", "power:nan"), ("sample", "uniform:inf"),
+        ("moments", "uniform:nan"),
+    ])
+    def test_non_finite_profile(self, command, profile):
+        result = run_cli(command, "--n", "4", "--z-profile", profile, "--samples", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert profile in result.stderr
+
+    @pytest.mark.parametrize("content", [None, "1.0\n1.2\nbig\n1.0\n"])
+    def test_bad_profile_file(self, tmp_path, content):
+        path = tmp_path / "z.txt"
+        if content is not None:
+            path.write_text(content)
+        result = run_cli("sample", "--n", "2", "--z-profile", f"file:{path}", "--samples", "2")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "profile file" in result.stderr
+
+    SMALL = ("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2")
+
+    def test_symlinked_out_writes_through(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        assert run_cli(*self.SMALL, "--out", str(link)).returncode == 0
+        assert link.is_symlink()
+        assert real.read_text() == run_cli(*self.SMALL).stdout
+
+    def test_out_keeps_mode(self, tmp_path):
+        out = tmp_path / "s.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run_cli(*self.SMALL, "--out", str(out)).returncode == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert out.read_text() == run_cli(*self.SMALL).stdout
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_out(self, tmp_path, parent):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "s.csv"
+        result = run_cli("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2",
+                         "--out", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "cannot write" in result.stderr
+
 
 class TestSweep:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
@@ -73,6 +126,14 @@ class TestSweep:
         result = run_cli("sweep", "--n-grid", "12,6", "--z-profile", "vacuum",
                          "--samples", "5")
         assert result.returncode == 2
+
+    def test_unwritable_out_leaves_nothing(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        result = run_cli("sweep", "--n-grid", "6,12", "--z-profile", "vacuum",
+                         "--samples", "5", "--out", str(tmp_path / "taken"))
+        assert result.returncode == 2
+        assert "cannot write" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_tail_fractions_rederivable_from_csv(self, tmp_path):
         out = tmp_path / "s.json"
@@ -117,6 +178,12 @@ class TestMoments:
                          "--samples", "50")
         assert result.returncode == 2
 
+    def test_unwritable_out(self, tmp_path):
+        result = run_cli("moments", "--n", "4", "--z-profile", "vacuum", "--samples", "5",
+                         "--out", str(tmp_path / "missing" / "m.json"))
+        assert result.returncode == 2
+        assert "cannot write" in result.stderr
+
 
 class TestValidate:
     def test_default_suite_passes(self):
@@ -143,6 +210,21 @@ class TestValidate:
         write_covariance(path, np.eye(4) / 2)
         assert run_cli("validate", "--cov", str(path)).returncode == 0
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        result = run_cli("validate", "--cov", str(path))
+        assert result.returncode == 2
+        assert "cannot read" in result.stderr
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_file_names_finite(self, tmp_path, bad):
+        path = tmp_path / "inf.txt"
+        path.write_text(f"1\n{bad} 0.0\n0.0 1.0\n")
+        result = run_cli("validate", "--cov", str(path))
+        assert result.returncode == 1
+        assert "FAIL covariance-invariants: finite" in result.stderr
+
 
 class TestPurify:
     def test_vacuum(self, tmp_path):
@@ -161,9 +243,24 @@ class TestPurify:
 
     def test_malformed_file(self, tmp_path):
         src = tmp_path / "junk.txt"
-        src.write_text("not a matrix\n")
-        result = run_cli("purify", str(src), str(tmp_path / "o.txt"))
-        assert result.returncode == 2
+        for content in (b"not a matrix\n", b"\xff\xfe\x00\x01"):
+            src.write_bytes(content)
+            result = run_cli("purify", str(src), str(tmp_path / "o.txt"))
+            assert result.returncode == 2
+            assert "Traceback" not in result.stderr
+
+    def test_fifo_output_written_in_place(self, tmp_path):
+        src, fifo = tmp_path / "in.txt", tmp_path / "out.fifo"
+        write_covariance(src, np.eye(2) / 2)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli("purify", str(src), str(fifo)).returncode == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert text.splitlines()[0] == "2"
 
     def test_unphysical_input(self, tmp_path):
         src = tmp_path / "tight.txt"
@@ -172,6 +269,13 @@ class TestPurify:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("purify", str(tmp_path / "nope.txt"), "o.txt").returncode == 2
+
+    def test_unwritable_output(self, tmp_path):
+        src = tmp_path / "in.txt"
+        write_covariance(src, np.eye(2))
+        result = run_cli("purify", str(src), str(tmp_path / "missing" / "o.txt"))
+        assert result.returncode == 2
+        assert "cannot write" in result.stderr
 
 
 class TestConfigFile:
@@ -191,9 +295,33 @@ class TestConfigFile:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)).returncode == 0
 
     def test_unknown_key_rejected(self, tmp_path):
+        # also a bad value and a file that is not UTF-8
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("banana=1\n")
-        result = run_cli("sample", "--config", str(cfg), "--n", "4",
-                         "--z-profile", "vacuum", "--samples", "1")
-        assert result.returncode == 2
-        assert "banana" in result.stderr
+        for content, needle in ((b"banana=1\n", "banana"), (b"m=abc\n", "config key m"),
+                                (b"\xff\xfe=1\n", "cannot read config file")):
+            cfg.write_bytes(content)
+            result = run_cli("sample", "--config", str(cfg), "--n", "4",
+                             "--z-profile", "vacuum", "--samples", "1")
+            assert result.returncode == 2
+            assert needle in result.stderr
+            assert "Traceback" not in result.stderr
+
+
+class TestHelp:
+    STATE = "--config --m --z-profile --samples --seed --pipeline --threads --out"
+    FLAGS = {
+        "sample": STATE + " --n --format",
+        "sweep": STATE + " --n-grid --epsilon",
+        "moments": STATE + " --n",
+        "validate": "--config --seed --sizes --lipschitz-pairs --cov",
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_and_defaults(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = capsys.readouterr().out
+        assert re.findall(r"^  (--[a-z-]+)", text, re.M) == self.FLAGS[command].split()
+        seed = "2024" if command == "validate" else "0"
+        assert re.search(rf"^  --seed SEED .*\(default {seed}\)$", text, re.M)

@@ -1,0 +1,182 @@
+"""Golden command-line invocations, pinned by hash.
+
+Each case runs ``cli.main`` in-process and records its exit code, stdout,
+stderr and every output file it names.  Inputs are written as literal text
+into a temporary directory, and that directory's path is replaced by
+``<tmp>`` before hashing, so messages naming a file are stable.  Each
+digest is the first 16 hex digits of a sha256.
+
+The digests were taken with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
+(scipy-openblas) under CPython 3.11 on x86-64.  Other versions can change
+the last digits of sampled values, or argparse's wording, and with them
+the hashes.  A refactor of the command line must leave every digest
+unchanged; a deliberate change of output updates the table in the same
+commit.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from gausswork import cli
+
+COV_ONE_MODE = "1\n1.3 0.2\n0.2 0.9\n"
+COV_TWO_MODE = (
+    "2\n"
+    "1.1 0.1 0.05 0.0\n"
+    "0.1 0.9 0.0 -0.1\n"
+    "0.05 0.0 1.2 0.2\n"
+    "0.0 -0.1 0.2 0.8\n"
+)
+
+INPUTS = {
+    "good1.txt": COV_ONE_MODE,
+    "good2.txt": COV_TWO_MODE,
+    "asym.txt": "1\n1.0 0.5\n0.0 1.0\n",
+    "tight.txt": "1\n0.25 0.0\n0.0 0.25\n",
+    "junk.txt": "not a matrix\n",
+    "z.txt": "1.0\n1.2\n1.5\n1.1\n2.0\n1.3\n",
+    "override.cfg": "n=4\nz_profile=vacuum\nsamples=3\nseed=9\n",
+    "dash.cfg": "# dashes stand for underscores\nn-grid=6,12\nz-profile=vacuum\nsamples=5\n",
+    "cov.cfg": "cov={tmp}/good1.txt\n",
+    "banana.cfg": "banana=1\n",
+    "words.cfg": "just words\n",
+    "xml.cfg": "format=xml\n",
+}
+
+# name -> (argv, output files)
+CASES = {
+    "sample-csv": ("sample --n 6 --m 1 --z-profile uniform:1.3 --samples 8 --seed 3", ()),
+    "sample-json-out": (
+        "sample --n 4 --m 2 --z-profile power:0.2 --samples 5 --seed 1 --format json "
+        "--out {tmp}/s.json", ("s.json",),
+    ),
+    "sample-file-profile": ("sample --n 3 --z-profile file:{tmp}/z.txt --samples 4 --seed 2", ()),
+    "sample-threads": (
+        "sample --n 8 --m 2 --z-profile uniform:1.5 --samples 12 --seed 5 --threads 2 "
+        "--pipeline direct", (),
+    ),
+    "sample-bad-profile": ("sample --n 4 --z-profile gauss:2 --samples 1", ()),
+    "sweep-out": (
+        "sweep --n-grid 6,12 --z-profile uniform:1.5 --samples 40 --seed 11 "
+        "--epsilon 0.05,0.1 --out {tmp}/sw.json", ("sw.json", "sw.csv"),
+    ),
+    "sweep-power": ("sweep --n-grid 4,8,16 --z-profile power:0.3 --samples 10 --seed 2", ()),
+    "sweep-vacuum": ("sweep --n-grid 4,8 --z-profile vacuum --samples 5", ()),
+    "sweep-decreasing": ("sweep --n-grid 12,6 --z-profile vacuum --samples 5", ()),
+    "moments": ("moments --n 4 --z-profile uniform:1.2 --samples 60 --seed 5", ()),
+    "moments-out-vacuum": (
+        "moments --n 6 --m 2 --z-profile vacuum --samples 20 --out {tmp}/mo.json", ("mo.json",),
+    ),
+    "moments-flat": ("moments --n 4 --z-profile flat:10 --samples 50", ()),
+    "validate-suite": ("validate --sizes 2 --lipschitz-pairs 20 --seed 7", ()),
+    "validate-cov-good": ("validate --cov {tmp}/good2.txt", ()),
+    "validate-cov-asym": ("validate --cov {tmp}/asym.txt", ()),
+    "validate-cov-unphysical": ("validate --cov {tmp}/tight.txt", ()),
+    "validate-cov-missing": ("validate --cov {tmp}/nope.txt", ()),
+    "purify-one-mode": ("purify {tmp}/good1.txt {tmp}/p1.txt", ("p1.txt",)),
+    "purify-two-mode": ("purify {tmp}/good2.txt {tmp}/p2.txt", ("p2.txt",)),
+    "purify-unphysical": ("purify {tmp}/tight.txt {tmp}/p3.txt", ()),
+    "purify-malformed": ("purify {tmp}/junk.txt {tmp}/p4.txt", ()),
+    "purify-missing": ("purify {tmp}/nope.txt {tmp}/p5.txt", ()),
+    "config-override": ("sample --config {tmp}/override.cfg --z-profile uniform:1.1", ()),
+    "config-dash-keys": ("sweep --config {tmp}/dash.cfg --out {tmp}/c.json", ("c.json", "c.csv")),
+    "config-validate-cov": ("validate --config {tmp}/cov.cfg", ()),
+    "config-unknown-key": (
+        "sample --config {tmp}/banana.cfg --n 4 --z-profile vacuum --samples 1", (),
+    ),
+    "config-missing-file": (
+        "sample --config {tmp}/nope.cfg --n 4 --z-profile vacuum --samples 1", (),
+    ),
+    "config-not-key-value": ("moments --config {tmp}/words.cfg", ()),
+    "config-bad-format": (
+        "sample --config {tmp}/xml.cfg --n 4 --z-profile vacuum --samples 1", (),
+    ),
+    "missing-required": ("sample --n 4 --samples 2", ()),
+    "missing-several": ("moments", ()),
+    "bad-int": ("sample --n four --z-profile vacuum --samples 1", ()),
+    "bad-int-list": ("sweep --n-grid 1,a --z-profile vacuum --samples 1", ()),
+    "bad-choice": ("sample --n 4 --z-profile vacuum --samples 1 --pipeline sideways", ()),
+    "no-command": ("", ()),
+}
+
+# name -> (exit code, stdout, stderr, {file: digest}), recorded before the CLI refactor
+GOLDEN = {
+    'bad-choice': (2, 'e3b0c44298fc1c14', '049ad70258167b3d', {}),
+    'bad-int': (2, 'e3b0c44298fc1c14', '359ebcba92a85b71', {}),
+    'bad-int-list': (2, 'e3b0c44298fc1c14', 'd8ae243cb558bc15', {}),
+    'config-bad-format': (2, 'e3b0c44298fc1c14', 'fe2d1238b577ca91', {}),
+    'config-dash-keys': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'c.json': 'dc1c92ab76eba271', 'c.csv': '9f3e7105abbf9d94'}),
+    'config-missing-file': (2, 'e3b0c44298fc1c14', '3676f33b2b9c4f88', {}),
+    'config-not-key-value': (2, 'e3b0c44298fc1c14', '95dbce6770a1ea20', {}),
+    'config-override': (0, 'adb10b896854dee7', 'e3b0c44298fc1c14', {}),
+    'config-unknown-key': (2, 'e3b0c44298fc1c14', '22cbaa3a8ad22ac0', {}),
+    'config-validate-cov': (0, '8302e31ee61d1d8b', 'e3b0c44298fc1c14', {}),
+    'missing-required': (2, 'e3b0c44298fc1c14', '403b56f5b77b61d5', {}),
+    'missing-several': (2, 'e3b0c44298fc1c14', '67b012bae1640c71', {}),
+    'moments': (0, '472aaffbc5a3ef25', 'e3b0c44298fc1c14', {}),
+    'moments-flat': (2, 'e3b0c44298fc1c14', '0c9f8f8ec350ffcb', {}),
+    'moments-out-vacuum': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'mo.json': '5a61eaec2b4bc24a'}),
+    'no-command': (2, 'e3b0c44298fc1c14', '07f79b7a7ef5b9be', {}),
+    'purify-malformed': (2, 'e3b0c44298fc1c14', '3eaaeb045f22094d', {}),
+    'purify-missing': (2, 'e3b0c44298fc1c14', 'b41e33f43f61cc66', {}),
+    'purify-one-mode': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'p1.txt': '4c62564da71d72d1'}),
+    'purify-two-mode': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'p2.txt': 'dddc41adad1470a3'}),
+    'purify-unphysical': (2, 'e3b0c44298fc1c14', '78806593afc05bce', {}),
+    'sample-bad-profile': (2, 'e3b0c44298fc1c14', '2264fce1931d9767', {}),
+    'sample-csv': (0, '8124a5f59c1de977', 'e3b0c44298fc1c14', {}),
+    'sample-file-profile': (0, '4264f07ccdd157db', 'e3b0c44298fc1c14', {}),
+    'sample-json-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'s.json': '4d5be827887f3cce'}),
+    'sample-threads': (0, '9c39151a20badef2', 'e3b0c44298fc1c14', {}),
+    'sweep-decreasing': (2, 'e3b0c44298fc1c14', 'bbfe349757343aff', {}),
+    'sweep-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'sw.json': '203c792763adf532', 'sw.csv': 'e0d510bd2d16dac4'}),
+    'sweep-power': (0, '25276ded3c73792f', 'e3b0c44298fc1c14', {}),
+    'sweep-vacuum': (0, 'fcbc63c8db3dd786', 'e3b0c44298fc1c14', {}),
+    'validate-cov-asym': (1, 'e3b0c44298fc1c14', 'eeafd119ed76e23e', {}),
+    'validate-cov-good': (0, '8302e31ee61d1d8b', 'e3b0c44298fc1c14', {}),
+    'validate-cov-missing': (2, 'e3b0c44298fc1c14', 'b41e33f43f61cc66', {}),
+    'validate-cov-unphysical': (1, 'e3b0c44298fc1c14', '68232820c6fb533b', {}),
+    'validate-suite': (0, '2beef1693650ae3f', 'e3b0c44298fc1c14', {}),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def observe(name: str, tmp) -> tuple:
+    """(exit code, stdout digest, stderr digest, {file: digest}) of one case."""
+    argv_text, outputs = CASES[name]
+    argv = argv_text.format(tmp=tmp).split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            rc = exc.code
+
+    def norm(text: str) -> str:
+        return text.replace(str(tmp), "<tmp>")
+
+    files = {f: _digest(norm((tmp / f).read_text(encoding="utf-8"))) for f in outputs}
+    return rc, _digest(norm(out.getvalue())), _digest(norm(err.getvalue())), files
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    for fname, text in INPUTS.items():
+        (tmp / fname).write_text(text.format(tmp=tmp), encoding="utf-8")
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, golden_dir, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    assert observe(name, golden_dir) == GOLDEN[name]
+
+
+def test_every_case_pinned():
+    assert set(GOLDEN) == set(CASES)

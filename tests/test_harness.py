@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gausswork import harness
+from gausswork import harness, weingarten
 from gausswork.errors import InvalidConfig
 from gausswork.sampling import RandomStateConfig, ZProfile
 from gausswork.stats import CSV_HEADER
@@ -113,3 +113,18 @@ class TestMoments:
         )
         for r in reports:
             assert r.n_samples == 300
+
+    def test_one_draw_per_sample(self, monkeypatch):
+        config = uniform_config(n_full=4)
+        separate = [weingarten.mc_moment(q, config, 40).to_dict() for q in weingarten.QUANTITIES]
+        calls = []
+        draw = weingarten.sample_random_state
+
+        def counting(config, index):
+            calls.append(index)
+            return draw(config, index)
+
+        monkeypatch.setattr(weingarten, "sample_random_state", counting)
+        reports = harness.run_moments(config, 40)
+        assert calls == list(range(40))
+        assert [r.to_dict() for r in reports] == separate

@@ -271,6 +271,13 @@ class TestCovarianceChecks:
         with pytest.raises(InvalidCovariance, match="uncertainty"):
             ps.check_covariance(0.25 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_named(self, bad):
+        gamma = np.eye(2)
+        gamma[0, 0] = bad
+        with pytest.raises(InvalidCovariance, match="^finite"):
+            ps.check_covariance(gamma)
+
     def test_valid(self):
         assert ps.check_covariance(np.eye(4) / 2) == 2
 

@@ -101,7 +101,10 @@ class TestZProfile:
         assert ZProfile.parse("file:/tmp/z.txt").path == "/tmp/z.txt"
         assert ZProfile.parse("uniform:1.5").canonical() == "uniform:1.5"
 
-    @pytest.mark.parametrize("text", ["box", "uniform", "uniform:0.5", "power:-1", "flat:0", "vacuum:2"])
+    @pytest.mark.parametrize("text", [
+        "box", "uniform", "uniform:0.5", "power:-1", "flat:0", "vacuum:2",
+        "uniform:nan", "uniform:inf", "power:nan", "power:inf", "flat:nan", "flat:inf",
+    ])
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidProfile):
             ZProfile.parse(text)
@@ -158,11 +161,51 @@ class TestDrawSqueezing:
         with pytest.raises(DimensionMismatch):
             sm.draw_squeezing(ZProfile("file", path=str(path)), 4)
 
+    def test_file_profile_bad_file(self, tmp_path):
+        with pytest.raises(InvalidProfile, match="cannot read"):
+            sm.draw_squeezing(ZProfile("file", path=str(tmp_path / "nope.txt")), 3)
+        path = tmp_path / "z.txt"
+        path.write_text("1.0\nlarge\n2.0\n")
+        with pytest.raises(InvalidProfile, match="large"):
+            sm.draw_squeezing(ZProfile("file", path=str(path)), 3)
+        for bad in ("nan", "inf"):
+            path = tmp_path / f"{bad}.txt"
+            path.write_text(f"1.0\n{bad}\n2.0\n")
+            with pytest.raises(InvalidProfile, match="non-finite"):
+                sm.draw_squeezing(ZProfile("file", path=str(path)), 3)
+
+    def test_file_profile_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "z.txt"
+        path.write_text("1.0\n1.5\n2.0\n1.2\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "open", counting_open, raising=False)
+        config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("file", path=str(path)),
+                                   master_seed=0)
+        for index in range(5):
+            sm.draw_sample(config, index)
+        assert opened == [str(path)]
+        # a rewritten file, or the same relative path from another directory, is read again
+        path.write_text("1.25\n1.5\n2.0\n1.2\n")
+        assert sm.draw_squeezing(config.profile, 4).z[0] == 1.25
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "z.txt").write_text("3.0\n1.5\n2.0\n1.2\n")
+        monkeypatch.chdir(other)
+        assert sm.draw_squeezing(ZProfile("file", path="z.txt"), 4).z[0] == 3.0
+        assert len(opened) == 3
+
     def test_spec_validation(self):
         with pytest.raises(InvalidProfile):
             SqueezingSpec(np.array([0.9, 1.2]))
         with pytest.raises(InvalidProfile):
             SqueezingSpec(np.array([2.0, 2.0]), energy_bound=1.0)
+        with pytest.raises(InvalidProfile):
+            SqueezingSpec(np.array([1.5, np.nan]))
 
 
 class TestSqueezeGram:
