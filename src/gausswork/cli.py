@@ -4,11 +4,12 @@ Subcommands: sample, sweep, moments, validate, purify.  Exit codes:
 0 success, 1 validation failure (``validate`` only), 2 invalid input or
 configuration, 3 numerical failure.  Exit code 2 covers unreadable or
 malformed input files (covariance, config and ``file:`` profile files),
-non-finite inputs and output paths that cannot be written; ``validate
---cov`` reports a covariance matrix that breaks an invariant, non-finite
-entries included, with exit code 1.  A new or plain regular output
-file is written to a temporary file and renamed into place, so a failed
-run leaves no half-written output; see ``_write_output``.
+non-finite inputs, empty lists, ``--lipschitz-pairs`` below 1 and output
+paths that cannot be written; ``validate --cov`` reports a covariance
+matrix that breaks an invariant, non-finite entries included, with exit
+code 1.  New or plain regular output files are written to temporary files
+and renamed into place once all are complete, so a failed run leaves no
+half-written output; see ``_write_files``.
 
 A key=value config file can be passed with --config; explicit flags
 override file entries.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -32,18 +34,22 @@ from .sampling import RandomStateConfig, ZProfile
 from .stats import CSV_COLUMNS
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, convert, kind: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidConfig(f"expected a comma-separated integer list, got {text!r}") from exc
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise InvalidConfig(f"expected a comma-separated {kind} list, got {text!r}")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return _number_list(text, int, "integer")
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidConfig(f"expected a comma-separated float list, got {text!r}") from exc
+    return _number_list(text, float, "float")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -87,35 +93,45 @@ class Option(NamedTuple):
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Write ``text`` to stdout or to ``path``.  A new file, or a regular
-    file of ours with one link, is replaced by a temporary file from the
-    same directory, given its mode, only once complete.  Any other path (a
-    symlink, FIFO, device, hard link or another owner's file) is written in
-    place, because a rename would replace it rather than write to it."""
+    """Write ``text`` to stdout, or to the file ``path``."""
     if path is None:
         sys.stdout.write(text)
-        return
+    else:
+        _write_files({path: text})
+
+
+def _write_files(files: dict[str, str]) -> None:
+    """Write each ``{path: text}`` entry.  A new file, or a regular file of
+    ours with one link, is replaced by a temporary file from the same
+    directory, given its mode, once every entry is complete, so a failure
+    renames none of them into place.  Any other path (a symlink, FIFO,
+    device, hard link or another owner's file) is written in place, because
+    a rename would replace it rather than write to it."""
+    staged = []
     try:
-        old = os.lstat(path)
-    except OSError:
-        old = None
-    in_place = old is not None and (
-        not stat.S_ISREG(old.st_mode) or old.st_nlink != 1
-        or (old.st_uid, old.st_gid) != (os.geteuid(), os.getegid())
-    )
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        if in_place:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            return
-        tmp.write_text(text, encoding="utf-8")
-        if old is not None:
-            os.chmod(tmp, stat.S_IMODE(old.st_mode))
-        os.replace(tmp, path)
+        for path, text in files.items():
+            try:
+                old = os.lstat(path)
+            except OSError:
+                old = None
+            if old is not None and (
+                not stat.S_ISREG(old.st_mode) or old.st_nlink != 1
+                or (old.st_uid, old.st_gid) != (os.geteuid(), os.getegid())
+            ):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                continue
+            tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text, encoding="utf-8")
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise InvalidConfig(f"cannot write {path}: {exc}") from exc
 
 
@@ -165,9 +181,12 @@ def cmd_sweep(opts: dict) -> int:
         epsilons=opts["epsilon"],
         threads=opts["threads"],
     )
-    _write_output(opts["out"], _json_text(summary))
-    if opts["out"] is not None:
-        _write_output(str(Path(opts["out"]).with_suffix(".csv")), harness.records_csv(records))
+    out = opts["out"]
+    if out is None:
+        sys.stdout.write(_json_text(summary))
+    else:
+        csv_path = str(Path(out).with_suffix(".csv"))
+        _write_files({out: _json_text(summary), csv_path: harness.records_csv(records)})
     return 0
 
 
@@ -270,6 +289,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     return resolved
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausswork",

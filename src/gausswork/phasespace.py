@@ -54,13 +54,14 @@ def mode_count(matrix: np.ndarray) -> int:
     return matrix.shape[0] // 2
 
 
-def check_covariance(gamma: np.ndarray, require_physical: bool = True) -> int:
+def check_covariance(gamma: np.ndarray) -> int:
     """Validate the covariance-matrix invariants and return the mode count.
 
     Checks, in order: finite entries, symmetry (max asymmetry <= 1e-10),
-    positive definiteness, and, when ``require_physical``, the uncertainty
-    relation nu_k >= 1/2 - 1e-9.  Raises :class:`InvalidCovariance` (or the
-    :class:`NonPositiveDefinite` subclass) naming the violated invariant.
+    positive definiteness (from the eigendecomposition behind the
+    symplectic spectrum) and the uncertainty relation nu_k >= 1/2 - 1e-9.
+    Raises :class:`InvalidCovariance` (or the :class:`NonPositiveDefinite`
+    subclass) naming the violated invariant.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -69,15 +70,9 @@ def check_covariance(gamma: np.ndarray, require_physical: bool = True) -> int:
     asym = float(np.max(np.abs(gamma - gamma.T)))
     if asym > SYMMETRY_TOL:
         raise InvalidCovariance(f"symmetry: max |Gamma - Gamma^T| = {asym:.3e} exceeds {SYMMETRY_TOL}")
-    evals = np.linalg.eigvalsh(gamma)
-    if evals[0] <= 0.0:
-        raise NonPositiveDefinite(f"positive-definite: smallest eigenvalue {evals[0]:.3e} <= 0")
-    if require_physical:
-        nus = symplectic_eigenvalues(gamma).nus
-        if nus[-1] < 0.5 - PHYSICAL_SLACK:
-            raise InvalidCovariance(
-                f"uncertainty: smallest symplectic eigenvalue {nus[-1]:.12g} < 1/2"
-            )
+    nus = symplectic_eigenvalues(gamma).nus
+    if nus[-1] < 0.5 - PHYSICAL_SLACK:
+        raise InvalidCovariance(f"uncertainty: smallest symplectic eigenvalue {nus[-1]:.12g} < 1/2")
     return n
 
 
@@ -109,13 +104,6 @@ class WilliamsonResult:
 
     nus: np.ndarray
     symplectic_factor: np.ndarray | None = None
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.nus)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(np.concatenate([self.nus, self.nus]))
 
 
 def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> WilliamsonResult:
@@ -275,7 +263,7 @@ def williamson_reconstruction_error(gamma: np.ndarray, result: WilliamsonResult)
     if result.symplectic_factor is None:
         raise ValueError("result carries no symplectic factor")
     s = result.symplectic_factor
-    delta = gamma - s @ result.diagonal() @ s.T
+    delta = gamma - (s * np.tile(result.nus, 2)) @ s.T
     return float(np.linalg.norm(delta, 2) / np.linalg.norm(gamma, 2))
 
 

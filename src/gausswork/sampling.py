@@ -118,6 +118,17 @@ def unitary_to_symplectic_reference(u: np.ndarray) -> np.ndarray:
     return out.real
 
 
+# kind -> None for a kind without parameter, else (its field, the parser of
+# its text, the test its value must pass, what an error says it needs)
+_PROFILE_PARAMETERS = {
+    "vacuum": None,
+    "uniform": ("z0", float, lambda v: v >= 1.0, "z0 >= 1, got {}"),
+    "power": ("beta", float, lambda v: v >= 0.0, "beta >= 0, got {}"),
+    "flat": ("energy", float, lambda v: v > 0.0, "a positive energy bound, got {}"),
+    "file": ("path", str, bool, "a path"),
+}
+
+
 @dataclass(frozen=True)
 class ZProfile:
     """Squeezing profile for the ambient modes.
@@ -135,54 +146,42 @@ class ZProfile:
     energy: float | None = None
     path: str | None = None
 
-    _KINDS = ("vacuum", "uniform", "power", "flat", "file")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in _PROFILE_PARAMETERS:
             raise InvalidProfile(f"unknown profile kind {self.kind!r}")
         for value in (self.z0, self.beta, self.energy):
             if value is not None and not math.isfinite(value):
                 raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
-        if self.kind == "uniform" and (self.z0 is None or self.z0 < 1.0):
-            raise InvalidProfile(f"uniform profile needs z0 >= 1, got {self.z0}")
-        if self.kind == "power" and (self.beta is None or self.beta < 0.0):
-            raise InvalidProfile(f"power profile needs beta >= 0, got {self.beta}")
-        if self.kind == "flat" and (self.energy is None or self.energy <= 0.0):
-            raise InvalidProfile(f"flat profile needs a positive energy bound, got {self.energy}")
-        if self.kind == "file" and not self.path:
-            raise InvalidProfile("file profile needs a path")
+        param = _PROFILE_PARAMETERS[self.kind]
+        if param is not None:
+            field, _, valid, needs = param
+            value = getattr(self, field)
+            if value is None or not valid(value):
+                raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
 
     @classmethod
     def parse(cls, text: str) -> "ZProfile":
         """Parse 'vacuum | uniform:<z0> | power:<beta> | flat:<E> | file:<path>'."""
         head, _, tail = text.strip().partition(":")
+        if head not in _PROFILE_PARAMETERS:
+            raise InvalidProfile(f"unknown profile {text!r}")
+        param = _PROFILE_PARAMETERS[head]
         try:
-            if head == "vacuum":
+            if param is None:
                 if tail:
-                    raise InvalidProfile("vacuum takes no parameter")
-                return cls("vacuum")
-            if head == "uniform":
-                return cls("uniform", z0=float(tail))
-            if head == "power":
-                return cls("power", beta=float(tail))
-            if head == "flat":
-                return cls("flat", energy=float(tail))
-            if head == "file":
-                return cls("file", path=tail)
+                    raise InvalidProfile(f"{head} takes no parameter")
+                return cls(head)
+            field, parse_value, _, _ = param
+            return cls(head, **{field: parse_value(tail)})
         except ValueError as exc:
             raise InvalidProfile(f"bad profile parameter in {text!r}") from exc
-        raise InvalidProfile(f"unknown profile {text!r}")
 
     def canonical(self) -> str:
-        if self.kind == "vacuum":
-            return "vacuum"
-        if self.kind == "uniform":
-            return f"uniform:{self.z0!r}"
-        if self.kind == "power":
-            return f"power:{self.beta!r}"
-        if self.kind == "flat":
-            return f"flat:{self.energy!r}"
-        return f"file:{self.path}"
+        param = _PROFILE_PARAMETERS[self.kind]
+        if param is None:
+            return self.kind
+        value = getattr(self, param[0])
+        return f"{self.kind}:{value if isinstance(value, str) else repr(value)}"
 
     @property
     def degree(self) -> float:

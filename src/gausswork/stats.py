@@ -10,7 +10,7 @@ collected in a :class:`TypicalityRecord`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class TypicalityRecord:
     stat_frakT: float
     stat_delta: float
     nu_th: float
-    eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     def csv_row(self) -> str:
         # str of a Python float is its shortest round-trip repr
@@ -105,7 +104,6 @@ def evaluate_record(
     spec: SqueezingSpec,
     config: RandomStateConfig,
     sample_index: int,
-    keep_eigenvalues: bool = False,
 ) -> TypicalityRecord:
     """Assemble the full statistics record for one sampled state.
 
@@ -145,7 +143,6 @@ def evaluate_record(
         stat_frakT=stat_frak,
         stat_delta=delta,
         nu_th=nu,
-        eigenvalues=lam if keep_eigenvalues else None,
     )
 
 

@@ -1,9 +1,10 @@
 """Self-check suite behind the ``validate`` CLI subcommand.
 
 Each check exercises one contract of the core modules on seeded random
-inputs and reports the first violated assertion by name.  The heavier
-statistical verifications live in the test suite; this runner is meant to
-finish in seconds.
+inputs and reports the first violated assertion by name, raised as a
+:class:`Violation` or as the error of a library function that enforces the
+contract itself.  The heavier statistical verifications live in the test
+suite; this runner is meant to finish in seconds.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phasespace, sampling, stats
-from .errors import GaussworkError, NumericalFailure
+from . import sampling, stats
+from .errors import GaussworkError, InvalidConfig
 from .phasespace import (
-    PHYSICAL_SLACK,
     RECONSTRUCTION_TOL,
     check_covariance,
     extractable_work,
+    is_symplectic,
     purify,
     symplectic_eigenvalues,
     symplectic_eigenvalues_direct,
@@ -45,87 +46,72 @@ class CheckResult:
     detail: str = ""
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name=name, ok=False, detail=detail)
+class Violation(Exception):
+    """A check found its contract broken; the message says where."""
 
 
-def _ok(name: str) -> CheckResult:
-    return CheckResult(name=name, ok=True)
+def _require(ok, detail: str) -> None:
+    # written as "not ok" so that a NaN comparison fails the check
+    if not ok:
+        raise Violation(detail)
 
 
-def check_symplectic_form(sizes) -> CheckResult:
-    name = "symplectic-form"
+def check_symplectic_form(sizes) -> None:
     for n in sizes:
         omega = symplectic_form(n)
-        eye = np.eye(2 * n)
-        if not np.allclose(omega @ omega, -eye, atol=0):
-            return _fail(name, f"Omega^2 != -I at n={n}")
-        if not np.array_equal(omega.T, -omega):
-            return _fail(name, f"Omega^T != -Omega at n={n}")
-    return _ok(name)
+        _require(np.allclose(omega @ omega, -np.eye(2 * n), atol=0), f"Omega^2 != -I at n={n}")
+        _require(np.array_equal(omega.T, -omega), f"Omega^T != -Omega at n={n}")
 
 
-def check_embedding(sizes, per_size: int, rng) -> CheckResult:
-    name = "orthogonal-symplectic-embedding"
+def check_embedding(sizes, per_size: int, rng) -> None:
     for n in sizes:
-        omega = symplectic_form(n)
         eye = np.eye(2 * n)
         for _ in range(per_size):
             o = unitary_to_symplectic(haar_unitary(n, rng))
-            if np.max(np.abs(o.T @ o - eye)) > 1e-10:
-                return _fail(name, f"O^T O != I at n={n}")
-            if np.max(np.abs(o @ omega @ o.T - omega)) > 1e-10:
-                return _fail(name, f"O Omega O^T != Omega at n={n}")
-    return _ok(name)
+            _require(np.max(np.abs(o.T @ o - eye)) <= 1e-10, f"O^T O != I at n={n}")
+            _require(is_symplectic(o, 1e-10), f"O Omega O^T != Omega at n={n}")
 
 
-def check_eigensolver_crosscheck(sizes, per_size: int, rng) -> CheckResult:
-    name = "symplectic-eigenvalue-crosscheck"
+def check_eigensolver_crosscheck(sizes, per_size: int, rng) -> None:
     for n in sizes:
         for _ in range(per_size):
             gamma = random_covariance(n, rng)
             nus = symplectic_eigenvalues(gamma).nus
             ref = symplectic_eigenvalues_direct(gamma)
             scale = max(1.0, float(np.linalg.norm(gamma, 2)))
-            if np.max(np.abs(nus - ref)) > 1e-9 * scale:
-                return _fail(name, f"kernel and direct spectra disagree at n={n}")
-            if nus[-1] < 0.5 - PHYSICAL_SLACK:
-                return _fail(name, f"unphysical nu={nus[-1]} from physical construction at n={n}")
-    return _ok(name)
+            _require(
+                np.max(np.abs(nus - ref)) <= 1e-9 * scale,
+                f"kernel and direct spectra disagree at n={n}",
+            )
+            check_covariance(gamma)
 
 
-def check_williamson_reconstruction(sizes, per_size: int, rng) -> CheckResult:
-    name = "williamson-reconstruction"
+def check_williamson_reconstruction(sizes, per_size: int, rng) -> None:
     for n in sizes:
         for _ in range(per_size):
             gamma = random_covariance(n, rng)
             res = symplectic_eigenvalues(gamma, with_factor=True)
-            if not phasespace.is_symplectic(res.symplectic_factor, 1e-8):
-                return _fail(name, f"factor not symplectic at n={n}")
-            if williamson_reconstruction_error(gamma, res) > RECONSTRUCTION_TOL:
-                return _fail(name, f"reconstruction error above {RECONSTRUCTION_TOL} at n={n}")
-    return _ok(name)
+            _require(is_symplectic(res.symplectic_factor, 1e-8), f"factor not symplectic at n={n}")
+            _require(
+                williamson_reconstruction_error(gamma, res) <= RECONSTRUCTION_TOL,
+                f"reconstruction error above {RECONSTRUCTION_TOL} at n={n}",
+            )
 
 
-def check_purification(per_size: int, rng) -> CheckResult:
+def check_purification(per_size: int, rng) -> None:
     # purify enforces the round trip and purity itself; the energy bound is checked here
-    name = "purification-roundtrip"
     for m in (1, 2, 3):
         for _ in range(per_size):
             gamma = random_covariance(m, rng)
-            try:
-                pure = purify(gamma)
-            except NumericalFailure as exc:
-                return _fail(name, f"{exc} at m={m}")
-            if np.trace(pure) > 2.0 * np.trace(gamma) + 1e-9:
-                return _fail(name, f"purification energy bound violated at m={m}")
-    return _ok(name)
+            _require(
+                np.trace(purify(gamma)) <= 2.0 * np.trace(gamma) + 1e-9,
+                f"purification energy bound violated at m={m}",
+            )
 
 
-def check_proof_chain(per_size: int, rng) -> CheckResult:
+def check_proof_chain(per_size: int, rng) -> None:
     # The work equals |sum(lambda - c)/2 + sum(c - nu)| for any constant c;
     # the constant cancels between the two sums.
-    name = "work-identity"
     for m in (1, 2, 4):
         for _ in range(per_size):
             gamma = random_covariance(m, rng)
@@ -133,106 +119,97 @@ def check_proof_chain(per_size: int, rng) -> CheckResult:
             lam = np.linalg.eigvalsh(gamma)
             nus = symplectic_eigenvalues(gamma).nus
             for c in (0.5, 0.77, 1.3):
-                alt = abs(0.5 * np.sum(lam - c) + np.sum(c - nus))
-                if abs(alt - work) > 1e-9:
-                    return _fail(name, f"constant-shift identity off by {abs(alt - work):.2e}")
-            if work < -1e-9:
-                return _fail(name, f"negative work {work}")
-    return _ok(name)
+                off = abs(abs(0.5 * np.sum(lam - c) + np.sum(c - nus)) - work)
+                _require(off <= 1e-9, f"constant-shift identity off by {off:.2e}")
+            _require(work >= -1e-9, f"negative work {work}")
 
 
-def check_symplectic_trace_invariance(per_size: int, rng) -> CheckResult:
-    name = "symplectic-trace-invariance"
+def check_symplectic_trace_invariance(per_size: int, rng) -> None:
     for n in (1, 2, 3):
         for _ in range(per_size):
             gamma = random_covariance(n, rng)
             s = random_symplectic(n, rng)
             before = symplectic_trace(gamma)
             after = symplectic_trace(s @ gamma @ s.T)
-            if abs(before - after) > 1e-8 * max(1.0, before):
-                return _fail(name, f"STr changed under symplectic conjugation at n={n}")
-    return _ok(name)
+            _require(
+                abs(before - after) <= 1e-8 * max(1.0, before),
+                f"STr changed under symplectic conjugation at n={n}",
+            )
 
 
-def check_bound_chain(n_samples: int, rng_seed: int) -> CheckResult:
-    name = "work-bound-chain"
+def check_bound_chain(n_samples: int, rng_seed: int) -> None:
+    # evaluate_record raises NumericalFailure when work > sqrt(m * delta)
     config = RandomStateConfig(
         n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.4), master_seed=rng_seed
     )
     for i in range(n_samples):
         gamma, spec = sampling.draw_sample(config, i)
-        try:
-            record = stats.evaluate_record(gamma, spec, config, i)
-        except GaussworkError as exc:
-            return _fail(name, str(exc))
-        if record.work > stats.work_bound(config.m_sys, record.stat_delta) + 1e-9:
-            return _fail(name, f"bound violated at sample {i}")
-    return _ok(name)
+        stats.evaluate_record(gamma, spec, config, i)
 
 
-def check_lipschitz(n_pairs: int, rng) -> CheckResult:
-    name = "lipschitz-witnesses"
-    n_full, m_sys = 4, 1
-    config = RandomStateConfig(
-        n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0=1.5), master_seed=0
-    )
-    spec = draw_squeezing(config.profile, config.ambient_modes)
-    d = config.ambient_modes
+def check_lipschitz(n_pairs: int, rng) -> None:
+    # one kept mode of a 4-mode system purified into d = 8 ambient modes
+    m_sys, d = 1, 8
+    spec = draw_squeezing(ZProfile("uniform", z0=1.5), d)
     for _ in range(n_pairs):
         u = haar_unitary(d, rng)
         v = haar_unitary(d, rng)
         lhs, rhs = stats.eigen_dispersion_lipschitz_pair(u, v, spec, m_sys)
-        if lhs > rhs:
-            return _fail(name, f"eigen-dispersion pair violated: {lhs} > {rhs}")
+        _require(lhs <= rhs, f"eigen-dispersion pair violated: {lhs} > {rhs}")
         lhs, rhs = stats.symplectic_dispersion_lipschitz_pair(u, v, spec, m_sys)
-        if lhs > rhs:
-            return _fail(name, f"symplectic-dispersion pair violated: {lhs} > {rhs}")
-    return _ok(name)
+        _require(lhs <= rhs, f"symplectic-dispersion pair violated: {lhs} > {rhs}")
 
 
-def check_sampler_basics(rng_seed: int) -> CheckResult:
-    name = "sampler-contracts"
+def check_sampler_basics(rng_seed: int) -> None:
     vac = RandomStateConfig(
         n_full=6, m_sys=2, profile=ZProfile("vacuum"), master_seed=rng_seed
     )
     gamma = sample_random_state(vac, 0)
-    if np.max(np.abs(gamma - 0.5 * np.eye(4))) > 1e-12:
-        return _fail(name, "vacuum profile did not produce the vacuum state")
+    _require(
+        np.max(np.abs(gamma - 0.5 * np.eye(4))) <= 1e-12,
+        "vacuum profile did not produce the vacuum state",
+    )
     cfg = RandomStateConfig(
         n_full=6, m_sys=6, profile=ZProfile("uniform", z0=1.3),
         master_seed=rng_seed, pipeline="direct",
     )
-    nus = symplectic_eigenvalues(sample_random_state(cfg, 1)).nus
-    if np.max(np.abs(nus - 0.5)) > 1e-8:
-        return _fail(name, "full-system state is not pure")
-    again = sample_random_state(cfg, 1)
-    if not np.array_equal(again, sample_random_state(cfg, 1)):
-        return _fail(name, "sampling is not deterministic")
-    return _ok(name)
+    gamma = sample_random_state(cfg, 1)
+    nus = symplectic_eigenvalues(gamma).nus
+    _require(np.max(np.abs(nus - 0.5)) <= 1e-8, "full-system state is not pure")
+    _require(np.array_equal(gamma, sample_random_state(cfg, 1)), "sampling is not deterministic")
+
+
+def _run(name: str, check, *args) -> CheckResult:
+    try:
+        check(*args)
+    except (Violation, GaussworkError) as exc:
+        return CheckResult(name=name, ok=False, detail=str(exc))
+    return CheckResult(name=name, ok=True)
 
 
 def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) -> list[CheckResult]:
-    """Run every check; returns results in execution order."""
+    """Run every check; returns results in execution order.  A check over
+    no size or no Lipschitz pair would pass untested, so both are refused."""
+    if not sizes or min(sizes) < 1 or lipschitz_pairs < 1:
+        raise InvalidConfig(f"validate needs mode counts >= 1 and lipschitz_pairs >= 1, "
+                            f"got sizes={list(sizes)}, lipschitz_pairs={lipschitz_pairs}")
     rng = np.random.default_rng(seed)
-    results = [
-        check_symplectic_form(sizes),
-        check_embedding(sizes, per_size=25, rng=rng),
-        check_eigensolver_crosscheck(sizes, per_size=20, rng=rng),
-        check_williamson_reconstruction(sizes, per_size=20, rng=rng),
-        check_purification(per_size=20, rng=rng),
-        check_proof_chain(per_size=20, rng=rng),
-        check_symplectic_trace_invariance(per_size=10, rng=rng),
-        check_bound_chain(n_samples=300, rng_seed=seed),
-        check_lipschitz(n_pairs=lipschitz_pairs, rng=rng),
-        check_sampler_basics(rng_seed=seed),
+    # checks are looked up by module-level name at call time, not kept in a
+    # table, so a function replaced on the module (a tracer, a test) is run
+    return [
+        _run("symplectic-form", check_symplectic_form, sizes),
+        _run("orthogonal-symplectic-embedding", check_embedding, sizes, 25, rng),
+        _run("symplectic-eigenvalue-crosscheck", check_eigensolver_crosscheck, sizes, 20, rng),
+        _run("williamson-reconstruction", check_williamson_reconstruction, sizes, 20, rng),
+        _run("purification-roundtrip", check_purification, 20, rng),
+        _run("work-identity", check_proof_chain, 20, rng),
+        _run("symplectic-trace-invariance", check_symplectic_trace_invariance, 10, rng),
+        _run("work-bound-chain", check_bound_chain, 300, seed),
+        _run("lipschitz-witnesses", check_lipschitz, lipschitz_pairs, rng),
+        _run("sampler-contracts", check_sampler_basics, seed),
     ]
-    return results
 
 
 def validate_covariance_matrix(gamma: np.ndarray) -> CheckResult:
     """Validate one covariance matrix against the full invariant list."""
-    try:
-        check_covariance(gamma, require_physical=True)
-    except GaussworkError as exc:
-        return CheckResult(name="covariance-invariants", ok=False, detail=str(exc))
-    return CheckResult(name="covariance-invariants", ok=True)
+    return _run("covariance-invariants", check_covariance, gamma)

@@ -16,7 +16,7 @@ cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,10 +56,11 @@ def weingarten_pair(dim: int, permutation: str) -> float:
 @dataclass
 class ABDecomposition:
     """Split of the ambient squeeze spectrum J = diag(z^2) into its odd and
-    even parts A = (J - J^-1)/2, B = (J + J^-1)/2, with cached traces."""
+    even parts A = (J - J^-1)/2, B = (J + J^-1)/2, with cached traces.
+    A and B are diagonal; ``a`` and ``b`` hold their diagonals."""
 
-    A: np.ndarray
-    B: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     trB: float
     trB2: float
     trA2: float
@@ -70,8 +71,7 @@ class ABDecomposition:
         a = (j - 1.0 / j) / 2.0
         b = (j + 1.0 / j) / 2.0
         return cls(
-            A=np.diag(a),
-            B=np.diag(b),
+            a, b,
             trB=float(np.sum(b)),
             trB2=float(np.sum(b * b)),
             trA2=float(np.sum(a * a)),
@@ -179,14 +179,7 @@ class MomentReport:
     z_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "analytic": self.analytic,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "z_ratio": self.z_ratio,
-        }
+        return asdict(self)
 
 
 def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> list[tuple]:
@@ -210,7 +203,6 @@ def mc_moments(
     config: RandomStateConfig,
     n_samples: int,
     threads: int = 1,
-    trb2_coeff: str = OMEGA_TRB2_RETAINED,
 ) -> list[MomentReport]:
     """Monte Carlo estimates of several moments next to their analytic values.
 
@@ -225,12 +217,7 @@ def mc_moments(
     if n_samples < 2:
         raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
     spec = _ambient_spec(config)
-    analytics = [
-        expected_tr_omega_gamma_sq(spec, config, trb2_coeff)
-        if quantity == "tr_omega_gamma_sq"
-        else _ANALYTIC[quantity](spec, config)
-        for quantity in quantities
-    ]
+    analytics = [_ANALYTIC[q](spec, config) for q in quantities]
     rows = parallel.run_chunked(_moment_chunk, (quantities, config), n_samples, threads)
     reports = []
     for quantity, analytic, values in zip(quantities, analytics, zip(*rows)):
@@ -255,10 +242,9 @@ def mc_moment(
     config: RandomStateConfig,
     n_samples: int,
     threads: int = 1,
-    trb2_coeff: str = OMEGA_TRB2_RETAINED,
 ) -> MomentReport:
     """Monte Carlo estimate of one moment next to its analytic value."""
-    return mc_moments((quantity,), config, n_samples, threads, trb2_coeff)[0]
+    return mc_moments((quantity,), config, n_samples, threads)[0]
 
 
 def omega_coefficient_probe(

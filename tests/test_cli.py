@@ -135,6 +135,20 @@ class TestSweep:
         assert "cannot write" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    def test_unwritable_csv_leaves_no_json(self, tmp_path):
+        (tmp_path / "s.csv").mkdir()
+        result = run_cli("sweep", "--n-grid", "6,12", "--z-profile", "vacuum",
+                         "--samples", "5", "--out", str(tmp_path / "s.json"))
+        assert result.returncode == 2
+        assert "cannot write" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_empty_epsilon_rejected(self):
+        result = run_cli("sweep", "--n-grid", "6", "--z-profile", "vacuum",
+                         "--samples", "5", "--epsilon", "")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
     def test_tail_fractions_rederivable_from_csv(self, tmp_path):
         out = tmp_path / "s.json"
         run_cli("sweep", "--n-grid", "6,12", "--z-profile", "uniform:1.8",
@@ -190,6 +204,14 @@ class TestValidate:
         result = run_cli("validate", "--lipschitz-pairs", "50")
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
+
+    @pytest.mark.parametrize("args", [("--sizes", ""), ("--lipschitz-pairs", "0"),
+                                      ("--lipschitz-pairs", "-5")])
+    def test_nothing_to_check_rejected(self, args):
+        result = run_cli("validate", *args)
+        assert result.returncode == 2
+        assert "ok " not in result.stdout
+        assert "Traceback" not in result.stderr
 
     def test_asymmetric_file_names_symmetry(self, tmp_path):
         path = tmp_path / "bad.txt"

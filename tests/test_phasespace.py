@@ -11,7 +11,8 @@ from gausswork.errors import (
     MalformedFile,
     NonPositiveDefinite,
 )
-from gausswork.sampling import random_covariance, random_symplectic
+from gausswork.sampling import random_covariance
+from gausswork.validate import check_eigensolver_crosscheck, check_symplectic_trace_invariance
 
 
 def one_mode_nu(gamma):
@@ -96,15 +97,7 @@ class TestSymplecticEigenvalues:
 
     def test_crosscheck_against_direct_eig(self):
         # 100 random physical matrices per size n = 1..8
-        rng = np.random.default_rng(17)
-        for n in range(1, 9):
-            for _ in range(100):
-                gamma = random_covariance(n, rng)
-                nus = ps.symplectic_eigenvalues(gamma).nus
-                ref = ps.symplectic_eigenvalues_direct(gamma)
-                scale = max(1.0, np.linalg.norm(gamma, 2))
-                assert np.max(np.abs(nus - ref)) <= 1e-9 * scale
-                assert nus[-1] >= 0.5 - 1e-9
+        check_eigensolver_crosscheck(range(1, 9), 100, np.random.default_rng(17))
 
 
 class TestWilliamsonFactor:
@@ -143,14 +136,7 @@ class TestSymplecticTrace:
         assert ps.symplectic_trace(np.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-12)
 
     def test_symplectic_invariance(self):
-        rng = np.random.default_rng(8)
-        for n in (1, 2, 3):
-            for _ in range(10):
-                gamma = random_covariance(n, rng)
-                s = random_symplectic(n, rng)
-                before = ps.symplectic_trace(gamma)
-                after = ps.symplectic_trace(s @ gamma @ s.T)
-                assert after == pytest.approx(before, abs=1e-8 * max(1.0, before))
+        check_symplectic_trace_invariance(10, np.random.default_rng(8))
 
 
 class TestExtractableWork:

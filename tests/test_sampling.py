@@ -14,6 +14,7 @@ from gausswork.errors import (
     RejectionTimeout,
 )
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
+from gausswork.validate import check_embedding
 
 
 class TestHaarUnitary:
@@ -73,12 +74,7 @@ class TestEmbedding:
             assert np.max(np.abs(closed - reference)) <= 1e-13
 
     def test_orthogonal_symplectic(self):
-        rng = np.random.default_rng(11)
-        omega = ps.symplectic_form(3)
-        for _ in range(10):
-            o = sm.unitary_to_symplectic(sm.haar_unitary(3, rng))
-            assert np.max(np.abs(o.T @ o - np.eye(6))) <= 1e-10
-            assert np.max(np.abs(o @ omega @ o.T - omega)) <= 1e-10
+        check_embedding((3,), 10, np.random.default_rng(11))
 
     def test_functorial(self):
         rng = np.random.default_rng(13)

@@ -72,19 +72,20 @@ class TestABDecomposition:
     def test_invariants(self):
         spec = SqueezingSpec(np.array([1.0, 1.5, 2.5]))
         ab = wg.ABDecomposition.from_squeezing(spec)
+        a_mat, b_mat = np.diag(ab.a), np.diag(ab.b)
         j = np.diag(spec.z ** 2)
-        assert np.allclose(ab.B - ab.A, np.linalg.inv(j), atol=1e-14)
-        assert np.allclose(ab.B + ab.A, j, atol=1e-14)
-        assert np.all(np.linalg.eigvalsh(ab.B - ab.A) >= 0.0)
-        b_diag = np.diag(ab.B)
-        assert ab.trA2 <= ab.trB2 <= np.sum(b_diag) * np.max(b_diag)
+        assert np.allclose(b_mat - a_mat, np.linalg.inv(j), atol=1e-14)
+        assert np.allclose(b_mat + a_mat, j, atol=1e-14)
+        assert np.all(np.linalg.eigvalsh(b_mat - a_mat) >= 0.0)
+        assert ab.trA2 <= ab.trB2 <= np.sum(ab.b) * np.max(ab.b)
 
     def test_trace_identities(self):
         spec = SqueezingSpec(np.array([1.2, 2.0]))
         ab = wg.ABDecomposition.from_squeezing(spec)
-        assert ab.trB == pytest.approx(np.trace(ab.B), abs=1e-14)
-        assert ab.trB2 == pytest.approx(np.trace(ab.B @ ab.B), abs=1e-14)
-        assert ab.trA2 == pytest.approx(np.trace(ab.A @ ab.A), abs=1e-14)
+        a_mat, b_mat = np.diag(ab.a), np.diag(ab.b)
+        assert ab.trB == pytest.approx(np.trace(b_mat), abs=1e-14)
+        assert ab.trB2 == pytest.approx(np.trace(b_mat @ b_mat), abs=1e-14)
+        assert ab.trA2 == pytest.approx(np.trace(a_mat @ a_mat), abs=1e-14)
 
 
 class TestFirstMoment:
