@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from . import parallel, stats, weingarten
+from . import parallel, sampling, stats, weingarten
 from .errors import InvalidConfig
-from .sampling import RandomStateConfig, ZProfile, draw_sample
+from .sampling import RandomStateConfig, ZProfile
 from .stats import TypicalityRecord, tail_probability
 
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.2)
@@ -25,9 +25,8 @@ WORK_TAIL_BETA_MAX = 0.125
 
 def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> list[TypicalityRecord]:
     out = []
-    for index in range(lo, hi):
-        gamma, spec = draw_sample(config, index)
-        out.append(stats.evaluate_record(gamma, spec, config, index))
+    for first, gammas, specs in sampling.iter_blocks(config, lo, hi):
+        out.extend(stats.evaluate_block(gammas, specs, config, first))
     return out
 
 
@@ -37,7 +36,7 @@ def compute_records(
     """Records for sample indices 0..n_samples-1, in index order."""
     if n_samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {n_samples}")
-    return parallel.run_chunked(_record_chunk, (config,), n_samples, threads)
+    return parallel.run_chunked(_record_chunk, [((config,), n_samples)], threads)
 
 
 def records_csv(records) -> str:
@@ -125,19 +124,26 @@ def run_sweep(
     if any(e <= 0.0 for e in epsilons):
         raise InvalidConfig(f"epsilon values must be > 0, got {epsilons}")
 
-    all_records: list[TypicalityRecord] = []
-    per_n = []
-    mean_deltas = []
-    for n_full in n_grid:
-        config = RandomStateConfig(
+    configs = [
+        RandomStateConfig(
             n_full=n_full,
             m_sys=m_sys,
             profile=profile,
             master_seed=master_seed,
             pipeline=pipeline,
         )
-        records = compute_records(config, samples, threads)
-        all_records.extend(records)
+        for n_full in n_grid
+    ]
+    if samples < 1:
+        raise InvalidConfig(f"samples must be >= 1, got {samples}")
+    # one fan-out, so one process pool, for the whole grid
+    all_records = parallel.run_chunked(
+        _record_chunk, [((config,), samples) for config in configs], threads
+    )
+    per_n = []
+    mean_deltas = []
+    for g, n_full in enumerate(n_grid):
+        records = all_records[g * samples:(g + 1) * samples]
         works = [r.work for r in records]
         deltas = [r.stat_delta for r in records]
         tails = []

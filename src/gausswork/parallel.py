@@ -18,22 +18,23 @@ def split_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
 
 
-def run_chunked(worker: Callable, common_args: Sequence, n_items: int, threads: int) -> list:
-    """Apply ``worker(*common_args, lo, hi) -> list`` over index chunks.
+def run_chunked(worker: Callable, jobs: Sequence[tuple[Sequence, int]], threads: int) -> list:
+    """Apply ``worker(*args, lo, hi) -> list`` over index chunks of every
+    job ``(args, n_items)``.
 
-    With threads <= 1 runs inline; otherwise fans out to processes.  The
-    concatenated result is in index order either way.
+    With threads <= 1 runs inline; otherwise every job's range is split in
+    ``threads`` chunks and the chunks of all jobs go to one process pool.
+    The result is the concatenation in job-then-index order either way.
     """
-    if n_items <= 0:
-        return []
-    ranges = split_ranges(n_items, threads if threads > 1 else 1)
-    if threads <= 1 or len(ranges) == 1:
+    n_chunks = threads if threads > 1 else 1
+    tasks = [(args, lo, hi) for args, n_items in jobs for lo, hi in split_ranges(n_items, n_chunks)]
+    if threads <= 1 or len(tasks) <= 1:
         out: list = []
-        for lo, hi in ranges:
-            out.extend(worker(*common_args, lo, hi))
+        for args, lo, hi in tasks:
+            out.extend(worker(*args, lo, hi))
         return out
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, *common_args, lo, hi) for lo, hi in ranges]
+        futures = [pool.submit(worker, *args, lo, hi) for args, lo, hi in tasks]
         out = []
         for fut in futures:
             out.extend(fut.result())

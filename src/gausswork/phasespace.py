@@ -63,17 +63,23 @@ def check_covariance(gamma: np.ndarray) -> int:
     Raises :class:`InvalidCovariance` (or the :class:`NonPositiveDefinite`
     subclass) naming the violated invariant.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    return _checked_kernel(np.asarray(gamma, dtype=float))[0]
+
+
+def _checked_kernel(gamma: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`check_covariance` on a float array, returning the mode count
+    with the square root and the kernel it decomposed, for reuse."""
     n = mode_count(gamma)
     if not np.all(np.isfinite(gamma)):
         raise InvalidCovariance("finite: Gamma has a non-finite entry")
     asym = float(np.max(np.abs(gamma - gamma.T)))
     if asym > SYMMETRY_TOL:
         raise InvalidCovariance(f"symmetry: max |Gamma - Gamma^T| = {asym:.3e} exceeds {SYMMETRY_TOL}")
-    nus = symplectic_eigenvalues(gamma).nus
+    root, kernel = _williamson_kernel(gamma, n)
+    nus = _kernel_nus(kernel, n)
     if nus[-1] < 0.5 - PHYSICAL_SLACK:
         raise InvalidCovariance(f"uncertainty: smallest symplectic eigenvalue {nus[-1]:.12g} < 1/2")
-    return n
+    return n, root, kernel
 
 
 def energy(gamma: np.ndarray) -> float:
@@ -84,14 +90,17 @@ def energy(gamma: np.ndarray) -> float:
 
 
 def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix."""
+    """Symmetric square root of a symmetric positive-definite matrix, or of
+    each matrix in a (..., k, k) stack."""
     try:
         evals, vecs = np.linalg.eigh(gamma)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    if evals[0] <= 0.0:
-        raise NonPositiveDefinite(f"positive-definite: smallest eigenvalue {evals[0]:.3e} <= 0")
-    return (vecs * np.sqrt(evals)) @ vecs.T
+    lowest = evals[..., 0].ravel()
+    bad = np.flatnonzero(lowest <= 0.0)
+    if bad.size:
+        raise NonPositiveDefinite(f"positive-definite: smallest eigenvalue {lowest[bad[0]]:.3e} <= 0")
+    return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 @dataclass
@@ -106,27 +115,25 @@ class WilliamsonResult:
     symplectic_factor: np.ndarray | None = None
 
 
-def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> WilliamsonResult:
-    """Williamson symplectic spectrum of a positive-definite matrix.
-
-    The eigenvalues of Omega @ Gamma are {+-i nu_k}; the nu_k are computed
-    from the Hermitian matrix i * G^{1/2} Omega G^{1/2}, which is the
-    numerically robust route.  With ``with_factor`` the real Schur form of
-    the antisymmetric kernel additionally yields S with Gamma = S D S^T.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    omega = symplectic_form(n)
+def _williamson_kernel(gamma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G^{1/2}, G^{1/2} Omega G^{1/2}) of one matrix or of a stack."""
     root = _sqrt_spd(gamma)
-    kernel = root @ omega @ root
-    if not with_factor:
-        try:
-            evals = np.linalg.eigvalsh(1j * kernel)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        # Hermitian spectrum is {-nu_n..-nu_1, nu_1..nu_n}; take the positive half.
-        return WilliamsonResult(nus=evals[n:][::-1].copy())
+    return root, root @ symplectic_form(n) @ root
 
+
+def _kernel_nus(kernel: np.ndarray, n: int) -> np.ndarray:
+    """Descending symplectic spectra from the eigenvalues of i * kernel."""
+    try:
+        evals = np.linalg.eigvalsh(1j * kernel)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    # Hermitian spectrum is {-nu_n..-nu_1, nu_1..nu_n}; take the positive half.
+    return evals[..., n:][..., ::-1].copy()
+
+
+def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> WilliamsonResult:
+    """Spectrum and factor S with Gamma = S D S^T from the real Schur form
+    of the antisymmetric kernel of one matrix."""
     try:
         t_form, q_orth = schur(kernel, output="real")
     except Exception as exc:  # pragma: no cover - LAPACK breakdown
@@ -149,6 +156,25 @@ def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> Will
     cols = np.concatenate([2 * order, 2 * order + 1])
     factor = (root @ q_orth[:, cols]) * np.tile(nus, 2) ** -0.5
     return WilliamsonResult(nus=nus, symplectic_factor=factor)
+
+
+def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> WilliamsonResult:
+    """Williamson symplectic spectrum of a positive-definite matrix.
+
+    The eigenvalues of Omega @ Gamma are {+-i nu_k}; the nu_k are computed
+    from the Hermitian matrix i * G^{1/2} Omega G^{1/2}, which is the
+    numerically robust route.  Without ``with_factor`` ``gamma`` may be a
+    (..., 2n, 2n) stack, and ``nus`` is then (..., n).  With
+    ``with_factor`` the real Schur form of the antisymmetric kernel of one
+    matrix additionally yields S with Gamma = S D S^T.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    # the first matrix of a stack stands for the shape of all of them
+    n = mode_count(gamma[(0,) * (gamma.ndim - 2)])
+    root, kernel = _williamson_kernel(gamma, n)
+    if with_factor:
+        return _williamson_factor(root, kernel, n)
+    return WilliamsonResult(nus=_kernel_nus(kernel, n))
 
 
 def symplectic_eigenvalues_direct(gamma: np.ndarray) -> np.ndarray:
@@ -205,8 +231,9 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     checked before returning; a breach raises :class:`NumericalFailure`.
     """
     gamma_m = np.asarray(gamma_m, dtype=float)
-    m = check_covariance(gamma_m)
-    res = symplectic_eigenvalues(gamma_m, with_factor=True)
+    # the uncertainty check and the factor share one decomposition
+    m, root, kernel = _checked_kernel(gamma_m)
+    res = _williamson_factor(root, kernel, m)
     nus = res.nus
     # The square root amplifies eigenvalue round-off near nu = 1/2 (an
     # excess of 1e-16 becomes a 1e-8 cross term); sub-noise excesses mean

@@ -46,26 +46,32 @@ def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex standard-Gaussian matrix with E|Z_ij|^2 = 1."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, from their real
+    and imaginary parts."""
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
-def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """``cols`` orthonormal columns distributed as the first columns of a
-    Haar unitary of size ``dim`` (QR of a Ginibre block with the R-diagonal
-    phase correction; the raw QR alone is not Haar)."""
-    if dim < 1 or not 1 <= cols <= dim:
-        raise BadModeCount(f"invalid isometry shape ({dim}, {cols})")
-    z = ginibre(dim, cols, rng)
+def _haar_columns(z: np.ndarray) -> np.ndarray:
+    """Phase-corrected QR (Mezzadri 2007) of a stack of Ginibre matrices
+    (..., dim, cols): orthonormal columns distributed as the first columns
+    of a Haar unitary of size dim (the raw QR alone is not Haar)."""
     try:
         q, r = np.linalg.qr(z, mode="reduced")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalFailure(f"QR factorization failed: {exc}") from exc
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # A zero diagonal entry has probability zero; keep the phase finite.
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """``cols`` orthonormal columns distributed as the first columns of a
+    Haar unitary of size ``dim``, from one Ginibre block drawn from ``rng``."""
+    if dim < 1 or not 1 <= cols <= dim:
+        raise BadModeCount(f"invalid isometry shape ({dim}, {cols})")
+    return _haar_columns(_ginibre(rng.standard_normal((dim, cols)), rng.standard_normal((dim, cols))))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -352,14 +358,15 @@ class RandomStateConfig:
 def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
     """Reduced covariance from the kept rows of the ambient unitary.
 
-    ``rows`` holds the first m rows of U in U(d); the corresponding rows of
-    the embedded interferometer are [Re W, Im W] and [-Im W, Re W], and the
-    kept covariance block is half their Gram matrix through the squeeze
-    diagonal.
+    ``rows`` holds the first m rows of U in U(d), or a stack of them
+    (..., m, d); the corresponding rows of the embedded interferometer are
+    [Re W, Im W] and [-Im W, Re W], and the kept covariance block is half
+    their Gram matrix through the squeeze diagonal (which broadcasts
+    against the stack).
     """
     re, im = rows.real, rows.imag
     sel = np.block([[re, im], [-im, re]])
-    return 0.5 * (sel * gram_diag) @ sel.T
+    return 0.5 * (sel * gram_diag) @ np.swapaxes(sel, -1, -2)
 
 
 def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.ndarray:
@@ -377,20 +384,66 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     return _gamma_from_rows(u[:m_sys], squeeze_gram_diagonal(spec))
 
 
+def sample_block(
+    config: RandomStateConfig, lo: int, hi: int
+) -> tuple[np.ndarray, list[SqueezingSpec]]:
+    """Covariances (hi - lo, 2m, 2m) and squeezing vectors of the samples
+    with indices lo..hi-1, deterministic in (seed, index).
+
+    Every index opens its own stream and draws from it in a fixed order:
+    its squeezing vector, then the real and the imaginary part of a
+    d x m Ginibre block.  So a sample does not depend on which block it is
+    drawn in.  The QR, its phase correction and the Gamma build then run
+    once on the stack.  Only the kept m rows of the ambient Haar unitary
+    are generated (their marginal distribution is exact), which keeps the
+    cost at O(d m^2) per sample instead of O(d^3).  A deterministic
+    profile's vector is drawn once per block and shared.
+    """
+    if hi <= lo:
+        raise InvalidConfig(f"empty sample range [{lo}, {hi})")
+    d, m, random = config.ambient_modes, config.m_sys, config.profile.is_random
+    re = np.empty((hi - lo, d, m))
+    im = np.empty_like(re)
+    specs = []
+    for k, index in enumerate(range(lo, hi)):
+        rng = sample_rng(config.master_seed, index)
+        if k == 0 or random:
+            spec = draw_squeezing(config.profile, d, rng)
+        specs.append(spec)
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    columns = _haar_columns(_ginibre(re, im))
+    del re, im  # freed before the Gamma build, the block's memory peak
+    if random:
+        gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
+    else:
+        gram = squeeze_gram_diagonal(spec)
+    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram), specs
+
+
+# Largest number of complex Ginibre entries (samples x d x m) drawn in one
+# block.  Blocks of 2^13 to 2^15 entries gave the same per-sample time on a
+# sweep; 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by
+# about 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of
+# its own, so a chunk's memory is that of one sample.
+BLOCK_ENTRIES = 1 << 13
+
+
+def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
+    """Walk indices lo..hi-1 in blocks of at most ``BLOCK_ENTRIES`` Ginibre
+    entries (at least one sample each); yields (first index, covariances,
+    squeezing vectors) of each block from :func:`sample_block`."""
+    step = max(1, BLOCK_ENTRIES // (config.ambient_modes * config.m_sys))
+    for first in range(lo, hi, step):
+        yield (first, *sample_block(config, first, min(first + step, hi)))
+
+
 def draw_sample(
     config: RandomStateConfig, sample_index: int
 ) -> tuple[np.ndarray, SqueezingSpec]:
-    """One (covariance, squeezing) draw, deterministic in (seed, index).
-
-    Only the kept rows of the ambient Haar unitary are generated (their
-    marginal distribution is exact), which keeps the cost at O(d m^2)
-    instead of O(d^3).
-    """
-    rng = sample_rng(config.master_seed, sample_index)
-    d = config.ambient_modes
-    spec = draw_squeezing(config.profile, d, rng)
-    rows = haar_isometry(d, config.m_sys, rng).T
-    return _gamma_from_rows(rows, squeeze_gram_diagonal(spec)), spec
+    """One (covariance, squeezing) draw, deterministic in (seed, index)."""
+    gammas, specs = sample_block(config, sample_index, sample_index + 1)
+    return gammas[0], specs[0]
 
 
 def sample_random_state(config: RandomStateConfig, sample_index: int) -> np.ndarray:

@@ -64,11 +64,14 @@ def symplectic_dispersion(gamma_m: np.ndarray, nu_th: float) -> float:
     """Squared distance of the symplectic spectrum from the thermal value:
     2 sum_k (nu_k^2 - nu_th^2)^2."""
     nus = phasespace.symplectic_eigenvalues(gamma_m).nus
-    return symplectic_dispersion_from_nus(nus, nu_th)
+    return float(symplectic_dispersion_from_nus(nus, nu_th))
 
 
-def symplectic_dispersion_from_nus(nus: np.ndarray, nu_th: float) -> float:
-    return 2.0 * float(np.sum((np.asarray(nus) ** 2 - nu_th * nu_th) ** 2))
+def symplectic_dispersion_from_nus(nus: np.ndarray, nu_th) -> np.ndarray:
+    """The symplectic dispersion over the last axis of a spectrum, or of a
+    stack of spectra with one thermal value each."""
+    nu_sq = np.asarray(np.square(nu_th))[..., None]
+    return 2.0 * np.sum((np.asarray(nus) ** 2 - nu_sq) ** 2, axis=-1)
 
 
 @dataclass
@@ -105,45 +108,67 @@ def evaluate_record(
     config: RandomStateConfig,
     sample_index: int,
 ) -> TypicalityRecord:
-    """Assemble the full statistics record for one sampled state.
+    """Assemble the full statistics record for one sampled state; see
+    :func:`evaluate_block`."""
+    gamma_m = np.asarray(gamma_m, dtype=float)
+    return evaluate_block(gamma_m[None], [spec], config, sample_index)[0]
+
+
+def evaluate_block(
+    gammas: np.ndarray,
+    specs,
+    config: RandomStateConfig,
+    first_index: int,
+) -> list[TypicalityRecord]:
+    """Records for a (N, 2m, 2m) stack of sampled states, with their
+    squeezing vectors and the sample indices first_index.. in order.
 
     Enforces the per-sample work bound ``work <= sqrt(m * delta)`` (an
     exact consequence of physicality); a violation beyond 1e-9 indicates a
     numerical breakdown and raises.  Round-off-negative work is clamped to
     zero in the record only.
     """
-    gamma_m = np.asarray(gamma_m, dtype=float)
-    nu = thermal_nu(spec, config.ambient_modes)
-    lam = np.linalg.eigvalsh(gamma_m)
-    nus = phasespace.symplectic_eigenvalues(gamma_m).nus
+    if len(specs) != len(gammas):
+        raise DimensionMismatch(f"{len(gammas)} states but {len(specs)} squeezing vectors")
+    # a block of a deterministic profile shares one squeezing vector
+    thermal = {spec: thermal_nu(spec, config.ambient_modes) for spec in set(specs)}
+    nu = np.array([thermal[spec] for spec in specs])
+    # eigvalsh and the square root's eigh stay two calls: taking the
+    # spectrum from the root's eigh changes the last bits of energy and stat_T
+    lam = np.linalg.eigvalsh(gammas)
+    nus = phasespace.symplectic_eigenvalues(gammas).nus
 
-    energy = 0.5 * float(np.sum(lam))
-    sum_sympl = float(np.sum(nus))
-    raw_work = energy - sum_sympl
-    stat_t = float(np.sum((lam - nu) ** 2))
+    energy = 0.5 * np.sum(lam, axis=-1)
+    sum_sympl = np.sum(nus, axis=-1)
+    stat_t = np.sum((lam - nu[:, None]) ** 2, axis=-1)
     stat_frak = symplectic_dispersion_from_nus(nus, nu)
-    delta = stat_t + stat_frak
-
-    if raw_work > work_bound(config.m_sys, delta) + WORK_BOUND_SLACK:
-        raise NumericalFailure(
-            f"work bound violated at sample {sample_index}: "
-            f"work={raw_work!r} > sqrt(m*delta)={work_bound(config.m_sys, delta)!r}"
-        )
-    return TypicalityRecord(
-        sample_index=sample_index,
-        n_modes_full=config.n_full,
-        n_modes_sys=config.m_sys,
-        beta=config.profile.degree,
-        z_profile=config.profile.canonical(),
-        master_seed=config.master_seed,
-        energy=energy,
-        sum_sympl=sum_sympl,
-        work=max(raw_work, 0.0),
-        stat_T=stat_t,
-        stat_frakT=stat_frak,
-        stat_delta=delta,
-        nu_th=nu,
-    )
+    columns = (nu, energy, sum_sympl, energy - sum_sympl, stat_t, stat_frak, stat_t + stat_frak)
+    beta, profile = config.profile.degree, config.profile.canonical()
+    records = []
+    for index, (nu_k, energy_k, sympl_k, raw_work, t_k, frak_k, delta) in enumerate(
+        zip(*(column.tolist() for column in columns)), first_index
+    ):
+        if raw_work > work_bound(config.m_sys, delta) + WORK_BOUND_SLACK:
+            raise NumericalFailure(
+                f"work bound violated at sample {index}: "
+                f"work={raw_work!r} > sqrt(m*delta)={work_bound(config.m_sys, delta)!r}"
+            )
+        records.append(TypicalityRecord(
+            sample_index=index,
+            n_modes_full=config.n_full,
+            n_modes_sys=config.m_sys,
+            beta=beta,
+            z_profile=profile,
+            master_seed=config.master_seed,
+            energy=energy_k,
+            sum_sympl=sympl_k,
+            work=max(raw_work, 0.0),
+            stat_T=t_k,
+            stat_frakT=frak_k,
+            stat_delta=delta,
+            nu_th=nu_k,
+        ))
+    return records
 
 
 def _dispersion_pair(
@@ -193,15 +218,19 @@ def symplectic_dispersion_lipschitz_pair(
     return _dispersion_pair(u, v, spec, m_sys, symplectic_dispersion, 10.0, 2)
 
 
-def wilson_interval(successes: int, total: int, z_score: float = 1.96) -> tuple[float, float]:
+# Standard-normal quantile of a two-sided 95% interval.
+Z_95 = 1.96
+
+
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial fraction."""
     if total <= 0:
         raise EmptyInput("wilson_interval needs at least one trial")
     p_hat = successes / total
-    z2 = z_score * z_score
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / total
     center = (p_hat + z2 / (2.0 * total)) / denom
-    half = z_score * math.sqrt(p_hat * (1.0 - p_hat) / total + z2 / (4.0 * total * total)) / denom
+    half = Z_95 * math.sqrt(p_hat * (1.0 - p_hat) / total + z2 / (4.0 * total * total)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
 
 

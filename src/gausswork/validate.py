@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling, stats
+from . import harness, stats
 from .errors import GaussworkError, InvalidConfig
 from .phasespace import (
     RECONSTRUCTION_TOL,
@@ -142,9 +142,7 @@ def check_bound_chain(n_samples: int, rng_seed: int) -> None:
     config = RandomStateConfig(
         n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.4), master_seed=rng_seed
     )
-    for i in range(n_samples):
-        gamma, spec = sampling.draw_sample(config, i)
-        stats.evaluate_record(gamma, spec, config, i)
+    harness.compute_records(config, n_samples)
 
 
 def check_lipschitz(n_pairs: int, rng) -> None:

@@ -20,16 +20,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import parallel
+from . import parallel, sampling
 from .errors import BadDimension, InvalidConfig
 from .phasespace import symplectic_form
-from .sampling import (
-    RandomStateConfig,
-    SqueezingSpec,
-    ZProfile,
-    draw_squeezing,
-    sample_random_state,
-)
+from .sampling import RandomStateConfig, SqueezingSpec, ZProfile, draw_squeezing
 
 OMEGA_TRB2_RETAINED = "dm_minus_1"
 OMEGA_TRB2_ALTERNATE = "half_dm_minus_1"
@@ -133,18 +127,20 @@ def expected_tr_omega_gamma_sq(
     return -0.5 * m * (term_b - term_a)
 
 
-def measure_tr_gamma(gamma: np.ndarray) -> float:
-    return float(np.trace(gamma))
+# Each measure takes one covariance matrix or a (..., 2m, 2m) stack.
+
+def measure_tr_gamma(gamma: np.ndarray) -> np.ndarray:
+    return np.trace(gamma, axis1=-2, axis2=-1)
 
 
-def measure_tr_gamma_sq(gamma: np.ndarray) -> float:
+def measure_tr_gamma_sq(gamma: np.ndarray) -> np.ndarray:
     # Gamma is symmetric, so Tr[Gamma^2] is its squared Frobenius norm.
-    return float(np.sum(gamma * gamma))
+    return np.sum(gamma * gamma, axis=(-2, -1))
 
 
-def measure_tr_omega_gamma_sq(gamma: np.ndarray) -> float:
-    og = symplectic_form(gamma.shape[0] // 2) @ gamma
-    return float(np.sum(og * og.T))
+def measure_tr_omega_gamma_sq(gamma: np.ndarray) -> np.ndarray:
+    og = symplectic_form(gamma.shape[-1] // 2) @ gamma
+    return np.sum(og * np.swapaxes(og, -1, -2), axis=(-2, -1))
 
 
 _MEASURES = {
@@ -185,8 +181,10 @@ class MomentReport:
 def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> list[tuple]:
     """One draw per sample index, measured for every quantity."""
     fns = [_MEASURES[q] for q in quantities]
-    gammas = (sample_random_state(config, i) for i in range(lo, hi))
-    return [tuple(fn(gamma) for fn in fns) for gamma in gammas]
+    rows = []
+    for _, gammas, _ in sampling.iter_blocks(config, lo, hi):
+        rows.extend(zip(*(fn(gammas).tolist() for fn in fns)))
+    return rows
 
 
 def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
@@ -218,7 +216,7 @@ def mc_moments(
         raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
     spec = _ambient_spec(config)
     analytics = [_ANALYTIC[q](spec, config) for q in quantities]
-    rows = parallel.run_chunked(_moment_chunk, (quantities, config), n_samples, threads)
+    rows = parallel.run_chunked(_moment_chunk, [((quantities, config), n_samples)], threads)
     reports = []
     for quantity, analytic, values in zip(quantities, analytics, zip(*rows)):
         mean = math.fsum(values) / n_samples

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gausswork import cli
+from gausswork import cli, parallel
 from gausswork import phasespace as ps
 
 
@@ -109,6 +109,24 @@ class TestSweep:
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(*base, "--threads", "1", "--out", str(out1)).returncode == 0
         assert run_cli(*base, "--threads", "2", "--out", str(out2)).returncode == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_one_process_pool(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        base = ["sweep", "--n-grid", "6,12,24", "--m", "1", "--z-profile", "uniform:1.5",
+                "--samples", "40", "--seed", "11"]
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        assert cli.main([*base, "--threads", "2", "--out", str(out2)]) == 0
+        assert len(pools) == 1
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from gausswork import harness, weingarten
-from gausswork.errors import InvalidConfig
+from gausswork import harness, sampling, stats, weingarten
+from gausswork.errors import DimensionMismatch, InvalidConfig
 from gausswork.sampling import RandomStateConfig, ZProfile
 from gausswork.stats import CSV_HEADER
 
@@ -33,6 +33,61 @@ class TestComputeRecords:
     def test_rejects_empty(self):
         with pytest.raises(InvalidConfig):
             harness.compute_records(uniform_config(), 0)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n_full, m_sys, profile, pipeline", [
+        (12, 1, "uniform:1.4", "purified"),
+        (10, 2, "power:0.3", "direct"),
+        (2, 1, "flat:3.0", "purified"),  # a random squeezing vector per index
+        (9, 8, "uniform:1.2", "purified"),
+    ])
+    def test_partition_independent(self, n_full, m_sys, profile, pipeline):
+        config = RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                   master_seed=21, pipeline=pipeline)
+        lo, split, hi = 3, 77, 203
+        one_block = stats.evaluate_block(*sampling.sample_block(config, lo, hi), config, lo)
+        per_index = [
+            stats.evaluate_record(*sampling.draw_sample(config, i), config, i)
+            for i in range(lo, hi)
+        ]
+        split_blocks = [
+            record
+            for a, b in ((lo, split), (split, hi))
+            for record in stats.evaluate_block(*sampling.sample_block(config, a, b), config, a)
+        ]
+        pooled = harness.compute_records(config, hi, threads=2)[lo:]
+        assert [r.sample_index for r in one_block] == list(range(lo, hi))
+        assert one_block == per_index
+        assert one_block == split_blocks
+        assert one_block == pooled
+
+    def test_one_squeezing_vector_per_state(self):
+        config = uniform_config()
+        gammas, specs = sampling.sample_block(config, 0, 4)
+        with pytest.raises(DimensionMismatch):
+            stats.evaluate_block(gammas, specs[:1], config, 0)
+
+    def test_chunk_blocks_capped(self, monkeypatch):
+        seen = []
+        sample_block = sampling.sample_block
+
+        def counting(config, lo, hi):
+            seen.append((lo, hi))
+            return sample_block(config, lo, hi)
+
+        monkeypatch.setattr(sampling, "sample_block", counting)
+        # d = 4096, m = 8 is one block per sample
+        wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
+                                 master_seed=2)
+        assert len(harness._record_chunk(wide, 0, 3)) == 3
+        assert seen == [(0, 1), (1, 2), (2, 3)]
+        # d = 16, m = 1 fits many samples in one block
+        seen.clear()
+        small = uniform_config(n_full=8)
+        per_block = sampling.BLOCK_ENTRIES // 16
+        assert len(harness._record_chunk(small, 0, per_block + 5)) == per_block + 5
+        assert seen == [(0, per_block), (per_block, per_block + 5)]
 
 
 class TestSlopeFit:
@@ -118,13 +173,13 @@ class TestMoments:
         config = uniform_config(n_full=4)
         separate = [weingarten.mc_moment(q, config, 40).to_dict() for q in weingarten.QUANTITIES]
         calls = []
-        draw = weingarten.sample_random_state
+        open_stream = sampling.sample_rng
 
-        def counting(config, index):
+        def counting(master_seed, index):
             calls.append(index)
-            return draw(config, index)
+            return open_stream(master_seed, index)
 
-        monkeypatch.setattr(weingarten, "sample_random_state", counting)
+        monkeypatch.setattr(sampling, "sample_rng", counting)
         reports = harness.run_moments(config, 40)
         assert calls == list(range(40))
         assert [r.to_dict() for r in reports] == separate
