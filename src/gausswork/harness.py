@@ -121,8 +121,8 @@ def run_sweep(
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidConfig(f"n grid must be strictly increasing, got {n_grid}")
     epsilons = [float(e) for e in epsilons]
-    if any(e <= 0.0 for e in epsilons):
-        raise InvalidConfig(f"epsilon values must be > 0, got {epsilons}")
+    if not all(0.0 < e < math.inf for e in epsilons):  # also rejects NaN
+        raise InvalidConfig(f"epsilon values must be finite and > 0, got {epsilons}")
 
     configs = [
         RandomStateConfig(

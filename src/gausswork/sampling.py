@@ -80,12 +80,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> int:
+    """Size d of a unitary, or of each unitary of a (..., d, d) stack."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise NotUnitary(f"expected a square matrix, got shape {u.shape}")
-    d = u.shape[0]
-    residue = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if residue > max(UNITARY_TOL, 1e-13 * d):
+    d = u.shape[-1]
+    residue = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)), initial=0.0)
+    if not residue <= max(UNITARY_TOL, 1e-13 * d):  # also rejects NaN
         raise NotUnitary(f"max |U^dag U - I| = {residue:.3e}")
     return d
 
@@ -114,9 +115,9 @@ def unitary_to_symplectic_reference(u: np.ndarray) -> np.ndarray:
     d = _check_unitary(u)
     eye = np.eye(d)
     p = np.block([[eye, 1j * eye], [1j * eye, eye]]) / math.sqrt(2.0)
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = u
-    block[d:, d:] = u.conj()
+    block = np.zeros((*u.shape[:-2], 2 * d, 2 * d), dtype=complex)
+    block[..., :d, :d] = u
+    block[..., d:, d:] = u.conj()
     out = p @ block @ p.conj().T
     residue = float(np.max(np.abs(out.imag)))
     if residue > EMBED_IMAG_TOL:
@@ -349,6 +350,8 @@ class RandomStateConfig:
             raise InvalidConfig(f"m_sys={self.m_sys} out of range 1..{self.n_full}")
         if self.pipeline not in ("direct", "purified"):
             raise InvalidConfig(f"pipeline must be 'direct' or 'purified', got {self.pipeline!r}")
+        if self.master_seed < 0:
+            raise InvalidConfig(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def ambient_modes(self) -> int:
@@ -370,7 +373,8 @@ def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
 
 
 def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.ndarray:
-    """Kept-mode covariance produced by an explicit ambient unitary.
+    """Kept-mode covariance produced by an explicit ambient unitary, or one
+    per unitary of a (..., d, d) stack.
 
     Equals the full pipeline: embed u, conjugate the squeeze Gram matrix,
     halve, and keep the first ``m_sys`` modes.
@@ -381,7 +385,7 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
         raise DimensionMismatch(f"unitary is {d}-dimensional, squeezing has {spec.n_modes} modes")
     if not 1 <= m_sys <= d:
         raise BadModeCount(f"m_sys={m_sys} out of range 1..{d}")
-    return _gamma_from_rows(u[:m_sys], squeeze_gram_diagonal(spec))
+    return _gamma_from_rows(u[..., :m_sys, :], squeeze_gram_diagonal(spec))
 
 
 def sample_block(

@@ -52,26 +52,23 @@ def thermal_nu(spec: SqueezingSpec, ambient_modes: int | None = None) -> float:
     return float(np.sum(squeeze_gram_diagonal(spec))) / (4.0 * spec.n_modes)
 
 
-def eigen_dispersion(gamma_m: np.ndarray, nu_th: float) -> float:
+def _spread(x: np.ndarray, center) -> np.ndarray:
+    """sum_k (x_k - center)^2 over the last axis; ``center`` is one value
+    or one per spectrum of a stack."""
+    return np.sum((x - np.asarray(center)[..., None]) ** 2, axis=-1)
+
+
+def eigen_dispersion(gamma_m: np.ndarray, nu_th):
     """Squared distance of the eigenspectrum from the thermal value:
-    sum_k (lambda_k - nu_th)^2 = Tr[(Gamma - nu_th I)^2]."""
-    gamma_m = np.asarray(gamma_m, dtype=float)
-    lam = np.linalg.eigvalsh(gamma_m)
-    return float(np.sum((lam - nu_th) ** 2))
+    sum_k (lambda_k - nu_th)^2 = Tr[(Gamma - nu_th I)^2], for one matrix
+    or for each of a (..., 2m, 2m) stack."""
+    return _spread(np.linalg.eigvalsh(np.asarray(gamma_m, dtype=float)), nu_th)
 
 
-def symplectic_dispersion(gamma_m: np.ndarray, nu_th: float) -> float:
+def symplectic_dispersion(gamma_m: np.ndarray, nu_th):
     """Squared distance of the symplectic spectrum from the thermal value:
-    2 sum_k (nu_k^2 - nu_th^2)^2."""
-    nus = phasespace.symplectic_eigenvalues(gamma_m).nus
-    return float(symplectic_dispersion_from_nus(nus, nu_th))
-
-
-def symplectic_dispersion_from_nus(nus: np.ndarray, nu_th) -> np.ndarray:
-    """The symplectic dispersion over the last axis of a spectrum, or of a
-    stack of spectra with one thermal value each."""
-    nu_sq = np.asarray(np.square(nu_th))[..., None]
-    return 2.0 * np.sum((np.asarray(nus) ** 2 - nu_sq) ** 2, axis=-1)
+    2 sum_k (nu_k^2 - nu_th^2)^2, for one matrix or for each of a stack."""
+    return 2.0 * _spread(phasespace.symplectic_eigenvalues(gamma_m).nus ** 2, np.square(nu_th))
 
 
 @dataclass
@@ -140,8 +137,8 @@ def evaluate_block(
 
     energy = 0.5 * np.sum(lam, axis=-1)
     sum_sympl = np.sum(nus, axis=-1)
-    stat_t = np.sum((lam - nu[:, None]) ** 2, axis=-1)
-    stat_frak = symplectic_dispersion_from_nus(nus, nu)
+    stat_t = _spread(lam, nu)
+    stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
     columns = (nu, energy, sum_sympl, energy - sum_sympl, stat_t, stat_frak, stat_t + stat_frak)
     beta, profile = config.profile.degree, config.profile.canonical()
     records = []
@@ -179,29 +176,24 @@ def _dispersion_pair(
     statistic,
     constant: float,
     power: int,
-) -> tuple[float, float]:
+):
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"unitary shapes differ: {u.shape} vs {v.shape}")
-    if u.shape[0] != spec.n_modes:
-        raise DimensionMismatch(
-            f"unitaries are {u.shape[0]}-dimensional, squeezing has {spec.n_modes} modes"
-        )
-    nu = thermal_nu(spec)
-    lhs = abs(
-        statistic(state_from_unitary(u, spec, m_sys), nu)
-        - statistic(state_from_unitary(v, spec, m_sys), nu)
-    )
+    if u.shape != v.shape or u.ndim < 2:
+        raise DimensionMismatch(f"need two unitaries or stacks of one shape: {u.shape}, {v.shape}")
+    at_u, at_v = statistic(state_from_unitary(np.stack([u, v]), spec, m_sys), thermal_nu(spec))
+    lhs = abs(at_u - at_v)
+    # Frobenius norm per pair, summed in the order of np.linalg.norm
+    diff = (u - v).reshape(*u.shape[:-2], -1)
+    norm = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
     j_max = float(np.max(spec.z)) ** 2
-    rhs = constant * math.sqrt(2.0 * m_sys) * j_max ** power * float(np.linalg.norm(u - v))
+    rhs = constant * math.sqrt(2.0 * m_sys) * j_max ** power * norm
     return lhs, rhs
 
 
-def eigen_dispersion_lipschitz_pair(
-    u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int
-) -> tuple[float, float]:
-    """(lhs, rhs) of the eigen-dispersion Lipschitz inequality.
+def eigen_dispersion_lipschitz_pair(u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int):
+    """(lhs, rhs) of the eigen-dispersion Lipschitz inequality, for one
+    pair of unitaries or pair by pair for two (..., d, d) stacks.
 
     lhs is the dispersion difference between the states built from u and v;
     rhs is 4 sqrt(2m) |J|_inf^2 |u - v|_2 with the Frobenius norm.  The
@@ -212,9 +204,9 @@ def eigen_dispersion_lipschitz_pair(
 
 def symplectic_dispersion_lipschitz_pair(
     u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int
-) -> tuple[float, float]:
+):
     """(lhs, rhs) of the symplectic-dispersion Lipschitz inequality,
-    with constant 10 sqrt(2m) |J|_inf^4."""
+    with constant 10 sqrt(2m) |J|_inf^4; takes pairs as above."""
     return _dispersion_pair(u, v, spec, m_sys, symplectic_dispersion, 10.0, 2)
 
 
@@ -251,7 +243,7 @@ def tail_probability(works, epsilon: float) -> TailEstimate:
     values = [w.work if isinstance(w, TypicalityRecord) else float(w) for w in works]
     if not values:
         raise EmptyInput("tail_probability needs at least one record")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # also rejects NaN
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     hits = sum(1 for w in values if w > epsilon)
     low, high = wilson_interval(hits, len(values))

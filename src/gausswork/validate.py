@@ -28,6 +28,7 @@ from .phasespace import (
     williamson_reconstruction_error,
 )
 from .sampling import (
+    BLOCK_ENTRIES,
     RandomStateConfig,
     ZProfile,
     draw_squeezing,
@@ -146,16 +147,18 @@ def check_bound_chain(n_samples: int, rng_seed: int) -> None:
 
 
 def check_lipschitz(n_pairs: int, rng) -> None:
-    # one kept mode of a 4-mode system purified into d = 8 ambient modes
+    # one kept mode of a 4-mode system purified into d = 8 ambient modes;
+    # pairs are drawn one by one and checked a block at a time
     m_sys, d = 1, 8
     spec = draw_squeezing(ZProfile("uniform", z0=1.5), d)
-    for _ in range(n_pairs):
-        u = haar_unitary(d, rng)
-        v = haar_unitary(d, rng)
-        lhs, rhs = stats.eigen_dispersion_lipschitz_pair(u, v, spec, m_sys)
-        _require(lhs <= rhs, f"eigen-dispersion pair violated: {lhs} > {rhs}")
-        lhs, rhs = stats.symplectic_dispersion_lipschitz_pair(u, v, spec, m_sys)
-        _require(lhs <= rhs, f"symplectic-dispersion pair violated: {lhs} > {rhs}")
+    step = BLOCK_ENTRIES // (2 * d * d)
+    for first in range(0, n_pairs, step):
+        u, v = np.array([(haar_unitary(d, rng), haar_unitary(d, rng))
+                         for _ in range(min(step, n_pairs - first))]).swapaxes(0, 1)
+        for name, witness in (("eigen", stats.eigen_dispersion_lipschitz_pair),
+                              ("symplectic", stats.symplectic_dispersion_lipschitz_pair)):
+            for lhs, rhs in np.broadcast(*witness(u, v, spec, m_sys)):
+                _require(lhs <= rhs, f"{name}-dispersion pair violated: {lhs} > {rhs}")
 
 
 def check_sampler_basics(rng_seed: int) -> None:
@@ -187,10 +190,11 @@ def _run(name: str, check, *args) -> CheckResult:
 
 def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) -> list[CheckResult]:
     """Run every check; returns results in execution order.  A check over
-    no size or no Lipschitz pair would pass untested, so both are refused."""
-    if not sizes or min(sizes) < 1 or lipschitz_pairs < 1:
-        raise InvalidConfig(f"validate needs mode counts >= 1 and lipschitz_pairs >= 1, "
-                            f"got sizes={list(sizes)}, lipschitz_pairs={lipschitz_pairs}")
+    no size or no Lipschitz pair would pass untested, so both are refused,
+    as is a negative seed, which numpy cannot take."""
+    if not sizes or min(sizes) < 1 or lipschitz_pairs < 1 or seed < 0:
+        raise InvalidConfig(f"validate needs sizes >= 1, lipschitz_pairs >= 1 and seed >= 0, "
+                            f"got sizes={list(sizes)}, lipschitz_pairs={lipschitz_pairs}, seed={seed}")
     rng = np.random.default_rng(seed)
     # checks are looked up by module-level name at call time, not kept in a
     # table, so a function replaced on the module (a tracer, a test) is run

@@ -161,10 +161,13 @@ class TestSweep:
         assert "cannot write" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
-    def test_empty_epsilon_rejected(self):
+    @pytest.mark.parametrize("epsilon", ["", "nan", "inf", "0.1,nan"],
+                             ids=["empty", "nan", "inf", "one-nan"])
+    def test_empty_epsilon_rejected(self, epsilon):
         result = run_cli("sweep", "--n-grid", "6", "--z-profile", "vacuum",
-                         "--samples", "5", "--epsilon", "")
+                         "--samples", "5", "--epsilon", epsilon)
         assert result.returncode == 2
+        assert result.stdout == ""
         assert "Traceback" not in result.stderr
 
     def test_tail_fractions_rederivable_from_csv(self, tmp_path):
@@ -183,6 +186,20 @@ class TestSweep:
             for tail in block["tails"]:
                 fraction = sum(1 for w in per_n if w > tail["epsilon"]) / len(per_n)
                 assert tail["fraction"] == fraction
+
+
+@pytest.mark.parametrize("command", [
+    ("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2"),
+    ("sweep", "--n-grid", "4", "--z-profile", "vacuum", "--samples", "2"),
+    ("moments", "--n", "4", "--z-profile", "vacuum", "--samples", "2"),
+    ("validate", "--lipschitz-pairs", "5"),
+], ids=lambda command: command[0])
+def test_negative_seed_rejected(command):
+    result = run_cli(*command, "--seed", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("invalid input:")
+    assert "Traceback" not in result.stderr
 
 
 class TestMoments:

@@ -72,6 +72,11 @@ class TestEmbedding:
             closed = sm.unitary_to_symplectic(u)
             reference = sm.unitary_to_symplectic_reference(u)
             assert np.max(np.abs(closed - reference)) <= 1e-13
+        stack = np.array([[sm.haar_unitary(3, rng) for _ in range(2)] for _ in range(2)])
+        closed = sm.unitary_to_symplectic(stack)
+        assert closed.shape == (2, 2, 6, 6)
+        assert np.array_equal(closed[1, 0], sm.unitary_to_symplectic(stack[1, 0]))
+        assert np.max(np.abs(closed - sm.unitary_to_symplectic_reference(stack))) <= 1e-13
 
     def test_orthogonal_symplectic(self):
         check_embedding((3,), 10, np.random.default_rng(11))
@@ -86,6 +91,8 @@ class TestEmbedding:
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
             sm.unitary_to_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(NotUnitary):
+            sm.unitary_to_symplectic(np.full((2, 2), np.nan))
 
 
 class TestZProfile:
@@ -276,6 +283,23 @@ class TestRandomState:
         full = 0.5 * o @ sm.squeeze_gram(spec) @ o.T
         idx = ps.keep_indices(6, 2)
         assert np.max(np.abs(fast - full[np.ix_(idx, idx)])) <= 1e-13
+
+    def test_state_from_unitary_takes_stacks(self):
+        rng = np.random.default_rng(29)
+        spec = SqueezingSpec(rng.uniform(1.0, 1.8, 5))
+        stack = np.array([[sm.haar_unitary(5, rng) for _ in range(3)] for _ in range(2)])
+        gammas = sm.state_from_unitary(stack, spec, 2)
+        assert gammas.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(gammas[i, j], sm.state_from_unitary(stack[i, j], spec, 2))
+
+    def test_state_from_unitary_rejects_nan(self):
+        spec = SqueezingSpec(np.full(3, 1.2))
+        nan = np.full((3, 3), np.nan)
+        for u in (nan, np.array([np.eye(3), nan])):
+            with pytest.raises(NotUnitary):
+                sm.state_from_unitary(u, spec, 1)
 
     def test_mean_trace_matches_thermal_value(self):
         # empirical mean of Tr Gamma_m over a uniform profile; the trace is

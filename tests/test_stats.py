@@ -6,6 +6,7 @@ import pytest
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
+from gausswork import validate
 from gausswork.errors import DimensionMismatch, EmptyInput
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 
@@ -68,6 +69,18 @@ class TestDispersions:
         )
         gamma = sm.sample_random_state(config, 0)
         assert st.symplectic_dispersion(gamma, 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("dispersion", [st.eigen_dispersion, st.symplectic_dispersion])
+    def test_stacks_equal_per_matrix_calls(self, dispersion):
+        rng = np.random.default_rng(41)
+        gammas = np.array([[sm.random_covariance(2, rng) for _ in range(3)] for _ in range(2)])
+        nus = np.array([[0.5, 0.7, 1.1], [0.9, 0.6, 2.0]])
+        shared, own = dispersion(gammas, 0.8), dispersion(gammas, nus)
+        assert shared.shape == own.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert shared[i, j] == dispersion(gammas[i, j], 0.8)
+                assert own[i, j] == dispersion(gammas[i, j], nus[i, j])
 
 
 class TestEvaluateRecord:
@@ -160,8 +173,69 @@ class TestLipschitzPairs:
         with pytest.raises(DimensionMismatch):
             st.eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
 
+    def _stacks(self, seed, k):
+        rng = np.random.default_rng(seed)
+        u = np.array([sm.haar_unitary(self.d, rng) for _ in range(k)])
+        v = np.array([sm.haar_unitary(self.d, rng) for _ in range(k)])
+        return u, v
+
+    @pytest.mark.parametrize("witness", [st.eigen_dispersion_lipschitz_pair,
+                                         st.symplectic_dispersion_lipschitz_pair])
+    def test_stacks_equal_per_pair_calls(self, witness):
+        u, v = self._stacks(17, 6)
+        v[2] = u[2]
+        lhs, rhs = witness(u, v, self.spec, 1)
+        assert lhs.shape == rhs.shape == (6,)
+        assert lhs[2] == rhs[2] == 0.0
+        for k in range(6):
+            assert (lhs[k], rhs[k]) == witness(u[k], v[k], self.spec, 1)
+        nested_lhs, nested_rhs = witness(u.reshape(2, 3, self.d, self.d),
+                                         v.reshape(2, 3, self.d, self.d), self.spec, 1)
+        assert np.array_equal(nested_lhs.ravel(), lhs)
+        assert np.array_equal(nested_rhs.ravel(), rhs)
+
+    @pytest.mark.parametrize("witness", [st.eigen_dispersion_lipschitz_pair,
+                                         st.symplectic_dispersion_lipschitz_pair])
+    def test_stack_shapes_must_match(self, witness):
+        u, v = self._stacks(19, 3)
+        assert witness(u, v, self.spec, 1)[0].shape == (3,)
+        for other in (v[:2], v[0], v[:, None]):
+            with pytest.raises(DimensionMismatch):
+                witness(u, other, self.spec, 1)
+
+    def test_validate_checks_pairs_in_bounded_blocks(self, monkeypatch):
+        calls = {"eigen": [], "symplectic": []}
+
+        def recording(name, witness):
+            def record(u, v, spec, m_sys):
+                calls[name].append((u.copy(), v.copy()))
+                return witness(u, v, spec, m_sys)
+            return record
+
+        monkeypatch.setattr(st, "eigen_dispersion_lipschitz_pair",
+                            recording("eigen", st.eigen_dispersion_lipschitz_pair))
+        monkeypatch.setattr(st, "symplectic_dispersion_lipschitz_pair",
+                            recording("symplectic", st.symplectic_dispersion_lipschitz_pair))
+        validate.check_lipschitz(1000, np.random.default_rng(23))
+        d = calls["eigen"][0][0].shape[-1]
+        step = sm.BLOCK_ENTRIES // (2 * d * d)
+        # the pairs are those drawn one by one, u before v, from the same stream
+        rng = np.random.default_rng(23)
+        pairs = [(sm.haar_unitary(d, rng), sm.haar_unitary(d, rng)) for _ in range(1000)]
+        for blocks in calls.values():
+            assert len(blocks) == math.ceil(1000 / step)
+            assert all(len(u) <= step for u, _ in blocks)
+            u = np.concatenate([u for u, _ in blocks])
+            v = np.concatenate([v for _, v in blocks])
+            assert np.array_equal(u, [p[0] for p in pairs])
+            assert np.array_equal(v, [p[1] for p in pairs])
+
 
 class TestTailProbability:
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            st.tail_probability([0.1, 0.2], math.nan)
+
     def test_all_zero_work(self):
         est = st.tail_probability([0.0] * 50, 0.01)
         assert est.fraction == 0.0
