@@ -30,7 +30,7 @@ from .sampling import (
     unitary_to_symplectic,
 )
 from .stats import (
-    TypicalityRecord,
+    RECORD_DTYPE,
     eigen_dispersion,
     evaluate_record,
     symplectic_dispersion,
@@ -50,9 +50,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MomentReport",
+    "RECORD_DTYPE",
     "RandomStateConfig",
     "SqueezingSpec",
-    "TypicalityRecord",
     "WilliamsonResult",
     "ZProfile",
     "check_covariance",

@@ -5,7 +5,9 @@ Subcommands: sample, sweep, moments, validate, purify.  Exit codes:
 configuration, 3 numerical failure.  Exit code 2 covers unreadable or
 malformed input files (covariance, config and ``file:`` profile files),
 non-finite inputs, negative seeds, empty lists, ``--lipschitz-pairs``
-below 1 and output paths that cannot be written; ``validate --cov``
+or ``--threads`` below 1, a ``sweep --out`` path ending in ``.csv`` (the
+records go to that path with a .csv suffix) and output paths that cannot
+be written; ``validate --cov``
 reports a covariance matrix that breaks an invariant, non-finite entries
 included, with exit code 1.  New or plain regular output files are
 written to temporary files and renamed into place once all are complete,
@@ -163,7 +165,7 @@ def cmd_sample(opts: dict) -> int:
     if opts["format"] == "csv":
         _write_output(opts["out"], harness.records_csv(records))
     elif opts["format"] == "json":
-        rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
+        rows = [dict(zip(CSV_COLUMNS, row)) for row in records.tolist()]
         _write_output(opts["out"], _json_text(rows))
     else:
         raise InvalidConfig(f"format must be 'csv' or 'json', got {opts['format']!r}")
@@ -171,6 +173,13 @@ def cmd_sample(opts: dict) -> int:
 
 
 def cmd_sweep(opts: dict) -> int:
+    out = opts["out"]
+    if out is not None:
+        # the summary goes to out, the records to out with a .csv suffix
+        path = Path(out)
+        csv_path = path.with_suffix(".csv") if path.name else path
+        if csv_path == path:
+            raise InvalidConfig(f"sweep --out {out!r} leaves no separate path for the CSV records")
     records, summary = harness.run_sweep(
         n_grid=opts["n_grid"],
         m_sys=opts["m"],
@@ -181,12 +190,10 @@ def cmd_sweep(opts: dict) -> int:
         epsilons=opts["epsilon"],
         threads=opts["threads"],
     )
-    out = opts["out"]
     if out is None:
         sys.stdout.write(_json_text(summary))
     else:
-        csv_path = str(Path(out).with_suffix(".csv"))
-        _write_files({out: _json_text(summary), csv_path: harness.records_csv(records)})
+        _write_files({out: _json_text(summary), str(csv_path): harness.records_csv(records)})
     return 0
 
 

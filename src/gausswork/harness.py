@@ -1,6 +1,6 @@
-"""Monte Carlo campaign drivers: record streams, sweeps and moment tables.
+"""Monte Carlo campaign drivers: record arrays, sweeps and moment tables.
 
-All aggregation happens on index-ordered value lists with compensated
+All aggregation happens on index-ordered columns with compensated
 summation, so outputs are byte-identical for any worker count.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 from . import parallel, sampling, stats, weingarten
 from .errors import InvalidConfig
 from .sampling import RandomStateConfig, ZProfile
-from .stats import TypicalityRecord, tail_probability
+from .stats import tail_probability
 
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.2)
 
@@ -23,33 +23,36 @@ EIGEN_DISPERSION_BETA_MAX = 0.25
 WORK_TAIL_BETA_MAX = 0.125
 
 
-def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> list[TypicalityRecord]:
-    out = []
-    for first, gammas, specs in sampling.iter_blocks(config, lo, hi):
-        out.extend(stats.evaluate_block(gammas, specs, config, first))
-    return out
+def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
+    return np.concatenate([
+        stats.evaluate_block(gammas, specs, config, first)
+        for first, gammas, specs in sampling.iter_blocks(config, lo, hi)
+    ])
 
 
-def compute_records(
-    config: RandomStateConfig, n_samples: int, threads: int = 1
-) -> list[TypicalityRecord]:
-    """Records for sample indices 0..n_samples-1, in index order."""
+def _records(jobs, threads: int) -> np.recarray:
+    return parallel.run_chunked(_record_chunk, jobs, threads).view(np.recarray)
+
+
+def compute_records(config: RandomStateConfig, n_samples: int, threads: int = 1) -> np.recarray:
+    """Records for sample indices 0..n_samples-1, in index order, as one
+    :data:`stats.RECORD_DTYPE` array."""
     if n_samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {n_samples}")
-    return parallel.run_chunked(_record_chunk, [((config,), n_samples)], threads)
+    return _records([((config,), n_samples)], threads)
 
 
-def records_csv(records) -> str:
+def records_csv(records: np.ndarray) -> str:
+    # str of a Python float is its shortest round-trip repr
     lines = [stats.CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
+    lines.extend(",".join(map(str, row)) for row in records.tolist())
     return "\n".join(lines) + "\n"
 
 
-def _value_block(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    q50, q90, q99 = (float(np.quantile(arr, q)) for q in (0.5, 0.9, 0.99))
+def _value_block(values: np.ndarray) -> dict:
+    q50, q90, q99 = (float(np.quantile(values, q)) for q in (0.5, 0.9, 0.99))
     return {
-        "mean": math.fsum(values) / len(values),
+        "mean": math.fsum(values.tolist()) / len(values),
         "median": q50,
         "q50": q50,
         "q90": q90,
@@ -111,11 +114,11 @@ def run_sweep(
     pipeline: str = "purified",
     epsilons=DEFAULT_EPSILONS,
     threads: int = 1,
-) -> tuple[list[TypicalityRecord], dict]:
+) -> tuple[np.recarray, dict]:
     """Sample every grid point and build the sweep summary.
 
-    Returns (all records concatenated in grid-then-index order, summary
-    dict ready for JSON serialization).
+    Returns (one record array of every grid point in grid-then-index
+    order, summary dict ready for JSON serialization).
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -137,15 +140,12 @@ def run_sweep(
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
     # one fan-out, so one process pool, for the whole grid
-    all_records = parallel.run_chunked(
-        _record_chunk, [((config,), samples) for config in configs], threads
-    )
+    all_records = _records([((config,), samples) for config in configs], threads)
     per_n = []
     mean_deltas = []
     for g, n_full in enumerate(n_grid):
         records = all_records[g * samples:(g + 1) * samples]
-        works = [r.work for r in records]
-        deltas = [r.stat_delta for r in records]
+        works, deltas = records.work, records.stat_delta
         tails = []
         for eps in epsilons:
             est = tail_probability(works, eps)

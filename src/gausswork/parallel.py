@@ -7,8 +7,13 @@ making results independent of the worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import InvalidConfig
 
 
 def split_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -18,24 +23,24 @@ def split_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
 
 
-def run_chunked(worker: Callable, jobs: Sequence[tuple[Sequence, int]], threads: int) -> list:
-    """Apply ``worker(*args, lo, hi) -> list`` over index chunks of every
+def run_chunked(
+    worker: Callable, jobs: Sequence[tuple[Sequence, int]], threads: int
+) -> np.ndarray:
+    """Apply ``worker(*args, lo, hi) -> array`` over index chunks of every
     job ``(args, n_items)``.
 
-    With threads <= 1 runs inline; otherwise every job's range is split in
-    ``threads`` chunks and the chunks of all jobs go to one process pool.
-    The result is the concatenation in job-then-index order either way.
+    With one thread runs inline; otherwise every job's range is split in
+    ``threads`` chunks and the chunks of all jobs go to one process pool of
+    at most one worker per chunk and per CPU (a pool forks all its workers
+    at once).  The result is the concatenation in job-then-index order
+    either way.
     """
-    n_chunks = threads if threads > 1 else 1
-    tasks = [(args, lo, hi) for args, n_items in jobs for lo, hi in split_ranges(n_items, n_chunks)]
-    if threads <= 1 or len(tasks) <= 1:
-        out: list = []
-        for args, lo, hi in tasks:
-            out.extend(worker(*args, lo, hi))
-        return out
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    if threads < 1:
+        raise InvalidConfig(f"threads must be >= 1, got {threads}")
+    tasks = [(args, lo, hi) for args, n_items in jobs for lo, hi in split_ranges(n_items, threads)]
+    if threads == 1 or len(tasks) == 1:
+        return np.concatenate([worker(*args, lo, hi) for args, lo, hi in tasks])
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args, lo, hi) for args, lo, hi in tasks]
-        out = []
-        for fut in futures:
-            out.extend(fut.result())
-        return out
+        return np.concatenate([fut.result() for fut in futures])

@@ -4,7 +4,7 @@ Each sample yields an m-mode covariance matrix whose eigenvalues and
 symplectic eigenvalues both cluster around the same thermal value nu_th
 (the mean energy per ambient mode).  The dispersions quantifying the two
 distances, their sum, and the resulting cap on extractable work are
-collected in a :class:`TypicalityRecord`.
+the columns of one :data:`RECORD_DTYPE` record per sample.
 """
 
 from __future__ import annotations
@@ -20,22 +20,24 @@ from .sampling import RandomStateConfig, SqueezingSpec, squeeze_gram_diagonal, s
 
 WORK_BOUND_SLACK = 1e-9
 
-# Exact column order of the record CSV schema.
-CSV_COLUMNS = (
-    "sample_index",
-    "n_modes_full",
-    "n_modes_sys",
-    "beta",
-    "z_profile",
-    "master_seed",
-    "energy",
-    "sum_sympl",
-    "work",
-    "stat_T",
-    "stat_frakT",
-    "stat_delta",
-    "nu_th",
-)
+# One record per sample; the field order is the column order of the record
+# CSV.  The seed is an object column because a seed may exceed int64.
+RECORD_DTYPE = np.dtype([
+    ("sample_index", np.int64),
+    ("n_modes_full", np.int64),
+    ("n_modes_sys", np.int64),
+    ("beta", float),
+    ("z_profile", object),
+    ("master_seed", object),
+    ("energy", float),
+    ("sum_sympl", float),
+    ("work", float),
+    ("stat_T", float),
+    ("stat_frakT", float),
+    ("stat_delta", float),
+    ("nu_th", float),
+])
+CSV_COLUMNS = RECORD_DTYPE.names
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
@@ -71,32 +73,10 @@ def symplectic_dispersion(gamma_m: np.ndarray, nu_th):
     return 2.0 * _spread(phasespace.symplectic_eigenvalues(gamma_m).nus ** 2, np.square(nu_th))
 
 
-@dataclass
-class TypicalityRecord:
-    """Per-sample statistics; field names match the CSV schema."""
-
-    sample_index: int
-    n_modes_full: int
-    n_modes_sys: int
-    beta: float
-    z_profile: str
-    master_seed: int
-    energy: float
-    sum_sympl: float
-    work: float
-    stat_T: float
-    stat_frakT: float
-    stat_delta: float
-    nu_th: float
-
-    def csv_row(self) -> str:
-        # str of a Python float is its shortest round-trip repr
-        return ",".join(str(getattr(self, col)) for col in CSV_COLUMNS)
-
-
-def work_bound(m_sys: int, delta: float) -> float:
-    """Cap sqrt(m * delta) on the extractable work implied by the dispersions."""
-    return math.sqrt(m_sys * max(delta, 0.0))
+def work_bound(m_sys: int, delta):
+    """Cap sqrt(m * delta) on the extractable work implied by the
+    dispersions, for one delta or an array of them."""
+    return np.sqrt(m_sys * np.maximum(delta, 0.0))
 
 
 def evaluate_record(
@@ -104,9 +84,8 @@ def evaluate_record(
     spec: SqueezingSpec,
     config: RandomStateConfig,
     sample_index: int,
-) -> TypicalityRecord:
-    """Assemble the full statistics record for one sampled state; see
-    :func:`evaluate_block`."""
+) -> np.record:
+    """The statistics record of one sampled state; see :func:`evaluate_block`."""
     gamma_m = np.asarray(gamma_m, dtype=float)
     return evaluate_block(gamma_m[None], [spec], config, sample_index)[0]
 
@@ -116,9 +95,10 @@ def evaluate_block(
     specs,
     config: RandomStateConfig,
     first_index: int,
-) -> list[TypicalityRecord]:
-    """Records for a (N, 2m, 2m) stack of sampled states, with their
-    squeezing vectors and the sample indices first_index.. in order.
+) -> np.recarray:
+    """Records (one :data:`RECORD_DTYPE` row each) for a (N, 2m, 2m) stack
+    of sampled states, with their squeezing vectors and the sample indices
+    first_index.. in order.
 
     Enforces the per-sample work bound ``work <= sqrt(m * delta)`` (an
     exact consequence of physicality); a violation beyond 1e-9 indicates a
@@ -137,35 +117,39 @@ def evaluate_block(
 
     energy = 0.5 * np.sum(lam, axis=-1)
     sum_sympl = np.sum(nus, axis=-1)
+    raw = energy - sum_sympl
     stat_t = _spread(lam, nu)
     stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
-    columns = (nu, energy, sum_sympl, energy - sum_sympl, stat_t, stat_frak, stat_t + stat_frak)
-    beta, profile = config.profile.degree, config.profile.canonical()
-    records = []
-    for index, (nu_k, energy_k, sympl_k, raw_work, t_k, frak_k, delta) in enumerate(
-        zip(*(column.tolist() for column in columns)), first_index
-    ):
-        if raw_work > work_bound(config.m_sys, delta) + WORK_BOUND_SLACK:
-            raise NumericalFailure(
-                f"work bound violated at sample {index}: "
-                f"work={raw_work!r} > sqrt(m*delta)={work_bound(config.m_sys, delta)!r}"
-            )
-        records.append(TypicalityRecord(
-            sample_index=index,
-            n_modes_full=config.n_full,
-            n_modes_sys=config.m_sys,
-            beta=beta,
-            z_profile=profile,
-            master_seed=config.master_seed,
-            energy=energy_k,
-            sum_sympl=sympl_k,
-            work=max(raw_work, 0.0),
-            stat_T=t_k,
-            stat_frakT=frak_k,
-            stat_delta=delta,
-            nu_th=nu_k,
-        ))
-    return records
+    delta = stat_t + stat_frak
+    bound = np.broadcast_to(work_bound(config.m_sys, delta), raw.shape)
+    over = np.flatnonzero(raw > bound + WORK_BOUND_SLACK)
+    if over.size:
+        k = over[0]
+        raise NumericalFailure(
+            f"work bound violated at sample {first_index + k}: "
+            f"work={float(raw[k])!r} > sqrt(m*delta)={float(bound[k])!r}"
+        )
+    columns = {
+        "sample_index": np.arange(first_index, first_index + len(gammas)),
+        "n_modes_full": config.n_full,
+        "n_modes_sys": config.m_sys,
+        "beta": config.profile.degree,
+        "z_profile": config.profile.canonical(),
+        "master_seed": config.master_seed,
+        "energy": energy,
+        "sum_sympl": sum_sympl,
+        # max(raw, 0.0) elementwise, keeping -0.0 and NaN as max does
+        "work": np.where(0.0 > raw, 0.0, raw),
+        "stat_T": stat_t,
+        "stat_frakT": stat_frak,
+        "stat_delta": delta,
+        "nu_th": nu,
+    }
+    # np.zeros: np.empty initialises the object fields about ten times slower
+    records = np.zeros(len(gammas), RECORD_DTYPE)
+    for name in CSV_COLUMNS:
+        records[name] = columns[name]
+    return records.view(np.recarray)
 
 
 def _dispersion_pair(
@@ -236,21 +220,20 @@ class TailEstimate:
 
 
 def tail_probability(works, epsilon: float) -> TailEstimate:
-    """Empirical fraction of work values exceeding epsilon, with Wilson CI.
-
-    Accepts an iterable of work values or of :class:`TypicalityRecord`.
-    """
-    values = [w.work if isinstance(w, TypicalityRecord) else float(w) for w in works]
-    if not values:
+    """Empirical fraction of work values exceeding epsilon, with Wilson CI;
+    ``works`` is a sequence or array of work values, such as a record
+    array's ``work`` column."""
+    values = np.asarray(works, dtype=float)
+    if not values.size:
         raise EmptyInput("tail_probability needs at least one record")
     if not epsilon >= 0.0:  # also rejects NaN
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    hits = sum(1 for w in values if w > epsilon)
-    low, high = wilson_interval(hits, len(values))
+    hits = int(np.count_nonzero(values > epsilon))
+    low, high = wilson_interval(hits, values.size)
     return TailEstimate(
         epsilon=epsilon,
-        fraction=hits / len(values),
+        fraction=hits / values.size,
         wilson_low=low,
         wilson_high=high,
-        n_samples=len(values),
+        n_samples=values.size,
     )

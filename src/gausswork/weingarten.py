@@ -178,13 +178,14 @@ class MomentReport:
         return asdict(self)
 
 
-def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> list[tuple]:
-    """One draw per sample index, measured for every quantity."""
+def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
+    """One draw per sample index, measured for every quantity: an
+    (hi - lo, len(quantities)) array."""
     fns = [_MEASURES[q] for q in quantities]
-    rows = []
-    for _, gammas, _ in sampling.iter_blocks(config, lo, hi):
-        rows.extend(zip(*(fn(gammas).tolist() for fn in fns)))
-    return rows
+    return np.concatenate([
+        np.stack([fn(gammas) for fn in fns], axis=-1)
+        for _, gammas, _ in sampling.iter_blocks(config, lo, hi)
+    ])
 
 
 def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
@@ -218,7 +219,7 @@ def mc_moments(
     analytics = [_ANALYTIC[q](spec, config) for q in quantities]
     rows = parallel.run_chunked(_moment_chunk, [((quantities, config), n_samples)], threads)
     reports = []
-    for quantity, analytic, values in zip(quantities, analytics, zip(*rows)):
+    for quantity, analytic, values in zip(quantities, analytics, rows.T.tolist()):
         mean = math.fsum(values) / n_samples
         var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
         std_error = math.sqrt(var / n_samples)

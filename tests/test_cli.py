@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -43,6 +45,64 @@ class TestSample:
         assert len(rows) == 2
         assert rows[0]["n_modes_full"] == 4
         assert rows[1]["sample_index"] == 1
+
+    def test_seed_beyond_int64(self):
+        # seeds are Python ints: one above 2^64 is kept and printed exactly
+        args = ("sample", "--n", "5", "--m", "2", "--z-profile", "uniform:1.3",
+                "--samples", "2", "--seed", str(2 ** 70))
+        csv_text = run_cli(*args).stdout
+        assert csv_text == (
+            "sample_index,n_modes_full,n_modes_sys,beta,z_profile,master_seed,energy,"
+            "sum_sympl,work,stat_T,stat_frakT,stat_delta,nu_th\n"
+            "0,5,2,0.0,uniform:1.3,1180591620717411303424,1.1408579881656802,"
+            "1.110200009388219,0.030657978777461237,0.06848842974821193,"
+            "0.0018190845450331014,0.07030751429324503,0.5704289940828403\n"
+            "1,5,2,0.0,uniform:1.3,1180591620717411303424,1.14085798816568,"
+            "1.1175860489265517,0.023271939239128292,0.052221018813401174,"
+            "0.0011031128587253155,0.05332413167212649,0.5704289940828403\n"
+        )
+        json_text = run_cli(*args, "--format", "json").stdout
+        assert json.loads(json_text)[1]["master_seed"] == 2 ** 70
+        assert hashlib.sha256(json_text.encode()).hexdigest() == (
+            "b7cc164f9dd9668da03408a200cc31e18f02192288fca9e54510cbba6d41cf76"
+        )
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, threads):
+        result = run_cli("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2",
+                         "--threads", threads)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "threads" in result.stderr
+
+    def test_pool_size_capped(self, tmp_path, monkeypatch):
+        # a pool forks all its workers at once, so its size is capped by the
+        # chunk count and the CPU count; the fake runs every task inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        base = ["sample", "--n", "6", "--m", "2", "--z-profile", "uniform:1.4",
+                "--samples", "10", "--seed", "4"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+        assert cli.main([*base, "--threads", "100000", "--out", str(out2)]) == 0
+        assert sizes == [min(10, os.cpu_count() or 1)]
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_required_flag(self):
         result = run_cli("sample", "--n", "4", "--samples", "2")
@@ -152,6 +212,14 @@ class TestSweep:
         assert result.returncode == 2
         assert "cannot write" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("out", ["s.csv", "."])
+    def test_out_without_separate_csv_path_rejected(self, tmp_path, monkeypatch, out):
+        # the records go to the --out path with a .csv suffix, which must differ
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--n-grid", "8,16", "--z-profile", "uniform:1.5",
+                         "--samples", "20", "--out", out]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_csv_leaves_no_json(self, tmp_path):
         (tmp_path / "s.csv").mkdir()

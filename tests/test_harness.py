@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gausswork import harness, sampling, stats, weingarten
@@ -20,7 +21,7 @@ class TestComputeRecords:
         serial = harness.compute_records(config, 60, threads=1)
         parallel = harness.compute_records(config, 60, threads=2)
         assert [r.sample_index for r in serial] == list(range(60))
-        assert serial == parallel
+        assert np.array_equal(serial, parallel)
 
     def test_csv_shape(self):
         config = uniform_config()
@@ -47,20 +48,20 @@ class TestBlockKernel:
                                    master_seed=21, pipeline=pipeline)
         lo, split, hi = 3, 77, 203
         one_block = stats.evaluate_block(*sampling.sample_block(config, lo, hi), config, lo)
-        per_index = [
+        per_index = np.array([
             stats.evaluate_record(*sampling.draw_sample(config, i), config, i)
             for i in range(lo, hi)
-        ]
-        split_blocks = [
-            record
+        ], dtype=stats.RECORD_DTYPE)
+        split_blocks = np.concatenate([
+            stats.evaluate_block(*sampling.sample_block(config, a, b), config, a)
             for a, b in ((lo, split), (split, hi))
-            for record in stats.evaluate_block(*sampling.sample_block(config, a, b), config, a)
-        ]
+        ])
         pooled = harness.compute_records(config, hi, threads=2)[lo:]
-        assert [r.sample_index for r in one_block] == list(range(lo, hi))
-        assert one_block == per_index
-        assert one_block == split_blocks
-        assert one_block == pooled
+        assert one_block.dtype == pooled.dtype == stats.RECORD_DTYPE
+        assert one_block.sample_index.tolist() == list(range(lo, hi))
+        assert np.array_equal(one_block, per_index)
+        assert np.array_equal(one_block, split_blocks)
+        assert np.array_equal(one_block, pooled)
 
     def test_one_squeezing_vector_per_state(self):
         config = uniform_config()

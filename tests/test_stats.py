@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gausswork import harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import validate
-from gausswork.errors import DimensionMismatch, EmptyInput
+from gausswork.errors import DimensionMismatch, EmptyInput, NumericalFailure
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 
 
@@ -120,12 +121,24 @@ class TestEvaluateRecord:
 
     def test_csv_row_matches_header(self):
         config = RandomStateConfig(n_full=4, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
-        record = self._record(config)
-        row = record.csv_row()
+        row = harness.records_csv(harness.compute_records(config, 1)).splitlines()[1]
         assert len(row.split(",")) == len(st.CSV_COLUMNS)
+        assert st.CSV_COLUMNS == st.RECORD_DTYPE.names
         assert st.CSV_HEADER == (
             "sample_index,n_modes_full,n_modes_sys,beta,z_profile,master_seed,"
             "energy,sum_sympl,work,stat_T,stat_frakT,stat_delta,nu_th"
+        )
+
+    def test_work_bound_violation_names_first_sample(self, monkeypatch):
+        # a bound of 0.25 is first exceeded at sample 24 (work 0.278), again at 33
+        monkeypatch.setattr(st, "work_bound", lambda m, delta: delta * 0.0 + 0.25)
+        config = RandomStateConfig(
+            n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.8), master_seed=31
+        )
+        with pytest.raises(NumericalFailure) as info:
+            harness.compute_records(config, 40)
+        assert str(info.value) == (
+            "work bound violated at sample 24: work=0.27809077470365806 > sqrt(m*delta)=0.25"
         )
 
 
@@ -248,9 +261,8 @@ class TestTailProbability:
 
     def test_accepts_records(self):
         config = RandomStateConfig(n_full=4, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
-        gamma, spec = sm.draw_sample(config, 0)
-        record = st.evaluate_record(gamma, spec, config, 0)
-        assert st.tail_probability([record], 0.01).fraction == 0.0
+        records = harness.compute_records(config, 3)
+        assert st.tail_probability(records.work, 0.01).fraction == 0.0
 
     def test_wilson_interval_bounds(self):
         for k, n in ((0, 10), (5, 10), (10, 10), (1, 1000)):
