@@ -57,6 +57,13 @@ class RejectionTimeout(GaussworkError, RuntimeError):
     label = "numerical failure"
 
 
+class WorkerFailure(GaussworkError, RuntimeError):
+    """A worker process of the pool died before returning its chunk."""
+
+    exit_code = 3
+    label = "worker failure"
+
+
 class EmptyInput(GaussworkError, ValueError):
     """An aggregate was requested over an empty collection."""
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, WorkerFailure
 
 
 def split_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -29,18 +30,21 @@ def run_chunked(
     """Apply ``worker(*args, lo, hi) -> array`` over index chunks of every
     job ``(args, n_items)``.
 
-    With one thread runs inline; otherwise every job's range is split in
-    ``threads`` chunks and the chunks of all jobs go to one process pool of
-    at most one worker per chunk and per CPU (a pool forks all its workers
-    at once).  The result is the concatenation in job-then-index order
-    either way.
+    One worker count, ``threads`` capped by the CPU count, cuts every job in
+    one chunk per worker and sizes the pool, which gets no more workers than
+    chunks (a pool forks all its workers at once).  With one worker or one
+    chunk the work runs inline.  The result is the concatenation in
+    job-then-index order either way; a dead worker raises WorkerFailure.
     """
     if threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {threads}")
-    tasks = [(args, lo, hi) for args, n_items in jobs for lo, hi in split_ranges(n_items, threads)]
-    if threads == 1 or len(tasks) == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    tasks = [(args, lo, hi) for args, n_items in jobs for lo, hi in split_ranges(n_items, workers)]
+    if workers == 1 or len(tasks) == 1:
         return np.concatenate([worker(*args, lo, hi) for args, lo, hi in tasks])
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *args, lo, hi) for args, lo, hi in tasks]
-        return np.concatenate([fut.result() for fut in futures])
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(worker, *args, lo, hi) for args, lo, hi in tasks]
+            return np.concatenate([fut.result() for fut in futures])
+    except BrokenProcessPool as exc:
+        raise WorkerFailure(f"a worker process died: {exc}") from exc

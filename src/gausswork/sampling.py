@@ -66,17 +66,13 @@ def _haar_columns(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """``cols`` orthonormal columns distributed as the first columns of a
-    Haar unitary of size ``dim``, from one Ginibre block drawn from ``rng``."""
-    if dim < 1 or not 1 <= cols <= dim:
-        raise BadModeCount(f"invalid isometry shape ({dim}, {cols})")
-    return _haar_columns(_ginibre(rng.standard_normal((dim, cols)), rng.standard_normal((dim, cols))))
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary of size ``dim``."""
-    return haar_isometry(dim, dim, rng)
+def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed unitary of size ``dim``, or a ``(*shape, dim, dim)``
+    stack of them from one Ginibre draw that equals successive single draws."""
+    if dim < 1:
+        raise BadModeCount(f"invalid unitary size {dim}")
+    parts = rng.standard_normal((*shape, 2, dim, dim))
+    return _haar_columns(_ginibre(parts[..., 0, :, :], parts[..., 1, :, :]))
 
 
 def _check_unitary(u: np.ndarray) -> int:
@@ -459,8 +455,7 @@ def random_symplectic(
     n_modes: int, rng: np.random.Generator, max_squeeze: float = 1.5
 ) -> np.ndarray:
     """Generic symplectic matrix: interferometer, squeeze layer, interferometer."""
-    o_left = unitary_to_symplectic(haar_unitary(n_modes, rng))
-    o_right = unitary_to_symplectic(haar_unitary(n_modes, rng))
+    o_left, o_right = unitary_to_symplectic(haar_unitary(n_modes, rng, (2,)))
     z = rng.uniform(1.0, max_squeeze, n_modes)
     diag = np.concatenate([z, 1.0 / z])
     return (o_left * diag) @ o_right

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harness, sampling, stats
+from . import harness, stats
 from .errors import GaussworkError, InvalidConfig
 from .phasespace import (
     RECONSTRUCTION_TOL,
@@ -139,7 +139,8 @@ def check_symplectic_trace_invariance(per_size: int, rng) -> None:
 
 
 def check_bound_chain(n_samples: int, rng_seed: int) -> None:
-    # evaluate_record raises NumericalFailure when work > sqrt(m * delta)
+    # compute_records reaches stats.evaluate_block, which raises
+    # NumericalFailure when work > sqrt(m * delta)
     config = RandomStateConfig(
         n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.4), master_seed=rng_seed
     )
@@ -148,15 +149,13 @@ def check_bound_chain(n_samples: int, rng_seed: int) -> None:
 
 def check_lipschitz(n_pairs: int, rng) -> None:
     # one kept mode of a 4-mode system purified into d = 8 ambient modes;
-    # each block draws its pairs' Ginibre parts (u then v, real then
-    # imaginary) in the order of pair-by-pair haar_unitary calls
+    # each block is one stacked draw of its pairs, u then v, equal to
+    # pair-by-pair haar_unitary calls
     m_sys, d = 1, 8
     spec = draw_squeezing(ZProfile("uniform", z0=1.5), d)
     step = BLOCK_ENTRIES // (2 * d * d)
     for first in range(0, n_pairs, step):
-        parts = rng.standard_normal((min(step, n_pairs - first), 2, 2, d, d))
-        unitaries = sampling._haar_columns(sampling._ginibre(parts[:, :, 0], parts[:, :, 1]))
-        u, v = unitaries.swapaxes(0, 1)
+        u, v = haar_unitary(d, rng, (min(step, n_pairs - first), 2)).swapaxes(0, 1)
         for name, witness in (("eigen", stats.eigen_dispersion_lipschitz_pair),
                               ("symplectic", stats.symplectic_dispersion_lipschitz_pair)):
             for lhs, rhs in np.broadcast(*witness(u, v, spec, m_sys)):

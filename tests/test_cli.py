@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -254,6 +255,93 @@ class TestSweep:
             for tail in block["tails"]:
                 fraction = sum(1 for w in per_n if w > tail["epsilon"]) / len(per_n)
                 assert tail["fraction"] == fraction
+
+
+class RecordingPool:
+    """Process-pool stand-in that runs each task inline and records the
+    (lo, hi) index range it was given."""
+
+    ranges: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.ranges.append(args[-2:])
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class DeadWorkerPool(RecordingPool):
+    """Process-pool stand-in whose every worker dies."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+        return done
+
+
+class TestFanOut:
+    # three CPUs, so a --threads far above it must cut each job in three
+    CPUS = 3
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: self.CPUS)
+        monkeypatch.setattr(RecordingPool, "ranges", [])
+
+    @staticmethod
+    def assert_covering_runs(ranges, n_runs, n_items):
+        # each job's chunks are contiguous and cover 0..n_items, in job order
+        per_run = len(ranges) // n_runs
+        assert per_run * n_runs == len(ranges)
+        for k in range(n_runs):
+            run = ranges[k * per_run:(k + 1) * per_run]
+            assert run[0][0] == 0 and run[-1][1] == n_items
+            assert all(a[1] == b[0] for a, b in zip(run, run[1:]))
+
+    def test_sample_cut_in_one_chunk_per_worker(self, tmp_path, monkeypatch):
+        base = ["sample", "--n", "4", "--m", "1", "--z-profile", "uniform:1.5",
+                "--samples", "2000", "--seed", "3"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        assert cli.main([*base, "--threads", "2000", "--out", str(out2)]) == 0
+        assert len(RecordingPool.ranges) == min(2000, os.cpu_count())
+        self.assert_covering_runs(RecordingPool.ranges, 1, 2000)
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sweep_cut_in_one_chunk_per_worker_and_point(self, tmp_path, monkeypatch):
+        base = ["sweep", "--n-grid", "4,6,9", "--m", "1", "--z-profile", "uniform:1.5",
+                "--samples", "40", "--seed", "11"]
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        assert cli.main([*base, "--threads", "2000", "--out", str(out2)]) == 0
+        assert len(RecordingPool.ranges) == 3 * self.CPUS
+        self.assert_covering_runs(RecordingPool.ranges, 3, 40)
+        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--n", "4", "--z-profile", "uniform:1.5", "--samples", "20"],
+        ["sweep", "--n-grid", "4,6", "--z-profile", "uniform:1.5", "--samples", "20"],
+    ], ids=["sample", "sweep"])
+    def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", DeadWorkerPool)
+        out = tmp_path / "out.json"
+        assert cli.main([*command, "--threads", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("worker failure: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [

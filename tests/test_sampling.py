@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,34 @@ class TestHaarUnitary:
         tr_vu = np.array([np.trace(v @ sm.haar_unitary(d, rng)) for _ in range(n_draws)])
         se = math.sqrt(tr_u.var(ddof=1) / n_draws + tr_vu.var(ddof=1) / n_draws)
         assert abs(tr_u.mean() - tr_vu.mean()) <= 4.0 * se
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (5, 2), (64, 2)])
+    def test_stack_equals_successive_draws(self, d, shape):
+        stacked_rng, single_rng = np.random.default_rng(17), np.random.default_rng(17)
+        stack = sm.haar_unitary(d, stacked_rng, shape)
+        assert stack.shape == (*shape, d, d)
+        singles = [sm.haar_unitary(d, single_rng) for _ in range(math.prod(shape))]
+        assert np.array_equal(stack.reshape(-1, d, d), singles)
+        # the stream is left where the single calls leave it
+        assert np.array_equal(stacked_rng.standard_normal(3), single_rng.standard_normal(3))
+
+    def test_random_covariance_stream_pinned(self):
+        # validate and the acceptance tests draw their inputs from this stream
+        digests = {
+            (1, 0): "8bb89395c1323d25282ad81adb9bf5229a47411b98ceeb6003dd99fa48a344f6",
+            (1, 7): "2a53cb41106d4952357b1a9be9f70bd5a4cb1630e4c56212f9e8fa905ac07885",
+            (1, 2024): "e34b0a55851470cf57eac6f1aa153ebc8743a6bfc264905169df94bb9cbb19ab",
+            (2, 0): "e0708b64de94c82632d971ea8b6de0010bf7b5353e4bb3d02a1fe522b84e9f9e",
+            (2, 7): "35112ccdf9f25ab7b2676f791d9eadf733e585172bf22d72d135d172dc7098eb",
+            (2, 2024): "22b3202f43053bc19831c859017e4740f34c3c5d5396bb8fccd29b578e59673f",
+            (3, 0): "25a62226ad1807ecca658fe751d104af0625019d65794088f95b5b7ab48e81d0",
+            (3, 7): "f0d28b08ba32391ea84d842491cb2e3e10f3ff896da73e4fb344453b5db71c38",
+            (3, 2024): "977e9be5aadeed545fb07c2155c5f3875107d10263566cbe642216157b30e14e",
+        }
+        for (m, seed), digest in digests.items():
+            gamma = sm.random_covariance(m, np.random.default_rng(seed))
+            assert hashlib.sha256(gamma.tobytes()).hexdigest() == digest, (m, seed)
 
 
 class TestEmbedding:
