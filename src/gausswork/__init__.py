@@ -13,7 +13,6 @@ from .phasespace import (
     extractable_work,
     partial_trace,
     purify,
-    single_mode_squeezer,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_trace,
@@ -43,7 +42,6 @@ from .weingarten import (
     expected_tr_gamma_sq,
     expected_tr_omega_gamma_sq,
     mc_moment,
-    weingarten_pair,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +67,6 @@ __all__ = [
     "partial_trace",
     "purify",
     "sample_random_state",
-    "single_mode_squeezer",
     "squeeze_gram",
     "state_from_unitary",
     "symplectic_dispersion",
@@ -79,5 +76,4 @@ __all__ = [
     "tail_probability",
     "thermal_nu",
     "unitary_to_symplectic",
-    "weingarten_pair",
 ]

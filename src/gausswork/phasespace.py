@@ -263,21 +263,6 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     return pure
 
 
-def single_mode_squeezer(z: float, n_modes: int, target_mode: int) -> np.ndarray:
-    """Symplectic matrix scaling q of one mode by z and its p by 1/z.
-
-    ``target_mode`` is zero-based.  z = 1 gives the identity.
-    """
-    if z <= 0.0:
-        raise ValueError(f"squeezing value must be positive, got {z}")
-    if n_modes < 1 or not 0 <= target_mode < n_modes:
-        raise BadModeCount(f"target_mode={target_mode} out of range for {n_modes} modes")
-    s = np.eye(2 * n_modes)
-    s[target_mode, target_mode] = z
-    s[n_modes + target_mode, n_modes + target_mode] = 1.0 / z
-    return s
-
-
 def is_symplectic(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     matrix = np.asarray(matrix, dtype=float)
     n = mode_count(matrix)

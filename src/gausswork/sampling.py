@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -28,22 +29,138 @@ from .errors import (
 )
 
 UNITARY_TOL = 1e-10
-EMBED_IMAG_TOL = 1e-12
 
 _REJECTION_BATCH = 256
 _REJECTION_MAX_DRAWS = 2_000_000
 
 
-def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one sample index.
+# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool
+# of 4 32-bit words and its constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Streams are keyed by (master_seed, sample_index), so any partitioning
-    of indices across workers yields bit-identical draws.
+
+def _words32(value: int) -> list[int]:
+    """32-bit words of a non-negative int, least significant first; none for 0."""
+    return [(value >> shift) & _MASK32 for shift in range(0, value.bit_length(), 32)]
+
+
+@functools.lru_cache(maxsize=64)
+def _call_consts(first: int, count: int, init: int = _INIT_A, mult: int = _MULT_A):
+    """uint64 arrays of the xor and the multiply constants of hash calls
+    first..first+count-1: init * mult^k mod 2^32 for call k, and for k + 1."""
+    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count + 1)]
+    consts = np.array(consts, np.uint64)
+    consts.flags.writeable = False  # shared by every caller through the cache
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value, xor_const, mul_const):
+    """SeedSequence's hashmix of words: ints, or uint64 arrays that broadcast."""
+    value = (value ^ xor_const) * mul_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32  # uint64 wrap-around keeps the low word
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's pool after mixing in the seed alone, the part shared
+    by every index's stream, and the number of hash calls made, 4 per seed
+    word.  With a spawn key, the seed's words are zero-padded to 4."""
+    run = _words32(master_seed) or [0]
+    run += [0] * (_POOL - len(run))
+    consts = zip(*(c.tolist() for c in _call_consts(0, _POOL * len(run))))
+
+    def hashmix(word: int) -> int:
+        return _hashmix(word, *next(consts))
+
+    pool = [hashmix(word) for word in run[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in run[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    pool = np.array(pool, np.uint64)
+    pool.flags.writeable = False  # shared by every caller through the cache
+    return pool, _POOL * len(run)
+
+
+def _index_words(lo: int, n: int):
+    """Yield, word by word from the least significant, the 32-bit words of
+    the indices lo..lo+n-1 as a (n, 1) uint64 array, and where they exist:
+    an index has as many words as it needs, at least one.  Past the low
+    word, an index has the words of lo's high part q, or of q + 1 past a
+    carry."""
+    low = np.arange(lo & _MASK32, (lo & _MASK32) + n, dtype=np.uint64)[:, None]
+    carry = low > _MASK32
+    yield low & _MASK32, True
+    high = _words32(lo >> 32), _words32((lo >> 32) + 1) if carry[-1:].any() else []
+    for j in range(max(map(len, high))):
+        (w0, has0), (w1, has1) = ((w[j], True) if j < len(w) else (0, False) for w in high)
+        yield np.where(carry, np.uint64(w1), np.uint64(w0)), np.where(carry, has1, has0)
+
+
+_STATE_CONSTS = _call_consts(0, 2 * _POOL, _INIT_B, _MULT_B)
+_STATE_SOURCE = np.arange(2 * _POOL) % _POOL
+
+
+def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 4) uint64: ``SeedSequence(master_seed, spawn_key=(i,))
+    .generate_state(4, np.uint64)`` for each index i in lo..hi-1, computed
+    for all of them at once.  Each index word mixes into the 4 pool words
+    by 4 successive hash calls; an index with fewer words than another
+    skips the rounds it lacks through the mask."""
+    pool, calls = _seed_pool(master_seed)
+    pool = np.broadcast_to(pool, (hi - lo, _POOL))
+    for word, present in _index_words(lo, hi - lo):
+        pool = np.where(present, _mix(pool, _hashmix(word, *_call_consts(calls, _POOL))), pool)
+        calls += _POOL
+    # generate_state: 8 words cycling through the pool, read as 4 little-endian
+    # 64-bit words; C order, as PCG64 reads each row's buffer
+    state = _hashmix(pool[:, _STATE_SOURCE], *_STATE_CONSTS)
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _GivenState(np.random.bit_generator.ISeedSequence):
+    """Seed sequence of one index's precomputed PCG64 seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def block_streams(master_seed: int, lo: int, hi: int) -> list[np.random.Generator]:
+    """Independent, reproducible streams of the sample indices lo..hi-1.
+
+    The stream of index i is ``default_rng(SeedSequence(master_seed,
+    spawn_key=(i,)))`` bit for bit, with the SeedSequence hash computed
+    for the whole range at once.  Streams are keyed by (master_seed, i),
+    so any partitioning of indices across blocks or workers yields
+    bit-identical draws.
     """
-    if sample_index < 0:
-        raise InvalidConfig(f"sample_index must be >= 0, got {sample_index}")
-    seq = np.random.SeedSequence(master_seed, spawn_key=(sample_index,))
-    return np.random.default_rng(seq)
+    master_seed, lo, hi = map(operator.index, (master_seed, lo, hi))
+    if master_seed < 0:
+        raise InvalidConfig(f"master_seed must be >= 0, got {master_seed}")
+    if lo < 0:
+        raise InvalidConfig(f"sample_index must be >= 0, got {lo}")
+    seeds = _pcg64_seeds(master_seed, lo, hi)
+    return [np.random.Generator(np.random.PCG64(_GivenState(words))) for words in seeds]
+
+
+def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
+    """The stream of one sample index; see :func:`block_streams`."""
+    return block_streams(master_seed, sample_index, sample_index + 1)[0]
 
 
 def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -92,33 +209,13 @@ def unitary_to_symplectic(u: np.ndarray) -> np.ndarray:
 
     This is the closed real form of the conjugation
     P diag(U, U*) P^{-1} with P = [[I, iI], [iI, I]]/sqrt(2); the two agree
-    to machine precision (see :func:`unitary_to_symplectic_reference`).
+    to machine precision.
     The map is a group homomorphism from U(d) onto the passive phase-space
     transformations of d modes.
     """
     u = np.asarray(u, dtype=complex)
     _check_unitary(u)
     return np.block([[u.real, u.imag], [-u.imag, u.real]])
-
-
-def unitary_to_symplectic_reference(u: np.ndarray) -> np.ndarray:
-    """Reference embedding via the explicit P-conjugation.
-
-    Kept as the convention anchor; discards an imaginary residue after
-    checking it is below 1e-12.
-    """
-    u = np.asarray(u, dtype=complex)
-    d = _check_unitary(u)
-    eye = np.eye(d)
-    p = np.block([[eye, 1j * eye], [1j * eye, eye]]) / math.sqrt(2.0)
-    block = np.zeros((*u.shape[:-2], 2 * d, 2 * d), dtype=complex)
-    block[..., :d, :d] = u
-    block[..., d:, d:] = u.conj()
-    out = p @ block @ p.conj().T
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > EMBED_IMAG_TOL:
-        raise NumericalFailure(f"imaginary residue {residue:.3e} exceeds {EMBED_IMAG_TOL}")
-    return out.real
 
 
 # kind -> None for a kind without parameter, else (its field, the parser of
@@ -214,12 +311,14 @@ class SqueezingSpec:
             raise InvalidProfile("squeezing vector must be a nonempty 1-D array")
         if not (z >= 1.0).all():  # also rejects NaN
             raise InvalidProfile(f"squeezing values must be >= 1, min is {z.min()}")
-        if self.energy_bound is not None:
+        with np.errstate(over="ignore"):
             budget = float(np.sum(z * z + z ** -2.0))
-            if budget > 4.0 * self.energy_bound:
-                raise InvalidProfile(
-                    f"energy-ball violation: sum(z^2 + z^-2) = {budget} > 4E = {4 * self.energy_bound}"
-                )
+        if not math.isfinite(budget):
+            raise InvalidProfile(f"squeezing too large: sum(z^2 + z^-2) overflows, max z is {z.max()}")
+        if self.energy_bound is not None and budget > 4.0 * self.energy_bound:
+            raise InvalidProfile(
+                f"energy-ball violation: sum(z^2 + z^-2) = {budget} > 4E = {4 * self.energy_bound}"
+            )
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
@@ -277,7 +376,10 @@ def draw_squeezing(
         return SqueezingSpec(np.full(n_modes, float(profile.z0)))
     if profile.kind == "power":
         z = np.ones(n_modes)
-        z[: math.ceil(n_modes / 4)] = float(n_modes) ** (profile.beta / 2.0)
+        try:
+            z[: math.ceil(n_modes / 4)] = float(n_modes) ** (profile.beta / 2.0)
+        except OverflowError as exc:
+            raise InvalidProfile(f"power profile overflows: {n_modes}^({profile.beta}/2)") from exc
         return SqueezingSpec(z)
     if profile.kind == "file":
         values = _profile_file_values(profile.path)
@@ -390,10 +492,10 @@ def sample_block(
     """Covariances (hi - lo, 2m, 2m) and squeezing vectors of the samples
     with indices lo..hi-1, deterministic in (seed, index).
 
-    Every index opens its own stream and draws from it in a fixed order:
-    its squeezing vector, then the real and the imaginary part of a
-    d x m Ginibre block.  So a sample does not depend on which block it is
-    drawn in.  The QR, its phase correction and the Gamma build then run
+    Every index has its own stream (:func:`block_streams`) and draws from
+    it in a fixed order: its squeezing vector, then the real and the
+    imaginary part of a d x m Ginibre block, in one call.  So a sample does
+    not depend on which block it is drawn in.  The QR, its phase correction and the Gamma build then run
     once on the stack.  Only the kept m rows of the ambient Haar unitary
     are generated (their marginal distribution is exact), which keeps the
     cost at O(d m^2) per sample instead of O(d^3).  A deterministic
@@ -402,18 +504,15 @@ def sample_block(
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
     d, m, random = config.ambient_modes, config.m_sys, config.profile.is_random
-    re = np.empty((hi - lo, d, m))
-    im = np.empty_like(re)
+    parts = np.empty((hi - lo, 2, d, m))
     specs = []
-    for k, index in enumerate(range(lo, hi)):
-        rng = sample_rng(config.master_seed, index)
+    for k, rng in enumerate(block_streams(config.master_seed, lo, hi)):
         if k == 0 or random:
             spec = draw_squeezing(config.profile, d, rng)
         specs.append(spec)
-        rng.standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
-    columns = _haar_columns(_ginibre(re, im))
-    del re, im  # freed before the Gamma build, the block's memory peak
+        rng.standard_normal(out=parts[k])
+    columns = _haar_columns(_ginibre(parts[:, 0], parts[:, 1]))
+    del parts  # freed before the Gamma build, the block's memory peak
     if random:
         gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
     else:

@@ -90,6 +90,8 @@ def evaluate_record(
     return evaluate_block(gamma_m[None], [spec], config, sample_index)[0]
 
 
+# overflow yields inf or NaN statistics, which the block's check refuses
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_block(
     gammas: np.ndarray,
     specs,
@@ -101,9 +103,9 @@ def evaluate_block(
     first_index.. in order.
 
     Enforces the per-sample work bound ``work <= sqrt(m * delta)`` (an
-    exact consequence of physicality); a violation beyond 1e-9 indicates a
-    numerical breakdown and raises.  Round-off-negative work is clamped to
-    zero in the record only.
+    exact consequence of physicality); a violation beyond 1e-9, or a
+    non-finite work or delta, indicates a numerical breakdown and raises.
+    Round-off-negative work is clamped to zero in the record only.
     """
     if len(specs) != len(gammas):
         raise DimensionMismatch(f"{len(gammas)} states but {len(specs)} squeezing vectors")
@@ -122,9 +124,15 @@ def evaluate_block(
     stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
     delta = stat_t + stat_frak
     bound = np.broadcast_to(work_bound(config.m_sys, delta), raw.shape)
-    over = np.flatnonzero(raw > bound + WORK_BOUND_SLACK)
+    finite = np.isfinite(raw) & np.isfinite(delta)
+    over = np.flatnonzero(~finite | (raw > bound + WORK_BOUND_SLACK))
     if over.size:
         k = over[0]
+        if not finite[k]:
+            raise NumericalFailure(
+                f"non-finite statistics at sample {first_index + k}: "
+                f"work={float(raw[k])!r}, delta={float(delta[k])!r}"
+            )
         raise NumericalFailure(
             f"work bound violated at sample {first_index + k}: "
             f"work={float(raw[k])!r} > sqrt(m*delta)={float(bound[k])!r}"

@@ -31,22 +31,6 @@ OMEGA_TRB2_ALTERNATE = "half_dm_minus_1"
 _Z_RATIO_NOISE = 1e-12
 
 
-def weingarten_pair(dim: int, permutation: str) -> float:
-    """Degree-2 Weingarten function of U(dim).
-
-    ``identity`` -> 1/(d^2-1); ``swap`` -> -1/(d(d^2-1)).  Singular at
-    d = 1, hence d >= 2 is required.
-    """
-    if dim < 2:
-        raise BadDimension(f"degree-2 Weingarten function needs dim >= 2, got {dim}")
-    d = float(dim)
-    if permutation == "identity":
-        return 1.0 / (d * d - 1.0)
-    if permutation == "swap":
-        return -1.0 / (d * (d * d - 1.0))
-    raise ValueError(f"permutation must be 'identity' or 'swap', got {permutation!r}")
-
-
 @dataclass
 class ABDecomposition:
     """Split of the ambient squeeze spectrum J = diag(z^2) into its odd and

@@ -79,6 +79,7 @@ class TestSample:
     def test_pool_size_capped(self, tmp_path, monkeypatch):
         # a pool forks all its workers at once, so its size is capped by the
         # chunk count and the CPU count; the fake runs every task inline
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         sizes = []
 
         class InlinePool:
@@ -102,7 +103,7 @@ class TestSample:
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
         assert cli.main([*base, "--threads", "100000", "--out", str(out2)]) == 0
-        assert sizes == [min(10, os.cpu_count() or 1)]
+        assert sizes == [4]
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_required_flag(self):
@@ -133,6 +134,21 @@ class TestSample:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "profile file" in result.stderr
+
+    @pytest.mark.parametrize("n, profile, code", [
+        ("2", "power:1e308", 2),  # n^(beta/2) overflows a float
+        ("2", "uniform:1e200", 2),  # z^2 overflows
+        ("64", "power:200", 2),
+        ("2", "uniform:1e50", 3),  # the dispersions overflow
+    ])
+    def test_overflowing_profile(self, tmp_path, n, profile, code):
+        out = tmp_path / "s.csv"
+        result = run_cli("sample", "--n", n, "--m", "1", "--z-profile", profile,
+                         "--samples", "2", "--out", str(out))
+        assert result.returncode == code
+        assert result.stderr.startswith("invalid input: " if code == 2 else "numerical failure: ")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not out.exists()
 
     SMALL = ("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2")
 
@@ -174,6 +190,8 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_one_process_pool(self, tmp_path, monkeypatch, capsys):
+        # two CPUs, so --threads 2 starts a pool on any runner
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pools = []
 
         class CountingPool(parallel.ProcessPoolExecutor):

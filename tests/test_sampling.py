@@ -17,6 +17,56 @@ from gausswork.errors import (
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 from gausswork.validate import check_embedding
 
+EMBED_IMAG_TOL = 1e-12
+
+
+def unitary_to_symplectic_reference(u):
+    """Reference embedding via the explicit P-conjugation, the convention
+    anchor of unitary_to_symplectic; checks that the imaginary residue it
+    discards is below 1e-12."""
+    u = np.asarray(u, dtype=complex)
+    d = sm._check_unitary(u)
+    eye = np.eye(d)
+    p = np.block([[eye, 1j * eye], [1j * eye, eye]]) / math.sqrt(2.0)
+    block = np.zeros((*u.shape[:-2], 2 * d, 2 * d), dtype=complex)
+    block[..., :d, :d] = u
+    block[..., d:, d:] = u.conj()
+    out = p @ block @ p.conj().T
+    assert float(np.max(np.abs(out.imag))) <= EMBED_IMAG_TOL
+    return out.real
+
+
+class TestStreams:
+    # numpy's SeedSequence + PCG64 is the oracle for every index's stream
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 12345, 2**128 - 1, 2**128, 2**200 + 3]
+    RANGES = [(0, 600), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64 + 3)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence(self, seed):
+        for lo, hi in self.RANGES:
+            words = sm._pcg64_seeds(seed, lo, hi)
+            streams = sm.block_streams(seed, lo, hi)
+            assert words.shape == (hi - lo, 4) and len(streams) == hi - lo
+            for index, own_words, stream in zip(range(lo, hi), words, streams):
+                oracle = np.random.SeedSequence(seed, spawn_key=(index,))
+                assert np.array_equal(own_words, oracle.generate_state(4, np.uint64))
+                expected = np.random.Generator(np.random.PCG64(oracle)).standard_normal(16)
+                assert np.array_equal(stream.standard_normal(16), expected)
+
+    def test_sample_rng_is_the_one_index_block(self):
+        for seed, index in [(3, 0), (3, 7), (2**70 + 12345, 2**32), (np.int64(3), np.int64(7))]:
+            oracle = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+            assert np.array_equal(sm.sample_rng(seed, index).random(8), oracle.random(8))
+            block = sm.block_streams(seed, index, index + 3)[0]
+            assert np.array_equal(block.random(8), sm.sample_rng(seed, index).random(8))
+
+    @pytest.mark.parametrize("seed, lo", [(-1, 0), (-(2**70), 5), (3, -1), (-2, -2)])
+    def test_negative_seed_or_index(self, seed, lo):
+        with pytest.raises(InvalidConfig):
+            sm.block_streams(seed, lo, lo + 2)
+        with pytest.raises(InvalidConfig):
+            sm.sample_rng(seed, lo)
+
 
 class TestHaarUnitary:
     def test_unitarity(self):
@@ -99,13 +149,13 @@ class TestEmbedding:
         for d in (1, 2, 5):
             u = sm.haar_unitary(d, rng)
             closed = sm.unitary_to_symplectic(u)
-            reference = sm.unitary_to_symplectic_reference(u)
+            reference = unitary_to_symplectic_reference(u)
             assert np.max(np.abs(closed - reference)) <= 1e-13
         stack = np.array([[sm.haar_unitary(3, rng) for _ in range(2)] for _ in range(2)])
         closed = sm.unitary_to_symplectic(stack)
         assert closed.shape == (2, 2, 6, 6)
         assert np.array_equal(closed[1, 0], sm.unitary_to_symplectic(stack[1, 0]))
-        assert np.max(np.abs(closed - sm.unitary_to_symplectic_reference(stack))) <= 1e-13
+        assert np.max(np.abs(closed - unitary_to_symplectic_reference(stack))) <= 1e-13
 
     def test_orthogonal_symplectic(self):
         check_embedding((3,), 10, np.random.default_rng(11))
@@ -238,6 +288,18 @@ class TestDrawSqueezing:
             SqueezingSpec(np.array([2.0, 2.0]), energy_bound=1.0)
         with pytest.raises(InvalidProfile):
             SqueezingSpec(np.array([1.5, np.nan]))
+
+    @pytest.mark.parametrize("z", [[1e200], [1.0, np.inf], [1e154, 1e154], [1e300, 1.5]])
+    def test_spec_refuses_overflowing_squeezing(self, z):
+        # sum(z^2 + z^-2) is not finite; 1e154^2 alone is, the sum is not
+        with pytest.raises(InvalidProfile):
+            SqueezingSpec(np.array(z))
+        SqueezingSpec(np.array([1e150, 1e150]))
+
+    @pytest.mark.parametrize("beta, n", [(1e308, 2), (200.0, 64), (1e300, 3)])
+    def test_power_profile_overflow(self, beta, n):
+        with pytest.raises(InvalidProfile):
+            sm.draw_squeezing(ZProfile("power", beta=beta), n)
 
 
 class TestSqueezeGram:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ class TestEvaluateRecord:
         assert str(info.value) == (
             "work bound violated at sample 24: work=0.27809077470365806 > sqrt(m*delta)=0.25"
         )
+
+
+    def test_non_finite_statistics_name_first_sample(self):
+        config = RandomStateConfig(
+            n_full=3, m_sys=1, profile=ZProfile("uniform", z0=1.5), master_seed=2
+        )
+        gammas, specs = sm.sample_block(config, 10, 14)
+        gammas[2] *= 1e160  # the squared spectra overflow: delta is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"^non-finite statistics at sample 12: work="):
+                st.evaluate_block(gammas, specs, config, 10)
+        gammas[1] *= 1e200
+        with pytest.raises(NumericalFailure, match=r"^non-finite statistics at sample 11: "):
+            st.evaluate_block(gammas, specs, config, 10)
 
 
 class TestLipschitzPairs:
