@@ -13,6 +13,7 @@ import functools
 import math
 import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,6 @@ def _index_words(lo: int, n: int):
 
 
 _STATE_CONSTS = _call_consts(0, 2 * _POOL, _INIT_B, _MULT_B)
-_STATE_SOURCE = np.arange(2 * _POOL) % _POOL
 
 
 def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
         calls += _POOL
     # generate_state: 8 words cycling through the pool, read as 4 little-endian
     # 64-bit words; C order, as PCG64 reads each row's buffer
-    state = _hashmix(pool[:, _STATE_SOURCE], *_STATE_CONSTS)
+    state = _hashmix(np.concatenate([pool, pool], axis=1), *_STATE_CONSTS)
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
@@ -140,8 +140,9 @@ class _GivenState(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def block_streams(master_seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    """Independent, reproducible streams of the sample indices lo..hi-1.
+def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """Independent, reproducible streams of the sample indices lo..hi-1,
+    in index order; each is built when the iterator reaches it.
 
     The stream of index i is ``default_rng(SeedSequence(master_seed,
     spawn_key=(i,)))`` bit for bit, with the SeedSequence hash computed
@@ -155,12 +156,12 @@ def block_streams(master_seed: int, lo: int, hi: int) -> list[np.random.Generato
     if lo < 0:
         raise InvalidConfig(f"sample_index must be >= 0, got {lo}")
     seeds = _pcg64_seeds(master_seed, lo, hi)
-    return [np.random.Generator(np.random.PCG64(_GivenState(words))) for words in seeds]
+    return (np.random.Generator(np.random.PCG64(_GivenState(words))) for words in seeds)
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
     """The stream of one sample index; see :func:`block_streams`."""
-    return block_streams(master_seed, sample_index, sample_index + 1)[0]
+    return next(block_streams(master_seed, sample_index, sample_index + 1))
 
 
 def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:

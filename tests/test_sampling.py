@@ -45,7 +45,7 @@ class TestStreams:
     def test_matches_seed_sequence(self, seed):
         for lo, hi in self.RANGES:
             words = sm._pcg64_seeds(seed, lo, hi)
-            streams = sm.block_streams(seed, lo, hi)
+            streams = list(sm.block_streams(seed, lo, hi))
             assert words.shape == (hi - lo, 4) and len(streams) == hi - lo
             for index, own_words, stream in zip(range(lo, hi), words, streams):
                 oracle = np.random.SeedSequence(seed, spawn_key=(index,))
@@ -57,7 +57,7 @@ class TestStreams:
         for seed, index in [(3, 0), (3, 7), (2**70 + 12345, 2**32), (np.int64(3), np.int64(7))]:
             oracle = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
             assert np.array_equal(sm.sample_rng(seed, index).random(8), oracle.random(8))
-            block = sm.block_streams(seed, index, index + 3)[0]
+            block = next(sm.block_streams(seed, index, index + 3))
             assert np.array_equal(block.random(8), sm.sample_rng(seed, index).random(8))
 
     @pytest.mark.parametrize("seed, lo", [(-1, 0), (-(2**70), 5), (3, -1), (-2, -2)])
