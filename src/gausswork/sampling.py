@@ -312,14 +312,15 @@ class SqueezingSpec:
             raise InvalidProfile("squeezing vector must be a nonempty 1-D array")
         if not (z >= 1.0).all():  # also rejects NaN
             raise InvalidProfile(f"squeezing values must be >= 1, min is {z.min()}")
-        with np.errstate(over="ignore"):
+        z_max = float(z.max())
+        if not math.isfinite(z.size * z_max * z_max):  # bounds sum(z^2 + z^-2)
+            raise InvalidProfile(f"squeezing too large: n * max(z)^2 overflows, max z is {z_max}")
+        if self.energy_bound is not None:
             budget = float(np.sum(z * z + z ** -2.0))
-        if not math.isfinite(budget):
-            raise InvalidProfile(f"squeezing too large: sum(z^2 + z^-2) overflows, max z is {z.max()}")
-        if self.energy_bound is not None and budget > 4.0 * self.energy_bound:
-            raise InvalidProfile(
-                f"energy-ball violation: sum(z^2 + z^-2) = {budget} > 4E = {4 * self.energy_bound}"
-            )
+            if budget > 4.0 * self.energy_bound:
+                raise InvalidProfile(
+                    f"energy-ball violation: sum(z^2 + z^-2) = {budget} > 4E = {4 * self.energy_bound}"
+                )
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 

@@ -291,7 +291,8 @@ class TestDrawSqueezing:
 
     @pytest.mark.parametrize("z", [[1e200], [1.0, np.inf], [1e154, 1e154], [1e300, 1.5]])
     def test_spec_refuses_overflowing_squeezing(self, z):
-        # sum(z^2 + z^-2) is not finite; 1e154^2 alone is, the sum is not
+        # n * max(z)^2, which bounds sum(z^2 + z^-2), is not finite; 1e154^2
+        # alone is, twice it is not
         with pytest.raises(InvalidProfile):
             SqueezingSpec(np.array(z))
         SqueezingSpec(np.array([1e150, 1e150]))

@@ -142,7 +142,6 @@ class TestEvaluateRecord:
             "work bound violated at sample 24: work=0.27809077470365806 > sqrt(m*delta)=0.25"
         )
 
-
     def test_non_finite_statistics_name_first_sample(self):
         config = RandomStateConfig(
             n_full=3, m_sys=1, profile=ZProfile("uniform", z0=1.5), master_seed=2
