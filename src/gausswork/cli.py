@@ -161,14 +161,14 @@ def _state_config(opts: dict) -> RandomStateConfig:
 
 def cmd_sample(opts: dict) -> int:
     config = _state_config(opts)
-    records = harness.compute_records(config, opts["samples"], opts["threads"])
     if opts["format"] == "csv":
-        _write_output(opts["out"], harness.records_csv(records))
+        _, text = harness.compute_records(config, opts["samples"], opts["threads"], return_csv=True)
     elif opts["format"] == "json":
-        rows = [dict(zip(CSV_COLUMNS, row)) for row in records.tolist()]
-        _write_output(opts["out"], _json_text(rows))
+        records = harness.compute_records(config, opts["samples"], opts["threads"])
+        text = _json_text([dict(zip(CSV_COLUMNS, row)) for row in records.tolist()])
     else:
         raise InvalidConfig(f"format must be 'csv' or 'json', got {opts['format']!r}")
+    _write_output(opts["out"], text)
     return 0
 
 
@@ -180,7 +180,8 @@ def cmd_sweep(opts: dict) -> int:
         csv_path = path.with_suffix(".csv") if path.name else path
         if csv_path == path:
             raise InvalidConfig(f"sweep --out {out!r} leaves no separate path for the CSV records")
-    records, summary = harness.run_sweep(
+    sweep = functools.partial(
+        harness.run_sweep,
         n_grid=opts["n_grid"],
         m_sys=opts["m"],
         profile=ZProfile.parse(opts["z_profile"]),
@@ -191,9 +192,11 @@ def cmd_sweep(opts: dict) -> int:
         threads=opts["threads"],
     )
     if out is None:
+        _, summary = sweep()
         sys.stdout.write(_json_text(summary))
     else:
-        _write_files({out: _json_text(summary), str(csv_path): harness.records_csv(records)})
+        _, summary, csv_text = sweep(return_csv=True)
+        _write_files({out: _json_text(summary), str(csv_path): csv_text})
     return 0
 
 

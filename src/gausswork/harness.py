@@ -30,23 +30,43 @@ def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
     ])
 
 
-def _records(jobs, threads: int) -> np.recarray:
-    return parallel.run_chunked(_record_chunk, jobs, threads).view(np.recarray)
+def _csv_rows(records: np.ndarray) -> str:
+    # str of a Python float is its shortest round-trip repr
+    return "".join([",".join(map(str, row)) + "\n" for row in records.tolist()])
 
 
-def compute_records(config: RandomStateConfig, n_samples: int, threads: int = 1) -> np.recarray:
+def _chunk(config: RandomStateConfig, csv: bool, lo: int, hi: int) -> tuple[np.ndarray, str]:
+    """The records of indices lo..hi-1, and with ``csv`` their CSV rows,
+    formatted in the worker process."""
+    records = _record_chunk(config, lo, hi)
+    return records, _csv_rows(records) if csv else ""
+
+
+def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarray, str]:
+    """Records of sample indices 0..samples-1 of every config, in
+    config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
+    with ``csv`` their :func:`records_csv` text."""
+    if samples < 1:
+        raise InvalidConfig(f"samples must be >= 1, got {samples}")
+    jobs = [((config, csv), samples) for config in configs]
+    chunks = parallel.run_chunked(_chunk, jobs, threads)
+    records = np.concatenate([records for records, _ in chunks]).view(np.recarray)
+    return records, stats.CSV_HEADER + "\n" + "".join([rows for _, rows in chunks])
+
+
+def compute_records(
+    config: RandomStateConfig, n_samples: int, threads: int = 1, return_csv: bool = False
+):
     """Records for sample indices 0..n_samples-1, in index order, as one
-    :data:`stats.RECORD_DTYPE` array."""
-    if n_samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {n_samples}")
-    return _records([((config,), n_samples)], threads)
+    :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
+    (records, ``records_csv(records)``), the rows formatted by the workers."""
+    records, text = _records([config], n_samples, threads, return_csv)
+    return (records, text) if return_csv else records
 
 
 def records_csv(records: np.ndarray) -> str:
-    # str of a Python float is its shortest round-trip repr
-    lines = [stats.CSV_HEADER]
-    lines.extend(",".join(map(str, row)) for row in records.tolist())
-    return "\n".join(lines) + "\n"
+    """CSV text of a record array: the header, then one row per record."""
+    return stats.CSV_HEADER + "\n" + _csv_rows(records)
 
 
 def _value_block(values: np.ndarray) -> dict:
@@ -114,11 +134,13 @@ def run_sweep(
     pipeline: str = "purified",
     epsilons=DEFAULT_EPSILONS,
     threads: int = 1,
-) -> tuple[np.recarray, dict]:
+    return_csv: bool = False,
+):
     """Sample every grid point and build the sweep summary.
 
     Returns (one record array of every grid point in grid-then-index
-    order, summary dict ready for JSON serialization).
+    order, summary dict ready for JSON serialization), and with
+    ``return_csv`` the records' CSV text third, as :func:`compute_records`.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -137,10 +159,8 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
-    if samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {samples}")
     # one fan-out, so one process pool, for the whole grid
-    all_records = _records([((config,), samples) for config in configs], threads)
+    all_records, csv_text = _records(configs, samples, threads, return_csv)
     per_n = []
     mean_deltas = []
     for g, n_full in enumerate(n_grid):
@@ -185,7 +205,7 @@ def run_sweep(
         "delta_slope": slope,
         "warnings": warnings,
     }
-    return all_records, summary
+    return (all_records, summary, csv_text) if return_csv else (all_records, summary)
 
 
 def run_moments(

@@ -12,6 +12,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -35,13 +36,17 @@ ROUNDTRIP_TOL = 1e-10
 PURITY_TOL = 1e-8
 
 
+@functools.lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form [[0, I], [-I, 0]]."""
+    """Return the 2n x 2n symplectic form [[0, I], [-I, 0]], read-only:
+    one array per n is shared by every caller."""
     if n_modes < 1:
         raise BadModeCount(f"n_modes must be >= 1, got {n_modes}")
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.block([[zero, eye], [-eye, zero]])
+    omega.flags.writeable = False
+    return omega
 
 
 def mode_count(matrix: np.ndarray) -> int:

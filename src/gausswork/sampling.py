@@ -523,20 +523,34 @@ def sample_block(
 
 
 # Largest number of complex Ginibre entries (samples x d x m) drawn in one
-# block.  Blocks of 2^13 to 2^15 entries gave the same per-sample time on a
-# sweep; 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by
-# about 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of
-# its own, so a chunk's memory is that of one sample.
+# block, and of covariance entries (samples x 2m x 2m, 64 KB) in one stack.
+# Blocks of 2^13 to 2^15 entries gave the same per-sample time on a sweep;
+# 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by about
+# 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of its
+# own, so a chunk's memory is that of one sample.
 BLOCK_ENTRIES = 1 << 13
 
 
 def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
-    """Walk indices lo..hi-1 in blocks of at most ``BLOCK_ENTRIES`` Ginibre
-    entries (at least one sample each); yields (first index, covariances,
-    squeezing vectors) of each block from :func:`sample_block`."""
-    step = max(1, BLOCK_ENTRIES // (config.ambient_modes * config.m_sys))
-    for first in range(lo, hi, step):
-        yield (first, *sample_block(config, first, min(first + step, hi)))
+    """Walk indices lo..hi-1 in stacks of at most ``BLOCK_ENTRIES``
+    covariance entries, each drawn by :func:`sample_block` in blocks of at
+    most ``BLOCK_ENTRIES`` Ginibre entries (at least one sample each);
+    yields (first index, covariances, squeezing vectors) of each stack.
+
+    The statistics of a stack cost about 0.2 ms per call whatever its size,
+    so a stack gathers the many small blocks of a large d."""
+    m, random = config.m_sys, config.profile.is_random
+    step = max(1, BLOCK_ENTRIES // (config.ambient_modes * m))
+    stack = max(1, BLOCK_ENTRIES // (4 * m * m))
+    for first in range(lo, hi, stack):
+        last = min(first + stack, hi)
+        gammas, specs = [], []
+        for k in range(first, last, step):
+            block, block_specs = sample_block(config, k, min(k + step, last))
+            gammas.append(block)
+            # a stack shares one deterministic vector, as a block does
+            specs += block_specs if random or not specs else specs[:1] * len(block_specs)
+        yield first, np.concatenate(gammas), specs
 
 
 def draw_sample(

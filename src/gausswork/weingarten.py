@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import parallel, sampling
-from .errors import BadDimension, InvalidConfig
+from .errors import BadDimension, InvalidConfig, NumericalFailure
 from .phasespace import symplectic_form
 from .sampling import RandomStateConfig, SqueezingSpec, ZProfile, draw_squeezing
 
@@ -181,6 +181,7 @@ def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
     return diff / std_error
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_moments(
     quantities,
     config: RandomStateConfig,
@@ -200,23 +201,36 @@ def mc_moments(
     if n_samples < 2:
         raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
     spec = _ambient_spec(config)
-    analytics = [_ANALYTIC[q](spec, config) for q in quantities]
-    rows = parallel.run_chunked(_moment_chunk, [((quantities, config), n_samples)], threads)
-    reports = []
-    for quantity, analytic, values in zip(quantities, analytics, rows.T.tolist()):
-        mean = math.fsum(values) / n_samples
-        var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
-        std_error = math.sqrt(var / n_samples)
-        reports.append(
-            MomentReport(
-                quantity=quantity,
-                analytic=analytic,
-                estimate=mean,
-                std_error=std_error,
-                n_samples=n_samples,
-                z_ratio=_z_ratio(analytic, mean, std_error),
-            )
+    try:
+        analytics = [_ANALYTIC[q](spec, config) for q in quantities]
+        rows = np.concatenate(
+            parallel.run_chunked(_moment_chunk, [((quantities, config), n_samples)], threads)
         )
+        reports = []
+        for quantity, analytic, values in zip(quantities, analytics, rows.T.tolist()):
+            mean = math.fsum(values) / n_samples
+            var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
+            std_error = math.sqrt(var / n_samples)
+            if not all(map(math.isfinite, (analytic, mean, std_error))):
+                raise OverflowError(
+                    f"analytic={analytic!r}, estimate={mean!r}, std_error={std_error!r}"
+                )
+            reports.append(
+                MomentReport(
+                    quantity=quantity,
+                    analytic=analytic,
+                    estimate=mean,
+                    std_error=std_error,
+                    n_samples=n_samples,
+                    z_ratio=_z_ratio(analytic, mean, std_error),
+                )
+            )
+    except OverflowError as exc:
+        # squeezing that SqueezingSpec accepts can still overflow the squares
+        # of the moments: Python floats raise, numpy turns them into inf
+        raise NumericalFailure(
+            f"moments overflow at max z = {float(spec.z.max())!r}: {exc.args[-1]}"
+        ) from exc
     return reports
 
 

@@ -5,14 +5,15 @@ import re
 import stat
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from gausswork import cli, parallel
+from gausswork import cli, harness, parallel
 from gausswork import phasespace as ps
+from gausswork.sampling import RandomStateConfig, ZProfile
 
 
 def run_cli(*args, cwd=None):
@@ -306,6 +307,16 @@ class DeadWorkerPool(RecordingPool):
         return done
 
 
+class SubmitCountingPool(ProcessPoolExecutor):
+    """The real process pool, counting the tasks submitted to it."""
+
+    tasks = 0
+
+    def submit(self, fn, *args):
+        type(self).tasks += 1
+        return super().submit(fn, *args)
+
+
 class TestFanOut:
     # three CPUs, so a --threads far above it must cut each job in three
     CPUS = 3
@@ -347,6 +358,28 @@ class TestFanOut:
         self.assert_covering_runs(RecordingPool.ranges, 3, 40)
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [3, 2 ** 70 + 12345])  # the second is an object column
+    def test_worker_rows_match_records_csv(self, tmp_path, monkeypatch, seed):
+        # a real fork pool, so each chunk's rows are formatted in a worker
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SubmitCountingPool)
+        monkeypatch.setattr(SubmitCountingPool, "tasks", 0)
+        profile, samples, grid = ZProfile("uniform", z0=1.5), 30, (4, 6)
+        records = {n: harness.compute_records(RandomStateConfig(
+            n_full=n, m_sys=1, profile=profile, master_seed=seed), samples) for n in grid}
+        common = ["--z-profile", "uniform:1.5", "--samples", str(samples), "--seed", str(seed)]
+        for threads in ("1", "3"):
+            out = tmp_path / f"s{threads}.csv"
+            assert cli.main(["sample", "--n", "4", *common, "--format", "csv",
+                             "--threads", threads, "--out", str(out)]) == 0
+            assert out.read_bytes() == harness.records_csv(records[4]).encode()
+            out = tmp_path / f"w{threads}.json"
+            assert cli.main(["sweep", "--n-grid", "4,6", *common,
+                             "--threads", threads, "--out", str(out)]) == 0
+            expected = harness.records_csv(np.concatenate([records[n] for n in grid]))
+            assert out.with_suffix(".csv").read_bytes() == expected.encode()
+        assert SubmitCountingPool.tasks == self.CPUS + len(grid) * self.CPUS
+        assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
 
     @pytest.mark.parametrize("command", [
         ["sample", "--n", "4", "--z-profile", "uniform:1.5", "--samples", "20"],
@@ -406,6 +439,19 @@ class TestMoments:
                          "--out", str(tmp_path / "missing" / "m.json"))
         assert result.returncode == 2
         assert "cannot write" in result.stderr
+
+    @pytest.mark.parametrize("profile", [
+        "uniform:1e50",  # the variance sum overflows
+        "uniform:1e100",  # the analytic second moments overflow
+    ])
+    def test_overflowing_moments(self, tmp_path, profile):
+        out = tmp_path / "m.json"
+        result = run_cli("moments", "--n", "2", "--z-profile", profile, "--samples", "3",
+                         "--out", str(out))
+        assert result.returncode == 3
+        assert result.stderr.startswith("numerical failure: ")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not out.exists()
 
 
 class TestValidate:

@@ -90,6 +90,38 @@ class TestBlockKernel:
         assert len(harness._record_chunk(small, 0, per_block + 5)) == per_block + 5
         assert seen == [(0, per_block), (per_block, per_block + 5)]
 
+    @pytest.mark.parametrize("config, hi, blocks", [
+        # d = 4096, m = 8: one sample per draw, 32 per covariance stack
+        (RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
+                           master_seed=2), 40, [(k, k + 1) for k in range(40)]),
+        # d = 2, m = 2: a draw of 2048 samples would stack 32768 covariance entries
+        (RandomStateConfig(n_full=2, m_sys=2, profile=ZProfile("uniform", z0=1.1),
+                           master_seed=2, pipeline="direct"), 1100,
+         [(0, 512), (512, 1024), (1024, 1100)]),
+    ], ids=["wide", "direct"])
+    def test_record_stacks_gather_blocks(self, monkeypatch, config, hi, blocks):
+        drawn, stacks = [], []
+        sample_block, evaluate_block = sampling.sample_block, stats.evaluate_block
+
+        def drawing(config, lo, hi):
+            drawn.append((lo, hi))
+            return sample_block(config, lo, hi)
+
+        def evaluating(gammas, specs, config, first):
+            stacks.append(gammas.size)
+            return evaluate_block(gammas, specs, config, first)
+
+        monkeypatch.setattr(sampling, "sample_block", drawing)
+        monkeypatch.setattr(stats, "evaluate_block", evaluating)
+        records = harness._record_chunk(config, 0, hi)
+        assert records["sample_index"].tolist() == list(range(hi))
+        assert drawn == blocks
+        assert len(stacks) < hi
+        assert max(stacks) <= sampling.BLOCK_ENTRIES
+        unstacked = [evaluate_block(*sample_block(config, lo, hi), config, lo)
+                     for lo, hi in blocks]
+        assert np.array_equal(records, np.concatenate(unstacked))
+
 
 class TestSlopeFit:
     def test_recovers_power_law(self):

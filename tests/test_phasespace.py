@@ -64,6 +64,12 @@ class TestSymplecticForm:
         with pytest.raises(BadModeCount):
             ps.symplectic_form(0)
 
+    def test_cached_read_only(self):
+        omega = ps.symplectic_form(4)
+        assert ps.symplectic_form(4) is omega
+        with pytest.raises(ValueError):
+            omega[0, 0] = 1.0
+
 
 class TestEnergy:
     def test_vacuum(self):
