@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     BadModeCount,
@@ -113,7 +112,10 @@ class WilliamsonResult:
     """Symplectic spectrum, descending, plus the optional diagonalizing factor.
 
     When ``symplectic_factor`` is present it satisfies
-    ``Gamma = S D S^T`` with ``D = diag(nus) (+) diag(nus)``.
+    ``Gamma = S D S^T`` with ``D = diag(nus) (+) diag(nus)``.  S is unique
+    only up to a phase-space rotation of each mode (and a mixing of modes
+    with equal nu); a fixed phase gauge picks one, and S = I for a one-mode
+    thermal state.
     """
 
     nus: np.ndarray
@@ -137,29 +139,25 @@ def _kernel_nus(kernel: np.ndarray, n: int) -> np.ndarray:
 
 
 def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> WilliamsonResult:
-    """Spectrum and factor S with Gamma = S D S^T from the real Schur form
-    of the antisymmetric kernel of one matrix."""
+    """Spectrum and factor S with Gamma = S D S^T from the eigenvectors of
+    the Hermitian i * kernel of one matrix."""
     try:
-        t_form, q_orth = schur(kernel, output="real")
-    except Exception as exc:  # pragma: no cover - LAPACK breakdown
-        raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
-    # Antisymmetric kernels have a block-diagonal real Schur form with
-    # 2x2 blocks [[0, t], [-t, 0]]; swap columns inside a block if t < 0.
-    nus = np.empty(n)
-    q_orth = q_orth.copy()
-    for k in range(n):
-        t = t_form[2 * k, 2 * k + 1]
-        if t < 0.0:
-            q_orth[:, [2 * k, 2 * k + 1]] = q_orth[:, [2 * k + 1, 2 * k]]
-            t = -t
-        nus[k] = t
+        evals, vecs = np.linalg.eigh(1j * kernel)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    nus = evals[n:][::-1].copy()
     if np.any(nus <= 0.0):
-        raise NumericalFailure("non-positive symplectic eigenvalue in Schur form")
-    order = np.argsort(-nus, kind="stable")
-    nus = nus[order]
-    # Schur columns come in (q, p) pairs; the factor wants all q columns first.
-    cols = np.concatenate([2 * order, 2 * order + 1])
-    factor = (root @ q_orth[:, cols]) * np.tile(nus, 2) ** -0.5
+        raise NumericalFailure("non-positive symplectic eigenvalue in Hermitian spectrum")
+    vecs = vecs[:, n:][:, ::-1]
+    # Fix each eigenvector's phase: its largest q entry is positive
+    # imaginary, which makes S = I for a one-mode thermal state.
+    top = vecs[np.argmax(np.abs(vecs[:n]), axis=0), np.arange(n)]
+    vecs = vecs * (1j * np.exp(-1j * np.angle(top)))
+    # An eigenvector (a + ib)/sqrt(2) of nu gives K b = -nu a and K a = nu b,
+    # so b is the q column and a the p column of an orthogonal Q with
+    # Q^T K Q = [[0, diag(nu)], [-diag(nu), 0]].
+    q_orth = np.sqrt(2.0) * np.concatenate([vecs.imag, vecs.real], axis=1)
+    factor = (root @ q_orth) * np.tile(nus, 2) ** -0.5
     return WilliamsonResult(nus=nus, symplectic_factor=factor)
 
 
@@ -170,8 +168,8 @@ def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> Will
     from the Hermitian matrix i * G^{1/2} Omega G^{1/2}, which is the
     numerically robust route.  Without ``with_factor`` ``gamma`` may be a
     (..., 2n, 2n) stack, and ``nus`` is then (..., n).  With
-    ``with_factor`` the real Schur form of the antisymmetric kernel of one
-    matrix additionally yields S with Gamma = S D S^T.
+    ``with_factor`` the eigenvectors of that Hermitian matrix, for one
+    matrix, additionally yield S with Gamma = S D S^T.
     """
     gamma = np.asarray(gamma, dtype=float)
     # the first matrix of a stack stands for the shape of all of them

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import parallel, sampling
+from . import parallel, sampling, stats
 from .errors import BadDimension, InvalidConfig, NumericalFailure
 from .phasespace import symplectic_form
 from .sampling import RandomStateConfig, SqueezingSpec, ZProfile, draw_squeezing
@@ -67,8 +67,7 @@ def _ambient_spec(config: RandomStateConfig) -> SqueezingSpec:
 
 def expected_tr_gamma(spec: SqueezingSpec, config: RandomStateConfig) -> float:
     """Haar mean of Tr[Gamma_m]: exactly 2 m nu_th at any dimension."""
-    nu = float(np.sum(spec.z ** 2 + spec.z ** -2)) / (4.0 * spec.n_modes)
-    return 2.0 * config.m_sys * nu
+    return 2.0 * config.m_sys * stats.thermal_nu(spec)
 
 
 def _second_moment_terms(

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BadModeCount
-from .sampling import unitary_to_symplectic
+from gausswork.errors import BadModeCount
+from gausswork.sampling import unitary_to_symplectic
 
 _MAX_LOG_SQUEEZE = 4.0
 

@@ -13,12 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from gausswork import harness, minwork
+from gausswork import harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import weingarten as wg
 from gausswork.sampling import RandomStateConfig, ZProfile
+
+import minwork
 
 SWEEP_SEED = 20240810
 SWEEP_GRID = (16, 32, 64, 128, 256)

@@ -602,3 +602,23 @@ class TestHelp:
         assert re.findall(r"^  (--[a-z-]+)", text, re.M) == self.FLAGS[command].split()
         seed = "2024" if command == "validate" else "0"
         assert re.search(rf"^  --seed SEED .*\(default {seed}\)$", text, re.M)
+
+
+class TestImports:
+    # a fresh interpreter, so modules pytest or other tests loaded cannot mask one
+    SCRIPT = """
+import sys
+from gausswork import cli
+assert cli.main(["purify", sys.argv[1], sys.argv[2]]) == 0
+assert cli.main(["validate", "--sizes", "2", "--lipschitz-pairs", "20"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+    def test_commands_leave_scipy_unloaded(self, tmp_path):
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        write_covariance(src, np.diag([1.1, 0.9, 1.2, 0.8]))
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, str(src), str(dst)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert dst.exists()
+        assert result.stdout.splitlines()[-1] == "[]"

@@ -173,6 +173,19 @@ class TestSweep:
             assert q["q50"] <= q["q90"] <= q["q99"]
             assert q["median"] == q["q50"]
 
+    def test_quantiles_equal_numpy(self):
+        # the summary's quantiles are np.quantile's, bit for bit, on sizes
+        # from 1 up, ties, NaN and values spanning many decades
+        rng = np.random.default_rng(9)
+        cases = [rng.integers(0, 3, n).astype(float) for n in range(1, 40)]
+        cases += [rng.exponential(size=n) ** 3 * 10.0 ** rng.uniform(-30, 3)
+                  for n in list(range(1, 40)) + [999, 1000, 1001]]
+        cases.append(np.array([1.0, np.nan, 2.0]))
+        for values in cases:
+            block = harness._value_block(values)
+            for key, q in (("q50", 0.5), ("q90", 0.9), ("q99", 0.99)):
+                assert np.array_equal(block[key], np.quantile(values, q), equal_nan=True)
+
     def test_grid_validation(self):
         with pytest.raises(InvalidConfig):
             harness.run_sweep([16, 8], 1, ZProfile("vacuum"), 10, 0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gausswork import minwork
 from gausswork import phasespace as ps
 from gausswork.errors import BadModeCount
 from gausswork.sampling import random_covariance
+
+import minwork
 
 
 def test_thermal_state_is_already_minimal():

@@ -11,7 +11,7 @@ from gausswork.errors import (
     MalformedFile,
     NonPositiveDefinite,
 )
-from gausswork.sampling import random_covariance
+from gausswork.sampling import random_covariance, random_symplectic
 from gausswork.validate import check_eigensolver_crosscheck, check_symplectic_trace_invariance
 
 
@@ -140,6 +140,37 @@ class TestWilliamsonFactor:
             sorted([math.sqrt(3.0), math.sqrt(8.0)], reverse=True), abs=1e-12
         )
         assert ps.williamson_reconstruction_error(gamma, res) <= 1e-10
+
+
+class TestHermitianFactor:
+    """The factor from the eigenvectors of i * kernel on mixed states, on
+    pure states squeezed up to z = 100, and its phase gauge."""
+
+    def assert_valid_factor(self, gamma):
+        res = ps.symplectic_eigenvalues(gamma, with_factor=True)
+        assert ps.is_symplectic(res.symplectic_factor, 1e-8)
+        assert ps.williamson_reconstruction_error(gamma, res) <= ps.RECONSTRUCTION_TOL
+        assert np.all(np.diff(res.nus) <= 0.0)
+        nus = ps.symplectic_eigenvalues(gamma).nus
+        assert np.all(np.abs(res.nus - nus) <= 1e-12 * np.maximum(1.0, nus))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_mixed(self, m):
+        rng = np.random.default_rng(200 + m)
+        for _ in range(20):
+            self.assert_valid_factor(random_covariance(m, rng))
+
+    @pytest.mark.parametrize("max_squeeze", [1.5, 10.0, 100.0])
+    def test_pure(self, max_squeeze):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            s = random_symplectic(3, rng, max_squeeze=max_squeeze)
+            self.assert_valid_factor(0.5 * s @ s.T)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+    def test_one_mode_thermal_gives_identity(self, nu):
+        res = ps.symplectic_eigenvalues(nu * np.eye(2), with_factor=True)
+        assert np.allclose(res.symplectic_factor, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 class TestSymplecticTrace:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausswork import sampling as sm
+from gausswork import stats as st
 from gausswork import weingarten as wg
 from gausswork.errors import BadDimension, InvalidConfig
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
@@ -112,6 +113,16 @@ class TestFirstMoment:
         assert wg.expected_tr_gamma(ambient_spec(config), config) == pytest.approx(
             expected, abs=1e-14
         )
+
+    def test_equals_records_thermal_nu(self):
+        # the analytic moment and the records' nu_th are one computation,
+        # equal to the last bit
+        rng = np.random.default_rng(17)
+        for n in range(2, 40):
+            config = uniform_config(n, 1, 1.0, 0)
+            for _ in range(10):
+                spec = SqueezingSpec(rng.uniform(1.0, 3.0, n))
+                assert wg.expected_tr_gamma(spec, config) == 2.0 * st.thermal_nu(spec)
 
     def test_power_profile_mc(self):
         # non-uniform profile, so the trace genuinely fluctuates
