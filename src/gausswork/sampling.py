@@ -13,6 +13,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -164,10 +165,14 @@ def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
     return next(block_streams(master_seed, sample_index, sample_index + 1))
 
 
-def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _ginibre(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, from their real
-    and imaginary parts."""
-    return (re + 1j * im) / math.sqrt(2.0)
+    and imaginary parts, written into ``out``: (re + 1j * im) / sqrt(2)
+    by the same ufunc loops, in place."""
+    np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+    out /= math.sqrt(2.0)
+    return out
 
 
 def _haar_columns(z: np.ndarray) -> np.ndarray:
@@ -181,7 +186,8 @@ def _haar_columns(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # A zero diagonal entry has probability zero; keep the phase finite.
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))[..., None, :]
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
@@ -190,7 +196,8 @@ def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()
     if dim < 1:
         raise BadModeCount(f"invalid unitary size {dim}")
     parts = rng.standard_normal((*shape, 2, dim, dim))
-    return _haar_columns(_ginibre(parts[..., 0, :, :], parts[..., 1, :, :]))
+    z = np.empty((*shape, dim, dim), complex)
+    return _haar_columns(_ginibre(parts[..., 0, :, :], parts[..., 1, :, :], z))
 
 
 def _check_unitary(u: np.ndarray) -> int:
@@ -458,18 +465,37 @@ class RandomStateConfig:
         return 2 * self.n_full if self.pipeline == "purified" else self.n_full
 
 
-def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
+def _gamma_from_rows(
+    rows: np.ndarray, gram_diag: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Reduced covariance from the kept rows of the ambient unitary.
 
     ``rows`` holds the first m rows of U in U(d), or a stack of them
     (..., m, d); the corresponding rows of the embedded interferometer are
     [Re W, Im W] and [-Im W, Re W], and the kept covariance block is half
     their Gram matrix through the squeeze diagonal (which broadcasts
-    against the stack).
+    against the stack).  The selector and its product with the diagonal
+    are built in ``scratch``, a float buffer of at least 8 * rows.size
+    entries, or in fresh memory without one.
     """
+    *stack, m, d = rows.shape
+    buffers = np.empty(8 * rows.size) if scratch is None else scratch[: 8 * rows.size]
+    # The selector is laid out as np.block([[re, im], [-im, re]]) lays it
+    # out, column-major per matrix where the rows are (the sampling
+    # kernel's at m >= 2), else C order: matmul's BLAS route, and with it
+    # the last bits of Gamma, follow the layout.
+    if m > 1 and abs(rows.strides[-2]) < abs(rows.strides[-1]):
+        sel, w = buffers.reshape(2, *stack, 2 * d, 2 * m).swapaxes(-1, -2)
+    else:
+        sel, w = buffers.reshape(2, *stack, 2 * m, 2 * d)
     re, im = rows.real, rows.imag
-    sel = np.block([[re, im], [-im, re]])
-    return 0.5 * (sel * gram_diag) @ np.swapaxes(sel, -1, -2)
+    sel[..., :m, :d] = re
+    sel[..., :m, d:] = im
+    np.negative(im, out=sel[..., m:, :d])
+    sel[..., m:, d:] = re
+    np.multiply(sel, gram_diag, out=w)
+    w *= 0.5
+    return w @ np.swapaxes(sel, -1, -2)
 
 
 def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.ndarray:
@@ -488,6 +514,34 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     return _gamma_from_rows(u[..., :m_sys, :], squeeze_gram_diagonal(spec))
 
 
+_SCRATCH = threading.local()
+
+
+def _block_buffers(entries: int, sample_entries: int):
+    """Flat buffers for a block of ``entries`` complex Ginibre entries: the
+    Gaussian parts (2 floats per entry), the Ginibre block (1 complex) and
+    the selector with its weighted copy (8 floats).
+
+    A thread reuses one set from block to block, so that blocks do not map
+    and unmap fresh memory (a budget-sized complex block is 128 KiB,
+    glibc's initial mmap threshold).  The set is sized for the budget or
+    one sample, whichever is larger, and grows with the largest sample; a
+    block beyond that, which only a direct call draws, gets fresh buffers.
+    The set is private to the thread: ``Generator.standard_normal``
+    releases the GIL, so threads sharing it would overwrite each other's
+    draws.
+    """
+    def fresh(size):
+        return np.empty(2 * size), np.empty(size, complex), np.empty(8 * size)
+
+    keep = max(BLOCK_ENTRIES, sample_entries)
+    if entries > keep:
+        return fresh(entries)
+    if getattr(_SCRATCH, "entries", 0) < keep:
+        _SCRATCH.entries, _SCRATCH.buffers = keep, fresh(keep)
+    return _SCRATCH.buffers
+
+
 def sample_block(
     config: RandomStateConfig, lo: int, hi: int
 ) -> tuple[np.ndarray, list[SqueezingSpec]]:
@@ -497,29 +551,38 @@ def sample_block(
     Every index has its own stream (:func:`block_streams`) and draws from
     it in a fixed order: its squeezing vector, then the real and the
     imaginary part of a d x m Ginibre block, in one call.  So a sample does
-    not depend on which block it is drawn in.  The QR, its phase correction and the Gamma build then run
-    once on the stack.  Only the kept m rows of the ambient Haar unitary
-    are generated (their marginal distribution is exact), which keeps the
-    cost at O(d m^2) per sample instead of O(d^3).  A deterministic
-    profile's vector is drawn once per block and shared.
+    not depend on which block it is drawn in.  The QR, its phase
+    correction and the Gamma build then run once on the stack.  Only the
+    kept m rows of the ambient Haar unitary are generated (their marginal
+    distribution is exact), which keeps the cost at O(d m^2) per sample
+    instead of O(d^3).  A deterministic profile's vector is drawn once per
+    block and shared.
+
+    The Gaussian parts, the complex Ginibre block, the selector and its
+    product with the squeeze diagonal are views of the thread's reused
+    buffers (:func:`_block_buffers`), and the phase correction scales the
+    QR's Q in place.  Only the QR's own arrays and the returned stack are
+    allocated.
     """
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
     d, m, random = config.ambient_modes, config.m_sys, config.profile.is_random
-    parts = np.empty((hi - lo, 2, d, m))
+    entries = (hi - lo) * d * m
+    parts, ginibre, gamma = _block_buffers(entries, d * m)
+    parts = parts[: 2 * entries].reshape(hi - lo, 2, d, m)
     specs = []
     for k, rng in enumerate(block_streams(config.master_seed, lo, hi)):
         if k == 0 or random:
             spec = draw_squeezing(config.profile, d, rng)
         specs.append(spec)
         rng.standard_normal(out=parts[k])
-    columns = _haar_columns(_ginibre(parts[:, 0], parts[:, 1]))
-    del parts  # freed before the Gamma build, the block's memory peak
+    z = _ginibre(parts[:, 0], parts[:, 1], ginibre[:entries].reshape(hi - lo, d, m))
+    columns = _haar_columns(z)
     if random:
         gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
     else:
         gram = squeeze_gram_diagonal(spec)
-    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram), specs
+    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram, gamma), specs
 
 
 # Largest number of complex Ginibre entries (samples x d x m) drawn in one
@@ -527,7 +590,9 @@ def sample_block(
 # Blocks of 2^13 to 2^15 entries gave the same per-sample time on a sweep;
 # 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by about
 # 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of its
-# own, so a chunk's memory is that of one sample.
+# own.  Each thread keeps one set of block buffers (_block_buffers), 96
+# bytes per entry: about 0.75 MiB at the budget, 3 MiB after a d = 4096,
+# m = 8 sample.
 BLOCK_ENTRIES = 1 << 13
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,32 @@ class TestComputeRecords:
     def test_rejects_empty(self):
         with pytest.raises(InvalidConfig):
             harness.compute_records(uniform_config(), 0)
+
+    def test_concurrent_threads_keep_their_draws(self):
+        # two threads draw blocks of one shape at once; each has its own
+        # sampling scratch, so neither overwrites the other's Gaussian parts
+        configs = [uniform_config(n_full=16, seed=seed) for seed in (11, 12)]
+        samples = 3 * sampling.BLOCK_ENTRIES // 32 - 50  # three blocks, the last short
+        expected = [harness.compute_records(config, samples) for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                results = [None, None]
+
+                def run(k):
+                    results[k] = harness.compute_records(configs[k], samples)
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for got, want in zip(results, expected):
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBlockKernel:

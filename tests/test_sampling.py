@@ -1,5 +1,7 @@
 import hashlib
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +423,96 @@ class TestRandomState:
             RandomStateConfig(
                 n_full=2, m_sys=1, profile=ZProfile("vacuum"), master_seed=0, pipeline="fast"
             )
+
+
+def gamma_reference(rows, gram_diag):
+    """The Gamma build as np.block wrote it, the layout reference of
+    sampling._gamma_from_rows."""
+    re, im = rows.real, rows.imag
+    sel = np.block([[re, im], [-im, re]])
+    return 0.5 * (sel * gram_diag) @ np.swapaxes(sel, -1, -2)
+
+
+class TestBlockScratch:
+    @pytest.mark.parametrize("pipeline", ["purified", "direct"])
+    @pytest.mark.parametrize("n_full, m_sys, profile", [
+        (16, 1, "uniform:1.3"), (16, 2, "uniform:1.3"), (16, 3, "uniform:1.3"),
+        (8, 8, "uniform:1.3"), (2, 1, "flat:3.0"),
+    ])
+    def test_equals_block_expression(self, n_full, m_sys, profile, pipeline):
+        # a budget-sized block, then a short one, rebuilt from the same
+        # streams with freshly allocated arrays and np.block's selector
+        config = RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                   master_seed=12, pipeline=pipeline)
+        d = config.ambient_modes
+        step = sm.BLOCK_ENTRIES // (d * m_sys)
+        for lo, hi in ((0, step), (step, step + 3)):
+            specs, parts = [], []
+            for rng in sm.block_streams(config.master_seed, lo, hi):
+                specs.append(sm.draw_squeezing(config.profile, d, rng))
+                parts.append(rng.standard_normal((2, d, m_sys)))
+            parts = np.array(parts)
+            z = (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
+            rows = np.swapaxes(q * (diag / np.abs(diag))[..., None, :], -1, -2)
+            if config.profile.is_random:
+                gram = np.array([sm.squeeze_gram_diagonal(s) for s in specs])[:, None, :]
+            else:
+                gram = sm.squeeze_gram_diagonal(specs[0])
+            gammas, block_specs = sm.sample_block(config, lo, hi)
+            assert np.array_equal(gammas, gamma_reference(rows, gram))
+            assert all(np.array_equal(a.z, b.z) for a, b in zip(block_specs, specs))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_state_from_unitary_equals_block_expression(self, order):
+        rng = np.random.default_rng(37)
+        spec = SqueezingSpec(rng.uniform(1.0, 1.8, 6))
+        gram = sm.squeeze_gram_diagonal(spec)
+        for shape in ((), (4,), (2, 3)):
+            u = np.asarray(sm.haar_unitary(6, rng, shape), order=order)
+            for m in (1, 2, 6):
+                assert np.array_equal(sm.state_from_unitary(u, spec, m),
+                                      gamma_reference(u[..., :m, :], gram))
+
+    @pytest.mark.parametrize("n_full, m_sys", [(16, 2), (128, 1)])
+    def test_repeated_block_allocates_under_three_blocks(self, n_full, m_sys):
+        # d = 32, m = 2 and d = 256, m = 1 at the block budget; the second
+        # same-shape block reuses the first one's scratch, so only the QR's
+        # arrays and the returned stack are new
+        config = RandomStateConfig(n_full=n_full, m_sys=m_sys,
+                                   profile=ZProfile("uniform", z0=1.5), master_seed=3)
+        step = sm.BLOCK_ENTRIES // (config.ambient_modes * m_sys)
+        sm.sample_block(config, 0, step)
+        tracemalloc.start()
+        try:
+            sm.sample_block(config, step, 2 * step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * np.dtype(complex).itemsize * sm.BLOCK_ENTRIES
+
+    def test_block_beyond_budget_is_not_kept(self):
+        # a direct call for four budgets' worth of samples gets fresh
+        # buffers; the thread keeps only the budget-sized set of its blocks
+        config = RandomStateConfig(n_full=8, m_sys=1, profile=ZProfile("uniform", z0=1.5),
+                                   master_seed=3)
+        step = sm.BLOCK_ENTRIES // config.ambient_modes
+        drawn, kept = [], []
+
+        def draw():
+            drawn.append(sm.sample_block(config, 0, 4 * step)[0])
+            kept.append(getattr(sm._SCRATCH, "entries", 0))
+            drawn.append(np.concatenate([sm.sample_block(config, k, k + step)[0]
+                                         for k in range(0, 4 * step, step)]))
+            kept.append(sm._SCRATCH.entries)
+
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert kept == [0, sm.BLOCK_ENTRIES]
+        assert np.array_equal(*drawn)
 
 
 class TestEnergyScaling:
