@@ -24,14 +24,12 @@ from .sampling import (
     draw_squeezing,
     haar_unitary,
     sample_random_state,
-    squeeze_gram,
     state_from_unitary,
     unitary_to_symplectic,
 )
 from .stats import (
     RECORD_DTYPE,
     eigen_dispersion,
-    evaluate_record,
     symplectic_dispersion,
     tail_probability,
     thermal_nu,
@@ -41,7 +39,6 @@ from .weingarten import (
     expected_tr_gamma,
     expected_tr_gamma_sq,
     expected_tr_omega_gamma_sq,
-    mc_moment,
 )
 
 __version__ = "0.1.0"
@@ -57,17 +54,14 @@ __all__ = [
     "draw_squeezing",
     "eigen_dispersion",
     "energy",
-    "evaluate_record",
     "expected_tr_gamma",
     "expected_tr_gamma_sq",
     "expected_tr_omega_gamma_sq",
     "extractable_work",
     "haar_unitary",
-    "mc_moment",
     "partial_trace",
     "purify",
     "sample_random_state",
-    "squeeze_gram",
     "state_from_unitary",
     "symplectic_dispersion",
     "symplectic_eigenvalues",

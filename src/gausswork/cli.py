@@ -30,10 +30,10 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import harness, phasespace, validate
+from . import harness, phasespace, validate, weingarten
 from .errors import GaussworkError, InvalidConfig, MalformedFile
 from .sampling import RandomStateConfig, ZProfile
-from .stats import CSV_COLUMNS
+from .stats import CSV_COLUMNS, record_rows
 
 
 def _number_list(text: str, convert, kind: str) -> list:
@@ -165,7 +165,7 @@ def cmd_sample(opts: dict) -> int:
         _, text = harness.compute_records(config, opts["samples"], opts["threads"], return_csv=True)
     elif opts["format"] == "json":
         records = harness.compute_records(config, opts["samples"], opts["threads"])
-        text = _json_text([dict(zip(CSV_COLUMNS, row)) for row in records.tolist()])
+        text = _json_text([dict(zip(CSV_COLUMNS, row)) for row in record_rows(records, config)])
     else:
         raise InvalidConfig(f"format must be 'csv' or 'json', got {opts['format']!r}")
     _write_output(opts["out"], text)
@@ -202,7 +202,7 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_moments(opts: dict) -> int:
     config = _state_config(opts)
-    reports = harness.run_moments(config, opts["samples"], opts["threads"])
+    reports = weingarten.mc_moments(weingarten.QUANTITIES, config, opts["samples"], opts["threads"])
     _write_output(opts["out"], _json_text([r.to_dict() for r in reports]))
     return 0
 

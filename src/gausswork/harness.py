@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import parallel, sampling, stats, weingarten
+from . import parallel, sampling, stats
 from .errors import InvalidConfig
 from .sampling import RandomStateConfig, ZProfile
 from .stats import tail_probability
@@ -30,16 +30,16 @@ def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
     ])
 
 
-def _csv_rows(records: np.ndarray) -> str:
+def _csv_rows(records: np.ndarray, config: RandomStateConfig) -> str:
     # str of a Python float is its shortest round-trip repr
-    return "".join([",".join(map(str, row)) + "\n" for row in records.tolist()])
+    return "".join([",".join(map(str, row)) + "\n" for row in stats.record_rows(records, config)])
 
 
 def _chunk(config: RandomStateConfig, csv: bool, lo: int, hi: int) -> tuple[np.ndarray, str]:
     """The records of indices lo..hi-1, and with ``csv`` their CSV rows,
     formatted in the worker process."""
     records = _record_chunk(config, lo, hi)
-    return records, _csv_rows(records) if csv else ""
+    return records, _csv_rows(records, config) if csv else ""
 
 
 def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarray, str]:
@@ -59,14 +59,16 @@ def compute_records(
 ):
     """Records for sample indices 0..n_samples-1, in index order, as one
     :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
-    (records, ``records_csv(records)``), the rows formatted by the workers."""
+    (records, ``records_csv(records, config)``), the rows formatted by the
+    workers."""
     records, text = _records([config], n_samples, threads, return_csv)
     return (records, text) if return_csv else records
 
 
-def records_csv(records: np.ndarray) -> str:
-    """CSV text of a record array: the header, then one row per record."""
-    return stats.CSV_HEADER + "\n" + _csv_rows(records)
+def records_csv(records: np.ndarray, config: RandomStateConfig) -> str:
+    """CSV text of the records of ``config`` (or of configs that share its
+    profile and seed): the header, then one row per record."""
+    return stats.CSV_HEADER + "\n" + _csv_rows(records, config)
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:
@@ -204,7 +206,10 @@ def run_sweep(
     slope = fit_loglog_slope(n_grid, mean_deltas)
     warnings = beta_warnings(profile.degree)
     if slope is None:
-        warnings.append("delta slope undefined: some per-n mean delta is not positive")
+        warnings.append("delta slope undefined: " + (
+            f"the n grid {n_grid} has one point" if len(n_grid) < 2
+            else "some per-n mean delta is not positive"
+        ))
     summary = {
         "config": {
             "n_grid": n_grid,
@@ -220,10 +225,3 @@ def run_sweep(
         "warnings": warnings,
     }
     return (all_records, summary, csv_text) if return_csv else (all_records, summary)
-
-
-def run_moments(
-    config: RandomStateConfig, n_samples: int, threads: int = 1
-) -> list[weingarten.MomentReport]:
-    """Moment reports for every supported quantity, from one draw per sample."""
-    return weingarten.mc_moments(weingarten.QUANTITIES, config, n_samples, threads=threads)

@@ -160,11 +160,6 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
     return (np.random.Generator(np.random.PCG64(_GivenState(words))) for words in seeds)
 
 
-def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
-    """The stream of one sample index; see :func:`block_streams`."""
-    return next(block_streams(master_seed, sample_index, sample_index + 1))
-
-
 def _ginibre(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, from their real
     and imaginary parts, written into ``out``: (re + 1j * im) / sqrt(2)
@@ -427,14 +422,6 @@ def squeeze_gram_diagonal(spec: SqueezingSpec) -> np.ndarray:
     return np.concatenate([zsq, 1.0 / zsq])
 
 
-def squeeze_gram(spec: SqueezingSpec) -> np.ndarray:
-    """Gram matrix S S^T of the squeeze layer: diag(z^2) (+) diag(z^-2).
-
-    Twice the covariance of the product squeezed-vacuum state.
-    """
-    return np.diag(squeeze_gram_diagonal(spec))
-
-
 @dataclass(frozen=True)
 class RandomStateConfig:
     """Configuration of the random-state pipeline.
@@ -618,17 +605,9 @@ def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
         yield first, np.concatenate(gammas), specs
 
 
-def draw_sample(
-    config: RandomStateConfig, sample_index: int
-) -> tuple[np.ndarray, SqueezingSpec]:
-    """One (covariance, squeezing) draw, deterministic in (seed, index)."""
-    gammas, specs = sample_block(config, sample_index, sample_index + 1)
-    return gammas[0], specs[0]
-
-
 def sample_random_state(config: RandomStateConfig, sample_index: int) -> np.ndarray:
     """Covariance matrix of one random reduced Gaussian state."""
-    return draw_sample(config, sample_index)[0]
+    return sample_block(config, sample_index, sample_index + 1)[0][0]
 
 
 def random_symplectic(

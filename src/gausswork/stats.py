@@ -20,15 +20,13 @@ from .sampling import RandomStateConfig, SqueezingSpec, squeeze_gram_diagonal, s
 
 WORK_BOUND_SLACK = 1e-9
 
-# One record per sample; the field order is the column order of the record
-# CSV.  The seed is an object column because a seed may exceed int64.
+# One record per sample, of per-sample numbers only; the record CSV adds
+# the config's profile and seed, constant per config, after beta.
 RECORD_DTYPE = np.dtype([
     ("sample_index", np.int64),
     ("n_modes_full", np.int64),
     ("n_modes_sys", np.int64),
     ("beta", float),
-    ("z_profile", object),
-    ("master_seed", object),
     ("energy", float),
     ("sum_sympl", float),
     ("work", float),
@@ -37,8 +35,16 @@ RECORD_DTYPE = np.dtype([
     ("stat_delta", float),
     ("nu_th", float),
 ])
-CSV_COLUMNS = RECORD_DTYPE.names
+CSV_COLUMNS = RECORD_DTYPE.names[:4] + ("z_profile", "master_seed") + RECORD_DTYPE.names[4:]
 CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
+def record_rows(records: np.ndarray, config: RandomStateConfig) -> list[tuple]:
+    """Each record's :data:`CSV_COLUMNS` values, as Python numbers: the
+    config's canonical profile and master seed (an int of any size) are
+    spliced in after ``beta``."""
+    constant = (config.profile.canonical(), config.master_seed)
+    return [row[:4] + constant + row[4:] for row in records.tolist()]
 
 
 def thermal_nu(spec: SqueezingSpec, ambient_modes: int | None = None) -> float:
@@ -77,17 +83,6 @@ def work_bound(m_sys: int, delta):
     """Cap sqrt(m * delta) on the extractable work implied by the
     dispersions, for one delta or an array of them."""
     return np.sqrt(m_sys * np.maximum(delta, 0.0))
-
-
-def evaluate_record(
-    gamma_m: np.ndarray,
-    spec: SqueezingSpec,
-    config: RandomStateConfig,
-    sample_index: int,
-) -> np.record:
-    """The statistics record of one sampled state; see :func:`evaluate_block`."""
-    gamma_m = np.asarray(gamma_m, dtype=float)
-    return evaluate_block(gamma_m[None], [spec], config, sample_index)[0]
 
 
 # overflow yields inf or NaN statistics, which the block's check refuses
@@ -142,8 +137,6 @@ def evaluate_block(
         "n_modes_full": config.n_full,
         "n_modes_sys": config.m_sys,
         "beta": config.profile.degree,
-        "z_profile": config.profile.canonical(),
-        "master_seed": config.master_seed,
         "energy": energy,
         "sum_sympl": sum_sympl,
         # max(raw, 0.0) elementwise, keeping -0.0 and NaN as max does
@@ -153,9 +146,8 @@ def evaluate_block(
         "stat_delta": delta,
         "nu_th": nu,
     }
-    # np.zeros: np.empty initialises the object fields about ten times slower
-    records = np.zeros(len(gammas), RECORD_DTYPE)
-    for name in CSV_COLUMNS:
+    records = np.empty(len(gammas), RECORD_DTYPE)
+    for name in RECORD_DTYPE.names:
         records[name] = columns[name]
     return records.view(np.recarray)
 

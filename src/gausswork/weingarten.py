@@ -5,12 +5,6 @@ sums; at degree 2 the closed forms below give the exact expectations of
 Tr[Gamma_m], Tr[Gamma_m^2] and Tr[(Omega Gamma_m)^2] at any finite
 dimension.  They serve as analytic ground truth for the Monte Carlo
 sampler.
-
-Two candidate coefficients for the Tr[B^2] term of the Omega moment are
-kept behind a switch; ``omega_coefficient_probe`` settles the choice by
-brute-force Monte Carlo at the smallest ambient dimension, and the
-retained one is also forced exactly by the vacuum and full-trace special
-cases.
 """
 
 from __future__ import annotations
@@ -23,10 +17,7 @@ import numpy as np
 from . import parallel, sampling, stats
 from .errors import BadDimension, InvalidConfig, NumericalFailure
 from .phasespace import symplectic_form
-from .sampling import RandomStateConfig, SqueezingSpec, ZProfile, draw_squeezing
-
-OMEGA_TRB2_RETAINED = "dm_minus_1"
-OMEGA_TRB2_ALTERNATE = "half_dm_minus_1"
+from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
 
@@ -71,42 +62,30 @@ def expected_tr_gamma(spec: SqueezingSpec, config: RandomStateConfig) -> float:
 
 
 def _second_moment_terms(
-    spec: SqueezingSpec, config: RandomStateConfig, dm_divisor: float
+    spec: SqueezingSpec, config: RandomStateConfig
 ) -> tuple[float, float, float]:
     """(m, B term, A term): both second moments are +-m/2 (B term +- A term),
-    with Tr[B^2] coefficient d m / dm_divisor - 1 in the B term."""
+    with Tr[B^2] coefficient d m - 1 in the B term."""
     d = float(config.ambient_modes)
     if d < 2:
         raise BadDimension("second moments need ambient dimension >= 2")
     m = float(config.m_sys)
     ab = ABDecomposition.from_squeezing(spec)
     term_b1 = (d - m) * ab.trB ** 2 / (d * (d * d - 1.0))
-    term_b2 = (d * m / dm_divisor - 1.0) * ab.trB2 / (d * (d * d - 1.0))
+    term_b2 = (d * m - 1.0) * ab.trB2 / (d * (d * d - 1.0))
     term_a = (m + 1.0) * ab.trA2 / (d * (d + 1.0))
     return m, term_b1 + term_b2, term_a
 
 
 def expected_tr_gamma_sq(spec: SqueezingSpec, config: RandomStateConfig) -> float:
     """Haar mean of Tr[Gamma_m^2] at ambient unitary dimension d."""
-    m, term_b, term_a = _second_moment_terms(spec, config, 1.0)
+    m, term_b, term_a = _second_moment_terms(spec, config)
     return 0.5 * m * (term_b + term_a)
 
 
-def expected_tr_omega_gamma_sq(
-    spec: SqueezingSpec,
-    config: RandomStateConfig,
-    trb2_coeff: str = OMEGA_TRB2_RETAINED,
-) -> float:
-    """Haar mean of Tr[(Omega Gamma_m)^2]; always negative.
-
-    ``trb2_coeff`` selects the Tr[B^2] coefficient: ``dm_minus_1`` (the
-    retained, Monte-Carlo-confirmed variant) or ``half_dm_minus_1`` (the
-    rejected alternate, kept for the disambiguation run).
-    """
-    dm_divisor = {OMEGA_TRB2_RETAINED: 1.0, OMEGA_TRB2_ALTERNATE: 2.0}.get(trb2_coeff)
-    if dm_divisor is None:
-        raise ValueError(f"unknown trb2_coeff {trb2_coeff!r}")
-    m, term_b, term_a = _second_moment_terms(spec, config, dm_divisor)
+def expected_tr_omega_gamma_sq(spec: SqueezingSpec, config: RandomStateConfig) -> float:
+    """Haar mean of Tr[(Omega Gamma_m)^2]; always negative."""
+    m, term_b, term_a = _second_moment_terms(spec, config)
     return -0.5 * m * (term_b - term_a)
 
 
@@ -231,55 +210,3 @@ def mc_moments(
             f"moments overflow at max z = {float(spec.z.max())!r}: {exc.args[-1]}"
         ) from exc
     return reports
-
-
-def mc_moment(
-    quantity: str,
-    config: RandomStateConfig,
-    n_samples: int,
-    threads: int = 1,
-) -> MomentReport:
-    """Monte Carlo estimate of one moment next to its analytic value."""
-    return mc_moments((quantity,), config, n_samples, threads)[0]
-
-
-def omega_coefficient_probe(
-    n_samples: int = 200_000,
-    master_seed: int = 20_240_811,
-    z0: float = 1.3,
-    threads: int = 1,
-) -> dict:
-    """Brute-force disambiguation of the Omega-moment Tr[B^2] coefficient.
-
-    Runs the sampler at the smallest nontrivial ambient dimension (d = 4,
-    purified pipeline of a 2-mode system, m = 1) and compares the Monte
-    Carlo mean of Tr[(Omega Gamma_m)^2] against both candidate closed
-    forms.  Returns the estimate, its standard error, both candidate
-    values, their z-scores, and the retained variant name.
-    """
-    config = RandomStateConfig(
-        n_full=2,
-        m_sys=1,
-        profile=ZProfile("uniform", z0=z0),
-        master_seed=master_seed,
-        pipeline="purified",
-    )
-    spec = _ambient_spec(config)
-    report = mc_moment("tr_omega_gamma_sq", config, n_samples, threads=threads)
-    candidates = {
-        OMEGA_TRB2_RETAINED: expected_tr_omega_gamma_sq(spec, config, OMEGA_TRB2_RETAINED),
-        OMEGA_TRB2_ALTERNATE: expected_tr_omega_gamma_sq(spec, config, OMEGA_TRB2_ALTERNATE),
-    }
-    scores = {
-        name: _z_ratio(value, report.estimate, report.std_error)
-        for name, value in candidates.items()
-    }
-    retained = min(scores, key=scores.get)
-    return {
-        "estimate": report.estimate,
-        "std_error": report.std_error,
-        "n_samples": n_samples,
-        "candidates": candidates,
-        "z_scores": scores,
-        "retained": retained,
-    }

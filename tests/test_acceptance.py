@@ -21,6 +21,7 @@ from gausswork import weingarten as wg
 from gausswork.sampling import RandomStateConfig, ZProfile
 
 import minwork
+from test_weingarten import omega_probe_scores
 
 SWEEP_SEED = 20240810
 SWEEP_GRID = (16, 32, 64, 128, 256)
@@ -128,7 +129,7 @@ def test_criterion_05_haar_embedding_contract():
 def test_criterion_06_first_moment_oracle():
     for n_full, m_sys, z0 in MOMENT_GRID:
         config = moment_config(n_full, m_sys, z0)
-        rep = wg.mc_moment("tr_gamma", config, MOMENT_SAMPLES, threads=2)
+        rep = wg.mc_moments(("tr_gamma",), config, MOMENT_SAMPLES, threads=2)[0]
         # under uniform profiles the trace is deterministic draw by draw,
         # so the 4 SE contract is checked above the float noise floor
         assert rep.z_ratio <= 4.0, rep
@@ -138,7 +139,7 @@ def test_criterion_06_first_moment_oracle():
 def test_criterion_07_second_moment_oracle():
     for n_full, m_sys, z0 in MOMENT_GRID:
         config = moment_config(n_full, m_sys, z0)
-        rep = wg.mc_moment("tr_gamma_sq", config, MOMENT_SAMPLES, threads=2)
+        rep = wg.mc_moments(("tr_gamma_sq",), config, MOMENT_SAMPLES, threads=2)[0]
         assert rep.z_ratio <= 4.0, rep
     for n_full, m_sys in ((2, 1), (8, 3)):
         config = RandomStateConfig(
@@ -146,20 +147,20 @@ def test_criterion_07_second_moment_oracle():
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         assert abs(wg.expected_tr_gamma_sq(spec, config) - m_sys / 2.0) <= 1e-12
-        rep = wg.mc_moment("tr_gamma_sq", config, 100)
+        rep = wg.mc_moments(("tr_gamma_sq",), config, 100)[0]
         assert abs(rep.estimate - m_sys / 2.0) <= 1e-12
     report(7, "Tr[Gamma^2] matches the closed form within 4 SE; vacuum equals m/2 to 1e-12")
 
 
 def test_criterion_08_omega_moment_oracle():
-    probe = wg.omega_coefficient_probe(n_samples=100_000, threads=2)
-    assert probe["retained"] == wg.OMEGA_TRB2_RETAINED
-    assert probe["z_scores"][wg.OMEGA_TRB2_RETAINED] <= 4.0
-    assert probe["z_scores"][wg.OMEGA_TRB2_ALTERNATE] > 10.0
+    scores = omega_probe_scores(100_000, threads=2)
+    assert min(scores, key=scores.get) == "retained"
+    assert scores["retained"] <= 4.0
+    assert scores["rejected"] > 10.0
 
     for n_full, m_sys, z0 in MOMENT_GRID:
         config = moment_config(n_full, m_sys, z0)
-        rep = wg.mc_moment("tr_omega_gamma_sq", config, MOMENT_SAMPLES, threads=2)
+        rep = wg.mc_moments(("tr_omega_gamma_sq",), config, MOMENT_SAMPLES, threads=2)[0]
         assert rep.z_ratio <= 4.0, rep
 
     # asymptotic approach to the thermal square

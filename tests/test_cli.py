@@ -69,6 +69,20 @@ class TestSample:
             "b7cc164f9dd9668da03408a200cc31e18f02192288fca9e54510cbba6d41cf76"
         )
 
+    def test_csv_and_json_rows_agree(self):
+        # both formats take their rows from stats.record_rows; a random
+        # profile, and a seed past 2^64 that JSON keeps as an exact int
+        seed = 2 ** 64 + 1
+        args = ("sample", "--n", "2", "--m", "2", "--z-profile", "flat:5.0",
+                "--pipeline", "direct", "--samples", "6", "--seed", str(seed))
+        header, *rows = run_cli(*args).stdout.splitlines()
+        dicts = json.loads(run_cli(*args, "--format", "json").stdout)
+        assert len(rows) == len(dicts) == 6
+        for row, entry in zip(rows, dicts):
+            assert list(entry) == header.split(",")
+            assert row.split(",") == [str(value) for value in entry.values()]
+            assert entry["master_seed"] == seed and entry["z_profile"] == "flat:5.0"
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, threads):
         result = run_cli("sample", "--n", "4", "--z-profile", "vacuum", "--samples", "2",
@@ -359,24 +373,25 @@ class TestFanOut:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    @pytest.mark.parametrize("seed", [3, 2 ** 70 + 12345])  # the second is an object column
+    @pytest.mark.parametrize("seed", [3, 2 ** 70 + 12345])  # the second exceeds int64
     def test_worker_rows_match_records_csv(self, tmp_path, monkeypatch, seed):
         # a real fork pool, so each chunk's rows are formatted in a worker
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", SubmitCountingPool)
         monkeypatch.setattr(SubmitCountingPool, "tasks", 0)
         profile, samples, grid = ZProfile("uniform", z0=1.5), 30, (4, 6)
-        records = {n: harness.compute_records(RandomStateConfig(
-            n_full=n, m_sys=1, profile=profile, master_seed=seed), samples) for n in grid}
+        configs = {n: RandomStateConfig(n_full=n, m_sys=1, profile=profile, master_seed=seed)
+                   for n in grid}
+        records = {n: harness.compute_records(configs[n], samples) for n in grid}
         common = ["--z-profile", "uniform:1.5", "--samples", str(samples), "--seed", str(seed)]
         for threads in ("1", "3"):
             out = tmp_path / f"s{threads}.csv"
             assert cli.main(["sample", "--n", "4", *common, "--format", "csv",
                              "--threads", threads, "--out", str(out)]) == 0
-            assert out.read_bytes() == harness.records_csv(records[4]).encode()
+            assert out.read_bytes() == harness.records_csv(records[4], configs[4]).encode()
             out = tmp_path / f"w{threads}.json"
             assert cli.main(["sweep", "--n-grid", "4,6", *common,
                              "--threads", threads, "--out", str(out)]) == 0
-            expected = harness.records_csv(np.concatenate([records[n] for n in grid]))
+            expected = harness.records_csv(np.concatenate([records[n] for n in grid]), configs[4])
             assert out.with_suffix(".csv").read_bytes() == expected.encode()
         assert SubmitCountingPool.tasks == self.CPUS + len(grid) * self.CPUS
         assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()

@@ -27,7 +27,7 @@ class TestComputeRecords:
 
     def test_csv_shape(self):
         config = uniform_config()
-        text = harness.records_csv(harness.compute_records(config, 5))
+        text = harness.records_csv(harness.compute_records(config, 5), config)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 6
@@ -76,10 +76,10 @@ class TestBlockKernel:
                                    master_seed=21, pipeline=pipeline)
         lo, split, hi = 3, 77, 203
         one_block = stats.evaluate_block(*sampling.sample_block(config, lo, hi), config, lo)
-        per_index = np.array([
-            stats.evaluate_record(*sampling.draw_sample(config, i), config, i)
+        per_index = np.concatenate([
+            stats.evaluate_block(*sampling.sample_block(config, i, i + 1), config, i)
             for i in range(lo, hi)
-        ], dtype=stats.RECORD_DTYPE)
+        ])
         split_blocks = np.concatenate([
             stats.evaluate_block(*sampling.sample_block(config, a, b), config, a)
             for a, b in ((lo, split), (split, hi))
@@ -174,7 +174,17 @@ class TestSweep:
             for tail in block["tails"]:
                 assert tail["fraction"] == 0.0
         assert summary["delta_slope"] is None
-        assert any("slope undefined" in w for w in summary["warnings"])
+        assert summary["warnings"] == [
+            "delta slope undefined: some per-n mean delta is not positive"
+        ]
+
+    def test_one_point_sweep_names_the_grid(self):
+        _, summary = harness.run_sweep(
+            n_grid=[16], m_sys=1, profile=ZProfile("uniform", z0=1.5),
+            samples=20, master_seed=1,
+        )
+        assert summary["delta_slope"] is None
+        assert summary["warnings"] == ["delta slope undefined: the n grid [16] has one point"]
 
     def test_tails_consistent_with_records(self):
         records, summary = harness.run_sweep(
@@ -236,7 +246,7 @@ class TestSweep:
 
 class TestMoments:
     def test_all_quantities_reported(self):
-        reports = harness.run_moments(uniform_config(n_full=4), 300)
+        reports = weingarten.mc_moments(weingarten.QUANTITIES, uniform_config(n_full=4), 300)
         assert [r.quantity for r in reports] == list(
             ("tr_gamma", "tr_gamma_sq", "tr_omega_gamma_sq")
         )
@@ -245,7 +255,8 @@ class TestMoments:
 
     def test_one_draw_per_sample(self, monkeypatch):
         config = uniform_config(n_full=4)
-        separate = [weingarten.mc_moment(q, config, 40).to_dict() for q in weingarten.QUANTITIES]
+        separate = [weingarten.mc_moments((q,), config, 40)[0].to_dict()
+                    for q in weingarten.QUANTITIES]
         calls = []
         open_streams = sampling.block_streams
 
@@ -254,6 +265,6 @@ class TestMoments:
             return open_streams(master_seed, lo, hi)
 
         monkeypatch.setattr(sampling, "block_streams", counting)
-        reports = harness.run_moments(config, 40)
+        reports = weingarten.mc_moments(weingarten.QUANTITIES, config, 40)
         assert calls == list(range(40))
         assert [r.to_dict() for r in reports] == separate

@@ -87,8 +87,7 @@ class TestDispersions:
 
 class TestEvaluateRecord:
     def _record(self, config, index=0):
-        gamma, spec = sm.draw_sample(config, index)
-        return st.evaluate_record(gamma, spec, config, index)
+        return st.evaluate_block(*sm.sample_block(config, index, index + 1), config, index)[0]
 
     def test_vacuum(self):
         config = RandomStateConfig(n_full=5, m_sys=1, profile=ZProfile("vacuum"), master_seed=2)
@@ -97,7 +96,8 @@ class TestEvaluateRecord:
         assert record.stat_delta <= 1e-12
         assert record.nu_th == 0.5
         assert record.beta == 0.0
-        assert record.z_profile == "vacuum"
+        (row,) = st.record_rows(np.array([record]), config)
+        assert dict(zip(st.CSV_COLUMNS, row))["z_profile"] == "vacuum"
 
     def test_bound_chain_holds(self):
         config = RandomStateConfig(
@@ -116,19 +116,28 @@ class TestEvaluateRecord:
             n_full=3, m_sys=3, profile=ZProfile("uniform", z0=1.4),
             master_seed=6, pipeline="direct",
         )
-        gamma, spec = sm.draw_sample(config, 0)
-        record = st.evaluate_record(gamma, spec, config, 0)
+        record = self._record(config)
         assert record.work == pytest.approx(record.energy - 1.5, abs=1e-10)
 
     def test_csv_row_matches_header(self):
         config = RandomStateConfig(n_full=4, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
-        row = harness.records_csv(harness.compute_records(config, 1)).splitlines()[1]
+        records = harness.compute_records(config, 1)
+        row = harness.records_csv(records, config).splitlines()[1]
         assert len(row.split(",")) == len(st.CSV_COLUMNS)
-        assert st.CSV_COLUMNS == st.RECORD_DTYPE.names
+        # the record fields in order, with the config's profile and seed after beta
+        (values,) = st.record_rows(records, config)
+        assert row == ",".join(map(str, values))
+        assert values == records.tolist()[0][:4] + ("vacuum", 0) + records.tolist()[0][4:]
         assert st.CSV_HEADER == (
             "sample_index,n_modes_full,n_modes_sys,beta,z_profile,master_seed,"
             "energy,sum_sympl,work,stat_T,stat_frakT,stat_delta,nu_th"
         )
+
+    def test_records_hold_numbers_only(self):
+        # the profile and seed, constant per config, are not record fields,
+        # so a chunk of records pickles as one numeric buffer
+        assert not st.RECORD_DTYPE.hasobject
+        assert set(st.CSV_COLUMNS) - set(st.RECORD_DTYPE.names) == {"z_profile", "master_seed"}
 
     def test_work_bound_violation_names_first_sample(self, monkeypatch):
         # a bound of 0.25 is first exceeded at sample 24 (work 0.278), again at 33
@@ -300,12 +309,9 @@ class TestLocalThermality:
                 n_full=n_full, m_sys=1, profile=ZProfile("uniform", z0=1.5),
                 master_seed=123,
             )
-            records = [
-                st.evaluate_record(*sm.draw_sample(config, i), config, i)
-                for i in range(1500)
-            ]
-            mean_t.append(np.mean([r.stat_T for r in records]))
-            mean_frak.append(np.mean([r.stat_frakT for r in records]))
+            records = st.evaluate_block(*sm.sample_block(config, 0, 1500), config, 0)
+            mean_t.append(np.mean(records.stat_T))
+            mean_frak.append(np.mean(records.stat_frakT))
         assert all(b < a for a, b in zip(mean_t, mean_t[1:]))
         assert all(b < a for a, b in zip(mean_frak, mean_frak[1:]))
 

@@ -34,6 +34,27 @@ def ambient_spec(config):
     return sm.draw_squeezing(config.profile, config.ambient_modes)
 
 
+def rejected_omega_moment(spec, config):
+    """Tr[(Omega Gamma_m)^2] mean under the rejected Tr[B^2] coefficient
+    d m / 2 - 1 of the B term, in place of the retained d m - 1."""
+    d, m = config.ambient_modes, config.m_sys
+    trb2 = wg.ABDecomposition.from_squeezing(spec).trB2
+    return wg.expected_tr_omega_gamma_sq(spec, config) + m * m * trb2 / (4.0 * (d * d - 1.0))
+
+
+def omega_probe_scores(n_samples, threads=1):
+    """z-scores of the retained and the rejected Omega-moment coefficient
+    against a brute-force Monte Carlo mean at the smallest nontrivial
+    ambient dimension: d = 4, a purified 2-mode system, m = 1."""
+    config = uniform_config(2, 1, 1.3, 20_240_811)
+    report = wg.mc_moments(("tr_omega_gamma_sq",), config, n_samples, threads)[0]
+    rejected = rejected_omega_moment(ambient_spec(config), config)
+    return {
+        name: wg._z_ratio(value, report.estimate, report.std_error)
+        for name, value in (("retained", report.analytic), ("rejected", rejected))
+    }
+
+
 class TestWeingartenValues:
     def test_d2(self):
         assert weingarten_pair(2, "identity") == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -129,7 +150,7 @@ class TestFirstMoment:
         config = RandomStateConfig(
             n_full=8, m_sys=1, profile=ZProfile("power", beta=0.5), master_seed=14
         )
-        report = wg.mc_moment("tr_gamma", config, 20000)
+        report = wg.mc_moments(("tr_gamma",), config, 20000)[0]
         assert report.z_ratio <= 4.0
 
 
@@ -145,14 +166,14 @@ class TestSecondMoment:
 
     def test_uniform_mc(self):
         config = uniform_config(8, 1, 1.3, 21)
-        report = wg.mc_moment("tr_gamma_sq", config, 20000)
+        report = wg.mc_moments(("tr_gamma_sq",), config, 20000)[0]
         assert report.z_ratio <= 4.0
 
     def test_direct_pipeline_mc(self):
         # the closed forms hold for the direct pipeline too, with the
         # ambient dimension equal to n_full
         config = uniform_config(6, 2, 1.4, 22, pipeline="direct")
-        report = wg.mc_moment("tr_gamma_sq", config, 20000)
+        report = wg.mc_moments(("tr_gamma_sq",), config, 20000)[0]
         assert report.z_ratio <= 4.0
 
 
@@ -162,8 +183,8 @@ class TestOmegaSecondMoment:
         # is -m/2; only the retained coefficient reproduces it at d = 4
         config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
         spec = ambient_spec(config)
-        retained = wg.expected_tr_omega_gamma_sq(spec, config, wg.OMEGA_TRB2_RETAINED)
-        alternate = wg.expected_tr_omega_gamma_sq(spec, config, wg.OMEGA_TRB2_ALTERNATE)
+        retained = wg.expected_tr_omega_gamma_sq(spec, config)
+        alternate = rejected_omega_moment(spec, config)
         assert retained == pytest.approx(-0.5, abs=1e-12)
         assert alternate == pytest.approx(-13.0 / 30.0, abs=1e-12)
 
@@ -179,16 +200,16 @@ class TestOmegaSecondMoment:
         for i in range(5):
             gamma = sm.sample_random_state(config, i)
             assert wg.measure_tr_omega_gamma_sq(gamma) == pytest.approx(-d / 2.0, abs=1e-10)
-        retained = wg.expected_tr_omega_gamma_sq(spec, config, wg.OMEGA_TRB2_RETAINED)
-        alternate = wg.expected_tr_omega_gamma_sq(spec, config, wg.OMEGA_TRB2_ALTERNATE)
+        retained = wg.expected_tr_omega_gamma_sq(spec, config)
+        alternate = rejected_omega_moment(spec, config)
         assert retained == pytest.approx(-d / 2.0, abs=1e-12)
         assert abs(alternate + d / 2.0) > 1e-3
 
     def test_brute_force_probe_decides(self):
-        probe = wg.omega_coefficient_probe(n_samples=60000)
-        assert probe["retained"] == wg.OMEGA_TRB2_RETAINED
-        assert probe["z_scores"][wg.OMEGA_TRB2_RETAINED] <= 4.0
-        assert probe["z_scores"][wg.OMEGA_TRB2_ALTERNATE] >= 10.0
+        scores = omega_probe_scores(60000)
+        assert min(scores, key=scores.get) == "retained"
+        assert scores["retained"] <= 4.0
+        assert scores["rejected"] >= 10.0
 
     def test_always_negative(self):
         for z0 in (1.0, 1.5, 3.0):
@@ -218,17 +239,17 @@ class TestAsymptoticLimits:
 class TestMcMoment:
     def test_vacuum_exact(self):
         config = RandomStateConfig(n_full=4, m_sys=2, profile=ZProfile("vacuum"), master_seed=7)
-        report = wg.mc_moment("tr_gamma", config, 200)
+        report = wg.mc_moments(("tr_gamma",), config, 200)[0]
         assert report.estimate == pytest.approx(2.0, abs=1e-12)
         assert report.std_error <= 1e-13
         assert report.z_ratio == 0.0
-        report = wg.mc_moment("tr_gamma_sq", config, 200)
+        report = wg.mc_moments(("tr_gamma_sq",), config, 200)[0]
         assert report.estimate == pytest.approx(1.0, abs=1e-12)
         assert report.z_ratio == 0.0
 
     def test_report_fields(self):
         config = uniform_config(4, 1, 1.2, 3)
-        report = wg.mc_moment("tr_gamma_sq", config, 500)
+        report = wg.mc_moments(("tr_gamma_sq",), config, 500)[0]
         assert report.n_samples == 500
         assert report.std_error > 0.0
         assert set(report.to_dict()) == {
@@ -237,18 +258,18 @@ class TestMcMoment:
 
     def test_deterministic_across_threads(self):
         config = uniform_config(4, 1, 1.3, 11)
-        a = wg.mc_moment("tr_omega_gamma_sq", config, 400, threads=1)
-        b = wg.mc_moment("tr_omega_gamma_sq", config, 400, threads=2)
+        a = wg.mc_moments(("tr_omega_gamma_sq",), config, 400, threads=1)[0]
+        b = wg.mc_moments(("tr_omega_gamma_sq",), config, 400, threads=2)[0]
         assert a == b
 
     def test_rejects_bad_input(self):
         config = uniform_config(4, 1, 1.2, 0)
         with pytest.raises(InvalidConfig):
-            wg.mc_moment("tr_gamma_cubed", config, 100)
+            wg.mc_moments(("tr_gamma_cubed",), config, 100)
         with pytest.raises(InvalidConfig):
-            wg.mc_moment("tr_gamma", config, 1)
+            wg.mc_moments(("tr_gamma",), config, 1)
         flat = RandomStateConfig(
             n_full=4, m_sys=1, profile=ZProfile("flat", energy=10.0), master_seed=0
         )
         with pytest.raises(InvalidConfig):
-            wg.mc_moment("tr_gamma", flat, 100)
+            wg.mc_moments(("tr_gamma",), flat, 100)
