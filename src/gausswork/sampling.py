@@ -529,6 +529,41 @@ def _block_buffers(entries: int, sample_entries: int):
     return _SCRATCH.buffers
 
 
+def _shared_squeezing(config: RandomStateConfig):
+    """A deterministic profile's squeezing vector and its Gram diagonal,
+    which every index shares; None for a random profile, whose indices
+    draw their own."""
+    if config.profile.is_random:
+        return None
+    spec = draw_squeezing(config.profile, config.ambient_modes)
+    return spec, squeeze_gram_diagonal(spec)
+
+
+def _draw_block(
+    config: RandomStateConfig, lo: int, hi: int, streams: Iterator[np.random.Generator], shared
+) -> tuple[np.ndarray, list[SqueezingSpec]]:
+    """:func:`sample_block` of indices lo..hi-1, drawn from the next
+    hi - lo of ``streams`` (theirs, in index order), with the profile's
+    :func:`_shared_squeezing`."""
+    d, m = config.ambient_modes, config.m_sys
+    entries = (hi - lo) * d * m
+    parts, ginibre, gamma = _block_buffers(entries, d * m)
+    parts = parts[: 2 * entries].reshape(hi - lo, 2, d, m)
+    specs = []
+    for row, rng in zip(parts, streams):
+        if shared is None:
+            specs.append(draw_squeezing(config.profile, d, rng))
+        rng.standard_normal(out=row)
+    z = _ginibre(parts[:, 0], parts[:, 1], ginibre[:entries].reshape(hi - lo, d, m))
+    columns = _haar_columns(z)
+    if shared is None:
+        gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
+    else:
+        spec, gram = shared
+        specs = [spec] * (hi - lo)
+    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram, gamma), specs
+
+
 def sample_block(
     config: RandomStateConfig, lo: int, hi: int
 ) -> tuple[np.ndarray, list[SqueezingSpec]]:
@@ -536,14 +571,15 @@ def sample_block(
     with indices lo..hi-1, deterministic in (seed, index).
 
     Every index has its own stream (:func:`block_streams`) and draws from
-    it in a fixed order: its squeezing vector, then the real and the
-    imaginary part of a d x m Ginibre block, in one call.  So a sample does
-    not depend on which block it is drawn in.  The QR, its phase
-    correction and the Gamma build then run once on the stack.  Only the
-    kept m rows of the ambient Haar unitary are generated (their marginal
-    distribution is exact), which keeps the cost at O(d m^2) per sample
-    instead of O(d^3).  A deterministic profile's vector is drawn once per
-    block and shared.
+    it in a fixed order: a random profile's squeezing vector, then the
+    real and the imaginary part of a d x m Ginibre block, in one call.  So
+    a sample does not depend on which block it is drawn in.  The QR, its
+    phase correction and the Gamma build then run once on the stack.  Only
+    the kept m rows of the ambient Haar unitary are generated (their
+    marginal distribution is exact), which keeps the cost at O(d m^2) per
+    sample instead of O(d^3).  A deterministic profile's vector draws
+    nothing from the streams; it is built once per call and shared, and
+    :func:`iter_blocks` builds it once for all its blocks.
 
     The Gaussian parts, the complex Ginibre block, the selector and its
     product with the squeeze diagonal are views of the thread's reused
@@ -553,23 +589,8 @@ def sample_block(
     """
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
-    d, m, random = config.ambient_modes, config.m_sys, config.profile.is_random
-    entries = (hi - lo) * d * m
-    parts, ginibre, gamma = _block_buffers(entries, d * m)
-    parts = parts[: 2 * entries].reshape(hi - lo, 2, d, m)
-    specs = []
-    for k, rng in enumerate(block_streams(config.master_seed, lo, hi)):
-        if k == 0 or random:
-            spec = draw_squeezing(config.profile, d, rng)
-        specs.append(spec)
-        rng.standard_normal(out=parts[k])
-    z = _ginibre(parts[:, 0], parts[:, 1], ginibre[:entries].reshape(hi - lo, d, m))
-    columns = _haar_columns(z)
-    if random:
-        gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
-    else:
-        gram = squeeze_gram_diagonal(spec)
-    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram, gamma), specs
+    streams = block_streams(config.master_seed, lo, hi)
+    return _draw_block(config, lo, hi, streams, _shared_squeezing(config))
 
 
 # Largest number of complex Ginibre entries (samples x d x m) drawn in one
@@ -585,23 +606,29 @@ BLOCK_ENTRIES = 1 << 13
 
 def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
     """Walk indices lo..hi-1 in stacks of at most ``BLOCK_ENTRIES``
-    covariance entries, each drawn by :func:`sample_block` in blocks of at
-    most ``BLOCK_ENTRIES`` Ginibre entries (at least one sample each);
-    yields (first index, covariances, squeezing vectors) of each stack.
+    covariance entries, each drawn as :func:`sample_block` draws it, in
+    blocks of at most ``BLOCK_ENTRIES`` Ginibre entries (at least one
+    sample each); yields (first index, covariances, squeezing vectors) of
+    each stack.
 
-    The statistics of a stack cost about 0.2 ms per call whatever its size,
-    so a stack gathers the many small blocks of a large d."""
-    m, random = config.m_sys, config.profile.is_random
+    What every block shares is computed once for the whole range: the
+    SeedSequence hash of all its streams (one :func:`block_streams`, which
+    each block reads on from), and a deterministic profile's vector and
+    Gram diagonal.  The statistics of a stack cost about 0.2 ms per call
+    whatever its size, so a stack gathers the many small blocks of a
+    large d."""
+    m = config.m_sys
     step = max(1, BLOCK_ENTRIES // (config.ambient_modes * m))
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
+    streams = block_streams(config.master_seed, lo, hi)
+    shared = _shared_squeezing(config)
     for first in range(lo, hi, stack):
         last = min(first + stack, hi)
         gammas, specs = [], []
         for k in range(first, last, step):
-            block, block_specs = sample_block(config, k, min(k + step, last))
+            block, block_specs = _draw_block(config, k, min(k + step, last), streams, shared)
             gammas.append(block)
-            # a stack shares one deterministic vector, as a block does
-            specs += block_specs if random or not specs else specs[:1] * len(block_specs)
+            specs += block_specs
         yield first, np.concatenate(gammas), specs
 
 

@@ -35,7 +35,9 @@ RECORD_DTYPE = np.dtype([
     ("stat_delta", float),
     ("nu_th", float),
 ])
-CSV_COLUMNS = RECORD_DTYPE.names[:4] + ("z_profile", "master_seed") + RECORD_DTYPE.names[4:]
+_AFTER_BETA = RECORD_DTYPE.names.index("beta") + 1
+CSV_COLUMNS = (RECORD_DTYPE.names[:_AFTER_BETA] + ("z_profile", "master_seed")
+               + RECORD_DTYPE.names[_AFTER_BETA:])
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
@@ -44,7 +46,16 @@ def record_rows(records: np.ndarray, config: RandomStateConfig) -> list[tuple]:
     config's canonical profile and master seed (an int of any size) are
     spliced in after ``beta``."""
     constant = (config.profile.canonical(), config.master_seed)
-    return [row[:4] + constant + row[4:] for row in records.tolist()]
+    return [row[:_AFTER_BETA] + constant + row[_AFTER_BETA:] for row in records.tolist()]
+
+
+def record_columns(records: np.ndarray, config: RandomStateConfig) -> list:
+    """The :data:`CSV_COLUMNS` of ``records``: each record field as an
+    array, and the config's canonical profile and master seed as one
+    value each."""
+    fields = [records[name] for name in RECORD_DTYPE.names]
+    constant = [config.profile.canonical(), config.master_seed]
+    return fields[:_AFTER_BETA] + constant + fields[_AFTER_BETA:]
 
 
 def thermal_nu(spec: SqueezingSpec, ambient_modes: int | None = None) -> float:

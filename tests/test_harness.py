@@ -99,13 +99,13 @@ class TestBlockKernel:
 
     def test_chunk_blocks_capped(self, monkeypatch):
         seen = []
-        sample_block = sampling.sample_block
+        draw_block = sampling._draw_block
 
-        def counting(config, lo, hi):
+        def counting(config, lo, hi, *chunk):
             seen.append((lo, hi))
-            return sample_block(config, lo, hi)
+            return draw_block(config, lo, hi, *chunk)
 
-        monkeypatch.setattr(sampling, "sample_block", counting)
+        monkeypatch.setattr(sampling, "_draw_block", counting)
         # d = 4096, m = 8 is one block per sample
         wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
                                  master_seed=2)
@@ -129,26 +129,137 @@ class TestBlockKernel:
     ], ids=["wide", "direct"])
     def test_record_stacks_gather_blocks(self, monkeypatch, config, hi, blocks):
         drawn, stacks = [], []
-        sample_block, evaluate_block = sampling.sample_block, stats.evaluate_block
+        draw_block, evaluate_block = sampling._draw_block, stats.evaluate_block
 
-        def drawing(config, lo, hi):
+        def drawing(config, lo, hi, *chunk):
             drawn.append((lo, hi))
-            return sample_block(config, lo, hi)
+            return draw_block(config, lo, hi, *chunk)
 
         def evaluating(gammas, specs, config, first):
             stacks.append(gammas.size)
             return evaluate_block(gammas, specs, config, first)
 
-        monkeypatch.setattr(sampling, "sample_block", drawing)
+        monkeypatch.setattr(sampling, "_draw_block", drawing)
         monkeypatch.setattr(stats, "evaluate_block", evaluating)
         records = harness._record_chunk(config, 0, hi)
         assert records["sample_index"].tolist() == list(range(hi))
         assert drawn == blocks
         assert len(stacks) < hi
         assert max(stacks) <= sampling.BLOCK_ENTRIES
-        unstacked = [evaluate_block(*sample_block(config, lo, hi), config, lo)
+        unstacked = [evaluate_block(*sampling.sample_block(config, lo, hi), config, lo)
                      for lo, hi in blocks]
         assert np.array_equal(records, np.concatenate(unstacked))
+
+
+class TestChunkHoisting:
+    # d = 16, m = 1: blocks of 512 samples, covariance stacks of 2048, so a
+    # chunk of 2100 samples draws five blocks in two stacks
+    LO, HI = 7, 2107
+
+    def test_one_stream_hash_per_chunk(self, monkeypatch):
+        calls = []
+        pcg64_seeds = sampling._pcg64_seeds
+
+        def counting(master_seed, lo, hi):
+            calls.append((lo, hi))
+            return pcg64_seeds(master_seed, lo, hi)
+
+        monkeypatch.setattr(sampling, "_pcg64_seeds", counting)
+        config = uniform_config(n_full=8)
+        records = harness._record_chunk(config, self.LO, self.HI)
+        assert calls == [(self.LO, self.HI)]
+        calls.clear()
+        moments = weingarten._moment_chunk(weingarten.QUANTITIES, config, self.LO, self.HI)
+        assert calls == [(self.LO, self.HI)]
+        assert len(records) == len(moments) == self.HI - self.LO
+
+    @pytest.mark.parametrize("profile, n_full, draws", [
+        ("uniform:1.4", 8, 1),
+        ("file", 8, 1),
+        ("flat:3.0", 2, HI - LO),  # a random vector from each index's stream
+    ])
+    def test_squeezing_drawn_once_per_chunk(self, monkeypatch, tmp_path, profile, n_full, draws):
+        if profile == "file":
+            path = tmp_path / "z.txt"
+            path.write_text("".join(f"{1 + k / 16}\n" for k in range(2 * n_full)))
+            profile = f"file:{path}"
+        calls = []
+        draw_squeezing = sampling.draw_squeezing
+
+        def counting(profile, n_modes, rng=None):
+            calls.append(n_modes)
+            return draw_squeezing(profile, n_modes, rng)
+
+        monkeypatch.setattr(sampling, "draw_squeezing", counting)
+        config = RandomStateConfig(n_full=n_full, m_sys=1, profile=ZProfile.parse(profile),
+                                   master_seed=4)
+        records = harness._record_chunk(config, self.LO, self.HI)
+        assert calls == [2 * n_full] * draws
+        monkeypatch.undo()
+        assert np.array_equal(records, np.concatenate([
+            stats.evaluate_block(*sampling.sample_block(config, lo, hi), config, lo)
+            for lo, hi in ((self.LO, 1000), (1000, self.HI))
+        ]))
+
+
+class TestRecordJoin:
+    def test_join_equals_fieldwise_concatenation(self):
+        chunks = [harness._record_chunk(uniform_config(n_full=n), lo, hi)
+                  for n, lo, hi in ((4, 0, 7), (6, 3, 40), (4, 7, 8))]
+        chunks.insert(2, np.empty(0, stats.RECORD_DTYPE))
+        joined = harness._join(chunks)
+        assert joined.dtype == stats.RECORD_DTYPE
+        assert np.array_equal(joined, np.concatenate(chunks))
+        records = harness._records([uniform_config(n_full=n) for n in (4, 6)], 20, 1, False)[0]
+        assert isinstance(records, np.recarray)
+        assert records.n_modes_full.tolist() == [4] * 20 + [6] * 20
+
+
+def reference_csv_rows(records, config):
+    # the formatter's reference: each record_rows row joined by str
+    return "".join(",".join(map(str, row)) + "\n" for row in stats.record_rows(records, config))
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("slice_rows", [3, harness._CSV_SLICE])
+    def test_several_configs(self, monkeypatch, slice_rows):
+        # one slice spans the two configs' records: n_modes_full and nu_th
+        # vary in it, and are constant in the others
+        monkeypatch.setattr(harness, "_CSV_SLICE", slice_rows)
+        configs = [uniform_config(n_full=n, seed=2**64 + 3) for n in (4, 6)]
+        records = np.concatenate([harness.compute_records(config, 10) for config in configs])
+        assert harness._csv_rows(records, configs[0]) == reference_csv_rows(records, configs[0])
+
+    def test_flat_profile(self):
+        config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile.parse("flat:3.0"),
+                                   master_seed=9)
+        records = harness.compute_records(config, 30)
+        assert len(set(records.nu_th.tolist())) == 30
+        assert harness._csv_rows(records, config) == reference_csv_rows(records, config)
+
+    def test_file_profile_path_with_percent(self, tmp_path):
+        path = tmp_path / "z%r%%s%.txt"
+        path.write_text("".join(f"{1 + k / 8}\n" for k in range(8)))
+        config = RandomStateConfig(n_full=4, m_sys=2, profile=ZProfile.parse(f"file:{path}"),
+                                   master_seed=2**70 + 1)
+        records = harness.compute_records(config, 12)
+        text = harness._csv_rows(records, config)
+        assert text == reference_csv_rows(records, config)
+        assert f",file:{path},{2**70 + 1}," in text
+
+    @pytest.mark.parametrize("size", [0, 1, 6])
+    def test_constancy_decided_on_bits(self, size):
+        config = uniform_config()
+        records = np.zeros(size, stats.RECORD_DTYPE)
+        records["sample_index"] = np.arange(size)
+        records["beta"] = -0.0  # constant, and printed as -0.0
+        records["work"] = [0.0, -0.0, 0.0, 0.0, -0.0, 0.0][:size]
+        records["stat_T"] = np.nan
+        records["stat_delta"] = [np.nan, 1.5, -np.nan, np.inf, np.nan, -0.0][:size]
+        records["energy"] = 1e300
+        text = harness._csv_rows(records, config)
+        assert text == reference_csv_rows(records, config)
+        assert text.count("\n") == size
 
 
 class TestSlopeFit:
