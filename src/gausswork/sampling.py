@@ -75,40 +75,13 @@ def _mix(x, y):
 def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
     """SeedSequence's pool after mixing in the seed alone, the part shared
     by every index's stream, and the number of hash calls made, 4 per seed
-    word.  With a spawn key, the seed's words are zero-padded to 4."""
-    run = _words32(master_seed) or [0]
-    run += [0] * (_POOL - len(run))
-    consts = zip(*(c.tolist() for c in _call_consts(0, _POOL * len(run))))
-
-    def hashmix(word: int) -> int:
-        return _hashmix(word, *next(consts))
-
-    pool = [hashmix(word) for word in run[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in run[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    pool = np.array(pool, np.uint64)
+    word: numpy's own pool for the seed's words, zero-padded to 4 as a
+    spawn key pads them."""
+    words = _words32(master_seed) or [0]
+    words += [0] * (_POOL - len(words))
+    pool = np.random.SeedSequence(words).pool.astype(np.uint64)
     pool.flags.writeable = False  # shared by every caller through the cache
-    return pool, _POOL * len(run)
-
-
-def _index_words(lo: int, n: int):
-    """Yield, word by word from the least significant, the 32-bit words of
-    the indices lo..lo+n-1 as a (n, 1) uint64 array, and where they exist:
-    an index has as many words as it needs, at least one.  Past the low
-    word, an index has the words of lo's high part q, or of q + 1 past a
-    carry."""
-    low = np.arange(lo & _MASK32, (lo & _MASK32) + n, dtype=np.uint64)[:, None]
-    carry = low > _MASK32
-    yield low & _MASK32, True
-    high = _words32(lo >> 32), _words32((lo >> 32) + 1) if carry[-1:].any() else []
-    for j in range(max(map(len, high))):
-        (w0, has0), (w1, has1) = ((w[j], True) if j < len(w) else (0, False) for w in high)
-        yield np.where(carry, np.uint64(w1), np.uint64(w0)), np.where(carry, has1, has0)
+    return pool, _POOL * len(words)
 
 
 _STATE_CONSTS = _call_consts(0, 2 * _POOL, _INIT_B, _MULT_B)
@@ -118,12 +91,18 @@ def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, 4) uint64: ``SeedSequence(master_seed, spawn_key=(i,))
     .generate_state(4, np.uint64)`` for each index i in lo..hi-1, computed
     for all of them at once.  Each index word mixes into the 4 pool words
-    by 4 successive hash calls; an index with fewer words than another
-    skips the rounds it lacks through the mask."""
+    by 4 successive hash calls.  A range across a multiple of 2^32 is
+    hashed as its two sides; within one side the indices differ in their
+    lowest word only, so the rounds are that column, then the shared
+    high words."""
+    split = min(hi, ((lo >> 32) + 1) << 32)
+    if split < hi:
+        return np.concatenate([_pcg64_seeds(master_seed, lo, split),
+                               _pcg64_seeds(master_seed, split, hi)])
     pool, calls = _seed_pool(master_seed)
-    pool = np.broadcast_to(pool, (hi - lo, _POOL))
-    for word, present in _index_words(lo, hi - lo):
-        pool = np.where(present, _mix(pool, _hashmix(word, *_call_consts(calls, _POOL))), pool)
+    low = np.arange(lo & _MASK32, (lo & _MASK32) + hi - lo, dtype=np.uint64)[:, None]
+    for word in [low, *_words32(lo >> 32)]:
+        pool = _mix(pool, _hashmix(word, *_call_consts(calls, _POOL)))
         calls += _POOL
     # generate_state: 8 words cycling through the pool, read as 4 little-endian
     # 64-bit words; C order, as PCG64 reads each row's buffer
@@ -252,13 +231,18 @@ class ZProfile:
     def __post_init__(self) -> None:
         if self.kind not in _PROFILE_PARAMETERS:
             raise InvalidProfile(f"unknown profile kind {self.kind!r}")
+        param = _PROFILE_PARAMETERS[self.kind]
+        own = param and param[0]
+        for field in ("z0", "beta", "energy", "path"):
+            value = getattr(self, field)
+            if value is not None and field != own:
+                raise InvalidProfile(f"{self.kind} profile takes no {field}, got {value!r}")
         for value in (self.z0, self.beta, self.energy):
             if value is not None and not math.isfinite(value):
                 raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
-        param = _PROFILE_PARAMETERS[self.kind]
         if param is not None:
-            field, _, valid, needs = param
-            value = getattr(self, field)
+            _, _, valid, needs = param
+            value = getattr(self, own)
             if value is None or not valid(value):
                 raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
 
@@ -501,53 +485,46 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     return _gamma_from_rows(u[..., :m_sys, :], squeeze_gram_diagonal(spec))
 
 
+# Largest number of complex Ginibre entries (samples x d x m) drawn in one
+# block, and of covariance entries (samples x 2m x 2m, 64 KB) in one stack.
+# Blocks of 2^13 to 2^15 entries gave the same per-sample time on a sweep;
+# 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by about
+# 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of its
+# own.  Each thread keeps one set of block buffers (_block_buffers), 96
+# bytes per entry: about 0.75 MiB at the budget, 3 MiB after a d = 4096,
+# m = 8 sample.
+BLOCK_ENTRIES = 1 << 13
+
 _SCRATCH = threading.local()
 
 
-def _block_buffers(entries: int, sample_entries: int):
-    """Flat buffers for a block of ``entries`` complex Ginibre entries: the
-    Gaussian parts (2 floats per entry), the Ginibre block (1 complex) and
-    the selector with its weighted copy (8 floats).
+def _block_buffers(entries: int):
+    """The thread's flat buffers for blocks of up to ``entries`` complex
+    Ginibre entries: the Gaussian parts (2 floats per entry), the Ginibre
+    block (1 complex) and the selector with its weighted copy (8 floats).
 
-    A thread reuses one set from block to block, so that blocks do not map
-    and unmap fresh memory (a budget-sized complex block is 128 KiB,
-    glibc's initial mmap threshold).  The set is sized for the budget or
-    one sample, whichever is larger, and grows with the largest sample; a
-    block beyond that, which only a direct call draws, gets fresh buffers.
-    The set is private to the thread: ``Generator.standard_normal``
-    releases the GIL, so threads sharing it would overwrite each other's
-    draws.
+    The set is reused from block to block, so that blocks do not map and
+    unmap fresh memory (a budget-sized complex block is 128 KiB, glibc's
+    initial mmap threshold), and grows to the largest size asked for: the
+    budget, or one sample past it.  It is private to the thread:
+    ``Generator.standard_normal`` releases the GIL, so threads sharing it
+    would overwrite each other's draws.
     """
-    def fresh(size):
-        return np.empty(2 * size), np.empty(size, complex), np.empty(8 * size)
-
-    keep = max(BLOCK_ENTRIES, sample_entries)
-    if entries > keep:
-        return fresh(entries)
-    if getattr(_SCRATCH, "entries", 0) < keep:
-        _SCRATCH.entries, _SCRATCH.buffers = keep, fresh(keep)
+    if getattr(_SCRATCH, "entries", 0) < entries:
+        _SCRATCH.entries = entries
+        _SCRATCH.buffers = np.empty(2 * entries), np.empty(entries, complex), np.empty(8 * entries)
     return _SCRATCH.buffers
-
-
-def _shared_squeezing(config: RandomStateConfig):
-    """A deterministic profile's squeezing vector and its Gram diagonal,
-    which every index shares; None for a random profile, whose indices
-    draw their own."""
-    if config.profile.is_random:
-        return None
-    spec = draw_squeezing(config.profile, config.ambient_modes)
-    return spec, squeeze_gram_diagonal(spec)
 
 
 def _draw_block(
     config: RandomStateConfig, lo: int, hi: int, streams: Iterator[np.random.Generator], shared
 ) -> tuple[np.ndarray, list[SqueezingSpec]]:
-    """:func:`sample_block` of indices lo..hi-1, drawn from the next
-    hi - lo of ``streams`` (theirs, in index order), with the profile's
-    :func:`_shared_squeezing`."""
+    """Covariances and squeezing vectors of indices lo..hi-1 from the next
+    hi - lo of ``streams``, with ``shared`` (a deterministic profile's
+    vector and Gram diagonal, else None); see :func:`iter_blocks`."""
     d, m = config.ambient_modes, config.m_sys
     entries = (hi - lo) * d * m
-    parts, ginibre, gamma = _block_buffers(entries, d * m)
+    parts, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, d * m))
     parts = parts[: 2 * entries].reshape(hi - lo, 2, d, m)
     specs = []
     for row, rng in zip(parts, streams):
@@ -564,64 +541,35 @@ def _draw_block(
     return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram, gamma), specs
 
 
-def sample_block(
-    config: RandomStateConfig, lo: int, hi: int
-) -> tuple[np.ndarray, list[SqueezingSpec]]:
-    """Covariances (hi - lo, 2m, 2m) and squeezing vectors of the samples
-    with indices lo..hi-1, deterministic in (seed, index).
-
-    Every index has its own stream (:func:`block_streams`) and draws from
-    it in a fixed order: a random profile's squeezing vector, then the
-    real and the imaginary part of a d x m Ginibre block, in one call.  So
-    a sample does not depend on which block it is drawn in.  The QR, its
-    phase correction and the Gamma build then run once on the stack.  Only
-    the kept m rows of the ambient Haar unitary are generated (their
-    marginal distribution is exact), which keeps the cost at O(d m^2) per
-    sample instead of O(d^3).  A deterministic profile's vector draws
-    nothing from the streams; it is built once per call and shared, and
-    :func:`iter_blocks` builds it once for all its blocks.
-
-    The Gaussian parts, the complex Ginibre block, the selector and its
-    product with the squeeze diagonal are views of the thread's reused
-    buffers (:func:`_block_buffers`), and the phase correction scales the
-    QR's Q in place.  Only the QR's own arrays and the returned stack are
-    allocated.
-    """
-    if hi <= lo:
-        raise InvalidConfig(f"empty sample range [{lo}, {hi})")
-    streams = block_streams(config.master_seed, lo, hi)
-    return _draw_block(config, lo, hi, streams, _shared_squeezing(config))
-
-
-# Largest number of complex Ginibre entries (samples x d x m) drawn in one
-# block, and of covariance entries (samples x 2m x 2m, 64 KB) in one stack.
-# Blocks of 2^13 to 2^15 entries gave the same per-sample time on a sweep;
-# 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by about
-# 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of its
-# own.  Each thread keeps one set of block buffers (_block_buffers), 96
-# bytes per entry: about 0.75 MiB at the budget, 3 MiB after a d = 4096,
-# m = 8 sample.
-BLOCK_ENTRIES = 1 << 13
-
-
 def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
-    """Walk indices lo..hi-1 in stacks of at most ``BLOCK_ENTRIES``
-    covariance entries, each drawn as :func:`sample_block` draws it, in
-    blocks of at most ``BLOCK_ENTRIES`` Ginibre entries (at least one
-    sample each); yields (first index, covariances, squeezing vectors) of
-    each stack.
+    """Covariances (2m x 2m) and squeezing vectors of the samples with
+    indices lo..hi-1, deterministic in (seed, index): yields (first index,
+    covariances, squeezing vectors) per stack of at most ``BLOCK_ENTRIES``
+    covariance entries.  The one path from seed to covariances.
 
-    What every block shares is computed once for the whole range: the
-    SeedSequence hash of all its streams (one :func:`block_streams`, which
-    each block reads on from), and a deterministic profile's vector and
-    Gram diagonal.  The statistics of a stack cost about 0.2 ms per call
-    whatever its size, so a stack gathers the many small blocks of a
-    large d."""
-    m = config.m_sys
-    step = max(1, BLOCK_ENTRIES // (config.ambient_modes * m))
+    Every index has its own stream, all opened by one
+    :func:`block_streams` call, and draws from it in a fixed order: a
+    random profile's squeezing vector, then the real and the imaginary
+    part of a d x m Ginibre block, in one call.  So a sample does not
+    depend on its block or stack.  A deterministic profile's vector draws
+    nothing; it and its Gram diagonal are built once and shared.
+
+    The QR, its phase correction and the Gamma build run once per block
+    of at most ``BLOCK_ENTRIES`` Ginibre entries (at least one sample).
+    Only the kept m rows of the ambient Haar unitary are generated (their
+    marginal distribution is exact): O(d m^2) per sample, not O(d^3).  The
+    Gaussian parts, the Ginibre block, the selector and its product with
+    the squeeze diagonal are views of the thread's reused buffers
+    (:func:`_block_buffers`), and the phase correction scales the QR's Q
+    in place.  A stack gathers the many small blocks of a large d, since
+    its statistics cost about 0.2 ms per call whatever its size.
+    """
+    d, m = config.ambient_modes, config.m_sys
+    step = max(1, BLOCK_ENTRIES // (d * m))
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
     streams = block_streams(config.master_seed, lo, hi)
-    shared = _shared_squeezing(config)
+    spec = None if config.profile.is_random else draw_squeezing(config.profile, d)
+    shared = None if spec is None else (spec, squeeze_gram_diagonal(spec))
     for first in range(lo, hi, stack):
         last = min(first + stack, hi)
         gammas, specs = [], []
@@ -630,6 +578,17 @@ def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
             gammas.append(block)
             specs += block_specs
         yield first, np.concatenate(gammas), specs
+
+
+def sample_block(
+    config: RandomStateConfig, lo: int, hi: int
+) -> tuple[np.ndarray, list[SqueezingSpec]]:
+    """Covariances (hi - lo, 2m, 2m) and squeezing vectors of the samples
+    with indices lo..hi-1: the stacks of :func:`iter_blocks`, joined."""
+    if hi <= lo:
+        raise InvalidConfig(f"empty sample range [{lo}, {hi})")
+    _, gammas, specs = zip(*iter_blocks(config, lo, hi))
+    return np.concatenate(gammas), [spec for stack in specs for spec in stack]
 
 
 def sample_random_state(config: RandomStateConfig, sample_index: int) -> np.ndarray:

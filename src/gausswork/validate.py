@@ -73,69 +73,67 @@ def check_embedding(sizes, per_size: int, rng) -> None:
             _require(is_symplectic(o, 1e-10), f"O Omega O^T != Omega at n={n}")
 
 
-def check_eigensolver_crosscheck(sizes, per_size: int, rng) -> None:
+# per_size random covariances of each size, with their size, drawn lazily:
+# a check that draws from rng between covariances keeps its draw order
+def _covariances(sizes, per_size: int, rng):
     for n in sizes:
         for _ in range(per_size):
-            gamma = random_covariance(n, rng)
-            nus = symplectic_eigenvalues(gamma).nus
-            ref = symplectic_eigenvalues_direct(gamma)
-            scale = max(1.0, float(np.linalg.norm(gamma, 2)))
-            _require(
-                np.max(np.abs(nus - ref)) <= 1e-9 * scale,
-                f"kernel and direct spectra disagree at n={n}",
-            )
-            check_covariance(gamma)
+            yield n, random_covariance(n, rng)
+
+
+def check_eigensolver_crosscheck(sizes, per_size: int, rng) -> None:
+    for n, gamma in _covariances(sizes, per_size, rng):
+        nus = symplectic_eigenvalues(gamma).nus
+        ref = symplectic_eigenvalues_direct(gamma)
+        scale = max(1.0, float(np.linalg.norm(gamma, 2)))
+        _require(
+            np.max(np.abs(nus - ref)) <= 1e-9 * scale,
+            f"kernel and direct spectra disagree at n={n}",
+        )
+        check_covariance(gamma)
 
 
 def check_williamson_reconstruction(sizes, per_size: int, rng) -> None:
-    for n in sizes:
-        for _ in range(per_size):
-            gamma = random_covariance(n, rng)
-            res = symplectic_eigenvalues(gamma, with_factor=True)
-            _require(is_symplectic(res.symplectic_factor, 1e-8), f"factor not symplectic at n={n}")
-            _require(
-                williamson_reconstruction_error(gamma, res) <= RECONSTRUCTION_TOL,
-                f"reconstruction error above {RECONSTRUCTION_TOL} at n={n}",
-            )
+    for n, gamma in _covariances(sizes, per_size, rng):
+        res = symplectic_eigenvalues(gamma, with_factor=True)
+        _require(is_symplectic(res.symplectic_factor, 1e-8), f"factor not symplectic at n={n}")
+        _require(
+            williamson_reconstruction_error(gamma, res) <= RECONSTRUCTION_TOL,
+            f"reconstruction error above {RECONSTRUCTION_TOL} at n={n}",
+        )
 
 
 def check_purification(per_size: int, rng) -> None:
     # purify enforces the round trip and purity itself; the energy bound is checked here
-    for m in (1, 2, 3):
-        for _ in range(per_size):
-            gamma = random_covariance(m, rng)
-            _require(
-                np.trace(purify(gamma)) <= 2.0 * np.trace(gamma) + 1e-9,
-                f"purification energy bound violated at m={m}",
-            )
+    for m, gamma in _covariances((1, 2, 3), per_size, rng):
+        _require(
+            np.trace(purify(gamma)) <= 2.0 * np.trace(gamma) + 1e-9,
+            f"purification energy bound violated at m={m}",
+        )
 
 
 def check_proof_chain(per_size: int, rng) -> None:
     # The work equals |sum(lambda - c)/2 + sum(c - nu)| for any constant c;
     # the constant cancels between the two sums.
-    for m in (1, 2, 4):
-        for _ in range(per_size):
-            gamma = random_covariance(m, rng)
-            work = extractable_work(gamma)
-            lam = np.linalg.eigvalsh(gamma)
-            nus = symplectic_eigenvalues(gamma).nus
-            for c in (0.5, 0.77, 1.3):
-                off = abs(abs(0.5 * np.sum(lam - c) + np.sum(c - nus)) - work)
-                _require(off <= 1e-9, f"constant-shift identity off by {off:.2e}")
-            _require(work >= -1e-9, f"negative work {work}")
+    for _, gamma in _covariances((1, 2, 4), per_size, rng):
+        work = extractable_work(gamma)
+        lam = np.linalg.eigvalsh(gamma)
+        nus = symplectic_eigenvalues(gamma).nus
+        for c in (0.5, 0.77, 1.3):
+            off = abs(abs(0.5 * np.sum(lam - c) + np.sum(c - nus)) - work)
+            _require(off <= 1e-9, f"constant-shift identity off by {off:.2e}")
+        _require(work >= -1e-9, f"negative work {work}")
 
 
 def check_symplectic_trace_invariance(per_size: int, rng) -> None:
-    for n in (1, 2, 3):
-        for _ in range(per_size):
-            gamma = random_covariance(n, rng)
-            s = random_symplectic(n, rng)
-            before = symplectic_trace(gamma)
-            after = symplectic_trace(s @ gamma @ s.T)
-            _require(
-                abs(before - after) <= 1e-8 * max(1.0, before),
-                f"STr changed under symplectic conjugation at n={n}",
-            )
+    for n, gamma in _covariances((1, 2, 3), per_size, rng):
+        s = random_symplectic(n, rng)
+        before = symplectic_trace(gamma)
+        after = symplectic_trace(s @ gamma @ s.T)
+        _require(
+            abs(before - after) <= 1e-8 * max(1.0, before),
+            f"STr changed under symplectic conjugation at n={n}",
+        )
 
 
 def check_bound_chain(n_samples: int, rng_seed: int) -> None:

@@ -41,7 +41,8 @@ def unitary_to_symplectic_reference(u):
 class TestStreams:
     # numpy's SeedSequence + PCG64 is the oracle for every index's stream
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 12345, 2**128 - 1, 2**128, 2**200 + 3]
-    RANGES = [(0, 600), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64 + 3)]
+    RANGES = [(0, 600), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64 + 3),
+              (3 * 2**32 - 2, 3 * 2**32 + 2)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_seed_sequence(self, seed):
@@ -194,6 +195,15 @@ class TestZProfile:
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidProfile):
             ZProfile.parse(text)
+
+    @pytest.mark.parametrize("profile, field", [
+        (dict(kind="power", beta=0.3, z0=2.0), "z0"),
+        (dict(kind="vacuum", z0=5.0), "z0"),
+        (dict(kind="uniform", z0=1.5, path="x"), "path"),
+    ])
+    def test_stray_parameter_rejected(self, profile, field):
+        with pytest.raises(InvalidProfile, match=f"takes no {field}"):
+            ZProfile(**profile)
 
     def test_degree(self):
         assert ZProfile.parse("power:0.3").degree == 0.3
@@ -495,8 +505,8 @@ class TestBlockScratch:
         assert peak < 3 * np.dtype(complex).itemsize * sm.BLOCK_ENTRIES
 
     def test_block_beyond_budget_is_not_kept(self):
-        # a direct call for four budgets' worth of samples gets fresh
-        # buffers; the thread keeps only the budget-sized set of its blocks
+        # a direct call for four budgets' worth of samples draws budget-sized
+        # blocks, so the thread keeps only the budget-sized set
         config = RandomStateConfig(n_full=8, m_sys=1, profile=ZProfile("uniform", z0=1.5),
                                    master_seed=3)
         step = sm.BLOCK_ENTRIES // config.ambient_modes
@@ -513,7 +523,7 @@ class TestBlockScratch:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert kept == [0, sm.BLOCK_ENTRIES]
+        assert kept == [sm.BLOCK_ENTRIES, sm.BLOCK_ENTRIES]
         assert np.array_equal(*drawn)
 
 
