@@ -18,7 +18,12 @@ class InvalidCovariance(GaussworkError, ValueError):
 
 
 class NonPositiveDefinite(InvalidCovariance):
-    """Covariance matrix has an eigenvalue <= 0."""
+    """Covariance matrix has an eigenvalue <= 0; ``index`` is the position
+    of the first such matrix in a flattened stack (0 for one matrix)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NumericalFailure(GaussworkError, ArithmeticError):

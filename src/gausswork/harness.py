@@ -32,11 +32,12 @@ def _join(chunks) -> np.ndarray:
     return joined
 
 
-def _record_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
-    return _join([
-        stats.evaluate_block(gammas, specs, config, first)
-        for first, gammas, specs in sampling.iter_blocks(config, lo, hi)
-    ])
+def _record_chunk(configs, lo: int, hi: int) -> list[np.ndarray]:
+    """The records of indices lo..hi-1 at each config of a grid."""
+    stacks = [[] for _ in configs]
+    for g, first, gammas, specs in sampling.iter_blocks(configs, lo, hi):
+        stacks[g].append(stats.evaluate_block(gammas, specs, configs[g], first))
+    return [_join(records) for records in stacks]
 
 
 # Rows formatted from one template, the records of one covariance stack of
@@ -77,23 +78,24 @@ def _csv_rows(records: np.ndarray, config: RandomStateConfig) -> str:
     return "".join(text)
 
 
-def _chunk(config: RandomStateConfig, csv: bool, lo: int, hi: int) -> tuple[np.ndarray, str]:
-    """The records of indices lo..hi-1, and with ``csv`` their CSV rows,
-    formatted in the worker process."""
-    records = _record_chunk(config, lo, hi)
-    return records, _csv_rows(records, config) if csv else ""
+def _chunk(configs, csv: bool, lo: int, hi: int) -> list[tuple[np.ndarray, str]]:
+    """Per config of a grid, the records of indices lo..hi-1, and with
+    ``csv`` their CSV rows, formatted in the worker process."""
+    return [(records, _csv_rows(records, config) if csv else "")
+            for config, records in zip(configs, _record_chunk(configs, lo, hi))]
 
 
 def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarray, str]:
     """Records of sample indices 0..samples-1 of every config, in
     config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
-    with ``csv`` their :func:`records_csv` text."""
+    with ``csv`` their :func:`records_csv` text.  The configs are one job:
+    a chunk of indices covers every config."""
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
-    jobs = [((config, csv), samples) for config in configs]
-    chunks = parallel.run_chunked(_chunk, jobs, threads)
-    records = _join([records for records, _ in chunks]).view(np.recarray)
-    return records, stats.CSV_HEADER + "\n" + "".join([rows for _, rows in chunks])
+    chunks = parallel.run_chunked(_chunk, [((configs, csv), samples)], threads)
+    parts = [chunk[g] for g in range(len(configs)) for chunk in chunks]
+    records = _join([records for records, _ in parts]).view(np.recarray)
+    return records, stats.CSV_HEADER + "\n" + "".join([rows for _, rows in parts])
 
 
 def compute_records(
@@ -217,7 +219,7 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
-    # one fan-out, so one process pool, for the whole grid
+    # one job, so one process pool and one task per worker, for the whole grid
     all_records, csv_text = _records(configs, samples, threads, return_csv)
     per_n = []
     mean_deltas = []

@@ -103,7 +103,9 @@ def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
     lowest = evals[..., 0].ravel()
     bad = np.flatnonzero(lowest <= 0.0)
     if bad.size:
-        raise NonPositiveDefinite(f"positive-definite: smallest eigenvalue {lowest[bad[0]]:.3e} <= 0")
+        raise NonPositiveDefinite(
+            f"positive-definite: smallest eigenvalue {lowest[bad[0]]:.3e} <= 0", int(bad[0])
+        )
     return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 

@@ -485,99 +485,141 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     return _gamma_from_rows(u[..., :m_sys, :], squeeze_gram_diagonal(spec))
 
 
-# Largest number of complex Ginibre entries (samples x d x m) drawn in one
-# block, and of covariance entries (samples x 2m x 2m, 64 KB) in one stack.
-# Blocks of 2^13 to 2^15 entries gave the same per-sample time on a sweep;
-# 2^15 raised the peak memory of a moment grid by about 3 MB, 2^13 by about
-# 1 MB.  A sample larger than the budget (d = 4096, m = 8) is a block of its
-# own.  Each thread keeps one set of block buffers (_block_buffers), 96
-# bytes per entry: about 0.75 MiB at the budget, 3 MiB after a d = 4096,
-# m = 8 sample.
+# Largest number of complex Ginibre entries (samples x d x m) in one block
+# of the QR and Gamma kernel, and of covariance entries (samples x 2m x 2m,
+# 64 KB) in one stack.  Blocks of 2^13 to 2^15 entries gave the same
+# per-sample time on a sweep; 2^15 raised the peak memory of a moment grid
+# by about 3 MB, 2^13 by about 1 MB.  A sample larger than the budget
+# (d = 4096, m = 8) is a block of its own.
 BLOCK_ENTRIES = 1 << 13
+# Largest number of complex entries (samples x d_max x m) of one draw that
+# a grid's configs share: 2^18 normals, 2 MiB.  Up to d_max / d_min = 16 the
+# grid's smallest config still gets kernel blocks of the full budget.
+# Each thread keeps one set of kernel buffers (_block_buffers), 80 bytes
+# per entry: 0.625 MiB at the budget, 2.5 MiB after a d = 4096, m = 8
+# sample; and one draw buffer, 16 bytes per entry: 128 KiB for a single
+# config at the budget, 2 MiB at the cap.
+DRAW_ENTRIES = 1 << 17
 
 _SCRATCH = threading.local()
 
 
-def _block_buffers(entries: int):
-    """The thread's flat buffers for blocks of up to ``entries`` complex
-    Ginibre entries: the Gaussian parts (2 floats per entry), the Ginibre
-    block (1 complex) and the selector with its weighted copy (8 floats).
+def _block_buffers(entries: int, draws: int):
+    """The thread's flat buffers: the Gaussian parts of a draw of up to
+    ``draws`` complex entries (2 floats each), and for kernel blocks of up
+    to ``entries`` complex entries the Ginibre block (1 complex each) and
+    the selector with its weighted copy (8 floats each).
 
-    The set is reused from block to block, so that blocks do not map and
-    unmap fresh memory (a budget-sized complex block is 128 KiB, glibc's
-    initial mmap threshold), and grows to the largest size asked for: the
-    budget, or one sample past it.  It is private to the thread:
-    ``Generator.standard_normal`` releases the GIL, so threads sharing it
-    would overwrite each other's draws.
+    The buffers are reused from draw to draw, so that blocks do not map
+    and unmap fresh memory (a budget-sized complex block is 128 KiB,
+    glibc's initial mmap threshold), and each grows to the largest size
+    asked for: at most its budget, or one sample past it.  They are
+    private to the thread: ``Generator.standard_normal`` releases the GIL,
+    so threads sharing them would overwrite each other's draws.
     """
     if getattr(_SCRATCH, "entries", 0) < entries:
         _SCRATCH.entries = entries
-        _SCRATCH.buffers = np.empty(2 * entries), np.empty(entries, complex), np.empty(8 * entries)
-    return _SCRATCH.buffers
+        _SCRATCH.kernel = np.empty(entries, complex), np.empty(8 * entries)
+    if getattr(_SCRATCH, "draws", 0) < draws:
+        _SCRATCH.draws = draws
+        _SCRATCH.parts = np.empty(2 * draws)
+    return _SCRATCH.parts, *_SCRATCH.kernel
 
 
 def _draw_block(
-    config: RandomStateConfig, lo: int, hi: int, streams: Iterator[np.random.Generator], shared
-) -> tuple[np.ndarray, list[SqueezingSpec]]:
-    """Covariances and squeezing vectors of indices lo..hi-1 from the next
-    hi - lo of ``streams``, with ``shared`` (a deterministic profile's
-    vector and Gram diagonal, else None); see :func:`iter_blocks`."""
-    d, m = config.ambient_modes, config.m_sys
-    entries = (hi - lo) * d * m
-    parts, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, d * m))
-    parts = parts[: 2 * entries].reshape(hi - lo, 2, d, m)
-    specs = []
-    for row, rng in zip(parts, streams):
-        if shared is None:
-            specs.append(draw_squeezing(config.profile, d, rng))
+    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], shared
+) -> list[tuple[list[np.ndarray], list[SqueezingSpec]]]:
+    """Per config of a grid, the covariance blocks and squeezing vectors
+    of indices lo..hi-1, from one draw of the next hi - lo of ``streams``;
+    ``shared`` holds per config a deterministic profile's vector and Gram
+    diagonal, or is [None] for a random profile's one config.  See
+    :func:`iter_blocks`."""
+    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
+    width = 2 * max(dims) * m
+    parts, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, width // 2), (hi - lo) * width // 2)
+    rows = parts[: (hi - lo) * width].reshape(hi - lo, width)
+    drawn = []
+    for row, rng in zip(rows, streams):
+        if shared[0] is None:
+            drawn.append(draw_squeezing(configs[0].profile, dims[0], rng))
         rng.standard_normal(out=row)
-    z = _ginibre(parts[:, 0], parts[:, 1], ginibre[:entries].reshape(hi - lo, d, m))
-    columns = _haar_columns(z)
-    if shared is None:
-        gram = np.stack([squeeze_gram_diagonal(s) for s in specs])[:, None, :]
-    else:
-        spec, gram = shared
-        specs = [spec] * (hi - lo)
-    return _gamma_from_rows(np.swapaxes(columns, -1, -2), gram, gamma), specs
+    blocks = []
+    for d, share in zip(dims, shared):
+        step = max(1, BLOCK_ENTRIES // (d * m))
+        gammas = []
+        for k in range(0, hi - lo, step):
+            # the prefix of each row that a draw at d alone fills
+            block = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
+            entries = block[:, 0].size
+            z = _ginibre(block[:, 0], block[:, 1], ginibre[:entries].reshape(-1, d, m))
+            if share is None:
+                gram = np.stack([squeeze_gram_diagonal(s) for s in drawn[k:k + step]])[:, None, :]
+            else:
+                gram = share[1]
+            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), gram, gamma))
+        blocks.append((gammas, drawn if share is None else [share[0]] * (hi - lo)))
+    return blocks
 
 
-def iter_blocks(config: RandomStateConfig, lo: int, hi: int):
+def iter_blocks(configs, lo: int, hi: int):
     """Covariances (2m x 2m) and squeezing vectors of the samples with
-    indices lo..hi-1, deterministic in (seed, index): yields (first index,
-    covariances, squeezing vectors) per stack of at most ``BLOCK_ENTRIES``
-    covariance entries.  The one path from seed to covariances.
+    indices lo..hi-1 at each config of a grid, deterministic in (seed,
+    index): yields (grid position, first index, covariances, squeezing
+    vectors) per config and stack of at most ``BLOCK_ENTRIES`` covariance
+    entries, each config's stacks in index order.  The one path from seed
+    to covariances; one config is a grid of one.
 
-    Every index has its own stream, all opened by one
-    :func:`block_streams` call, and draws from it in a fixed order: a
-    random profile's squeezing vector, then the real and the imaginary
-    part of a d x m Ginibre block, in one call.  So a sample does not
-    depend on its block or stack.  A deterministic profile's vector draws
-    nothing; it and its Gram diagonal are built once and shared.
+    The configs share master seed, m and profile.  Every index has its own
+    stream, all opened by one :func:`block_streams` call, and draws from it
+    in a fixed order: a random profile's squeezing vector, then the real
+    and the imaginary part of a d x m Ginibre block, in one call.  So a
+    sample does not depend on its block, stack or grid.  A deterministic
+    profile draws no vector, so its grid draws each index's 2 d_max m
+    normals once, and a config of ambient dimension d reads the first
+    2 d m, the normals it would draw alone
+    (``Generator.standard_normal(out=...)`` fills in sequence); its vector
+    and Gram diagonal are built once per config.  A random profile's
+    vector has d entries, so each config of its grid is a grid of one.
 
-    The QR, its phase correction and the Gamma build run once per block
-    of at most ``BLOCK_ENTRIES`` Ginibre entries (at least one sample).
-    Only the kept m rows of the ambient Haar unitary are generated (their
-    marginal distribution is exact): O(d m^2) per sample, not O(d^3).  The
-    Gaussian parts, the Ginibre block, the selector and its product with
-    the squeeze diagonal are views of the thread's reused buffers
-    (:func:`_block_buffers`), and the phase correction scales the QR's Q
-    in place.  A stack gathers the many small blocks of a large d, since
-    its statistics cost about 0.2 ms per call whatever its size.
+    A draw spans at most ``DRAW_ENTRIES`` Ginibre entries of the largest
+    config and ``BLOCK_ENTRIES`` of the smallest (at least one sample).
+    The QR, its phase correction and the Gamma build run per config on
+    blocks of at most ``BLOCK_ENTRIES`` entries of a draw (at least one
+    sample).  Only the kept m rows of the ambient Haar unitary are
+    generated (their marginal distribution is exact): O(d m^2) per
+    sample, not O(d^3).  The Gaussian parts, the Ginibre block, the
+    selector and its product with the squeeze diagonal are views of the
+    thread's reused buffers (:func:`_block_buffers`), and the phase
+    correction scales the QR's Q in place.  A stack gathers the many
+    small blocks of a large d, since its statistics cost about 0.2 ms per
+    call whatever its size.
     """
-    d, m = config.ambient_modes, config.m_sys
-    step = max(1, BLOCK_ENTRIES // (d * m))
+    if len({(c.master_seed, c.m_sys, c.profile) for c in configs}) != 1:
+        raise InvalidConfig("the configs of a grid must share master seed, m and profile")
+    profile = configs[0].profile
+    if profile.is_random and len(configs) > 1:
+        for g, config in enumerate(configs):
+            for _, first, gammas, specs in iter_blocks([config], lo, hi):
+                yield g, first, gammas, specs
+        return
+    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
+    step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
-    streams = block_streams(config.master_seed, lo, hi)
-    spec = None if config.profile.is_random else draw_squeezing(config.profile, d)
-    shared = None if spec is None else (spec, squeeze_gram_diagonal(spec))
+    streams = block_streams(configs[0].master_seed, lo, hi)
+    shared = [None] if profile.is_random else [
+        (spec, squeeze_gram_diagonal(spec)) for spec in (draw_squeezing(profile, d) for d in dims)
+    ]
     for first in range(lo, hi, stack):
         last = min(first + stack, hi)
-        gammas, specs = [], []
+        gammas, specs = [[] for _ in configs], [[] for _ in configs]
         for k in range(first, last, step):
-            block, block_specs = _draw_block(config, k, min(k + step, last), streams, shared)
-            gammas.append(block)
-            specs += block_specs
-        yield first, np.concatenate(gammas), specs
+            for g, (blocks, block_specs) in enumerate(
+                _draw_block(configs, k, min(k + step, last), streams, shared)
+            ):
+                gammas[g] += blocks
+                specs[g] += block_specs
+        for g in range(len(configs)):
+            yield g, first, np.concatenate(gammas[g]), specs[g]
 
 
 def sample_block(
@@ -587,7 +629,7 @@ def sample_block(
     with indices lo..hi-1: the stacks of :func:`iter_blocks`, joined."""
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
-    _, gammas, specs = zip(*iter_blocks(config, lo, hi))
+    _, _, gammas, specs = zip(*iter_blocks([config], lo, hi))
     return np.concatenate(gammas), [spec for stack in specs for spec in stack]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phasespace
-from .errors import DimensionMismatch, EmptyInput, NumericalFailure
+from .errors import DimensionMismatch, EmptyInput, NonPositiveDefinite, NumericalFailure
 from .sampling import RandomStateConfig, SqueezingSpec, squeeze_gram_diagonal, state_from_unitary
 
 WORK_BOUND_SLACK = 1e-9
@@ -109,8 +109,10 @@ def evaluate_block(
     first_index.. in order.
 
     Enforces the per-sample work bound ``work <= sqrt(m * delta)`` (an
-    exact consequence of physicality); a violation beyond 1e-9, or a
-    non-finite work or delta, indicates a numerical breakdown and raises.
+    exact consequence of physicality); a violation beyond 1e-9, a
+    non-finite work or delta, or a state that rounding left without
+    positive definiteness indicates a numerical breakdown and raises
+    :class:`NumericalFailure` naming the sample index.
     Round-off-negative work is clamped to zero in the record only.
     """
     if len(specs) != len(gammas):
@@ -121,7 +123,12 @@ def evaluate_block(
     # eigvalsh and the square root's eigh stay two calls: taking the
     # spectrum from the root's eigh changes the last bits of energy and stat_T
     lam = np.linalg.eigvalsh(gammas)
-    nus = phasespace.symplectic_eigenvalues(gammas).nus
+    try:
+        nus = phasespace.symplectic_eigenvalues(gammas).nus
+    except NonPositiveDefinite as exc:
+        # a sampled state is positive definite in exact arithmetic: losing
+        # that to rounding is a breakdown of its statistics, not bad input
+        raise NumericalFailure(f"sample {first_index + exc.index}: {exc}") from exc
 
     energy = 0.5 * np.sum(lam, axis=-1)
     sum_sympl = np.sum(nus, axis=-1)

@@ -146,7 +146,7 @@ def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int
     fns = [_MEASURES[q] for q in quantities]
     return np.concatenate([
         np.stack([fn(gammas) for fn in fns], axis=-1)
-        for _, gammas, _ in sampling.iter_blocks(config, lo, hi)
+        for _, _, gammas, _ in sampling.iter_blocks([config], lo, hi)
     ])
 
 

@@ -11,7 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from gausswork import cli, harness, parallel
+from gausswork import cli, harness, parallel, sampling
 from gausswork import phasespace as ps
 from gausswork.sampling import RandomStateConfig, ZProfile
 
@@ -155,6 +155,7 @@ class TestSample:
         ("2", "uniform:1e200", 2),  # z^2 overflows
         ("64", "power:200", 2),
         ("2", "uniform:1e50", 3),  # the dispersions overflow
+        ("2", "power:60", 3),  # a sampled state loses positive definiteness to rounding
     ])
     def test_overflowing_profile(self, tmp_path, n, profile, code):
         out = tmp_path / "s.csv"
@@ -203,6 +204,15 @@ class TestSweep:
         assert run_cli(*base, "--threads", "2", "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_lost_positive_definiteness_exits_3(self, tmp_path):
+        out = tmp_path / "w.json"
+        result = run_cli("sweep", "--n-grid", "2,4", "--z-profile", "power:60", "--samples", "4",
+                         "--threads", "2", "--out", str(out))
+        assert result.returncode == 3
+        assert result.stderr.startswith("numerical failure: sample 1: positive-definite")
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_process_pool(self, tmp_path, monkeypatch, capsys):
         # two CPUs, so --threads 2 starts a pool on any runner
@@ -361,15 +371,16 @@ class TestFanOut:
         self.assert_covering_runs(RecordingPool.ranges, 1, 2000)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_sweep_cut_in_one_chunk_per_worker_and_point(self, tmp_path, monkeypatch):
+    def test_sweep_cut_in_one_chunk_per_worker(self, tmp_path, monkeypatch):
+        # a chunk covers every grid point
         base = ["sweep", "--n-grid", "4,6,9", "--m", "1", "--z-profile", "uniform:1.5",
                 "--samples", "40", "--seed", "11"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
         assert cli.main([*base, "--threads", "2000", "--out", str(out2)]) == 0
-        assert len(RecordingPool.ranges) == 3 * self.CPUS
-        self.assert_covering_runs(RecordingPool.ranges, 3, 40)
+        assert len(RecordingPool.ranges) == self.CPUS
+        self.assert_covering_runs(RecordingPool.ranges, 1, 40)
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -393,8 +404,25 @@ class TestFanOut:
                              "--threads", threads, "--out", str(out)]) == 0
             expected = harness.records_csv(np.concatenate([records[n] for n in grid]), configs[4])
             assert out.with_suffix(".csv").read_bytes() == expected.encode()
-        assert SubmitCountingPool.tasks == self.CPUS + len(grid) * self.CPUS
+        assert SubmitCountingPool.tasks == self.CPUS + self.CPUS
         assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
+
+    @pytest.mark.parametrize("profile, per_chunk", [("uniform:1.5", 1), ("flat:6.0", 2)])
+    def test_sweep_hashes_streams_once_per_chunk(self, monkeypatch, profile, per_chunk):
+        # a deterministic profile's grid shares each index's stream; each
+        # point of a flat profile's grid opens its own
+        calls = []
+        pcg64_seeds = sampling._pcg64_seeds
+
+        def counting(master_seed, lo, hi):
+            calls.append((lo, hi))
+            return pcg64_seeds(master_seed, lo, hi)
+
+        monkeypatch.setattr(sampling, "_pcg64_seeds", counting)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        harness.run_sweep([1, 2], 1, ZProfile.parse(profile), 40, 11, threads=3)
+        assert len(RecordingPool.ranges) == self.CPUS
+        assert calls == [r for r in RecordingPool.ranges for _ in range(per_chunk)]
 
     @pytest.mark.parametrize("command", [
         ["sample", "--n", "4", "--z-profile", "uniform:1.5", "--samples", "20"],

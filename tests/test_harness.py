@@ -101,22 +101,28 @@ class TestBlockKernel:
         seen = []
         draw_block = sampling._draw_block
 
-        def counting(config, lo, hi, *chunk):
+        def counting(configs, lo, hi, *chunk):
             seen.append((lo, hi))
-            return draw_block(config, lo, hi, *chunk)
+            return draw_block(configs, lo, hi, *chunk)
 
         monkeypatch.setattr(sampling, "_draw_block", counting)
         # d = 4096, m = 8 is one block per sample
         wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
                                  master_seed=2)
-        assert len(harness._record_chunk(wide, 0, 3)) == 3
+        assert len(harness._record_chunk([wide], 0, 3)[0]) == 3
         assert seen == [(0, 1), (1, 2), (2, 3)]
         # d = 16, m = 1 fits many samples in one block
         seen.clear()
         small = uniform_config(n_full=8)
         per_block = sampling.BLOCK_ENTRIES // 16
-        assert len(harness._record_chunk(small, 0, per_block + 5)) == per_block + 5
+        assert len(harness._record_chunk([small], 0, per_block + 5)[0]) == per_block + 5
         assert seen == [(0, per_block), (per_block, per_block + 5)]
+        # a grid of d = 16 and d = 4096 draws 32 indices at a time, the
+        # draw cap's worth of the largest config
+        seen.clear()
+        grid = [small, uniform_config(n_full=2048)]
+        assert list(map(len, harness._record_chunk(grid, 0, 70))) == [70, 70]
+        assert seen == [(0, 32), (32, 64), (64, 70)]
 
     @pytest.mark.parametrize("config, hi, blocks", [
         # d = 4096, m = 8: one sample per draw, 32 per covariance stack
@@ -131,9 +137,9 @@ class TestBlockKernel:
         drawn, stacks = [], []
         draw_block, evaluate_block = sampling._draw_block, stats.evaluate_block
 
-        def drawing(config, lo, hi, *chunk):
+        def drawing(configs, lo, hi, *chunk):
             drawn.append((lo, hi))
-            return draw_block(config, lo, hi, *chunk)
+            return draw_block(configs, lo, hi, *chunk)
 
         def evaluating(gammas, specs, config, first):
             stacks.append(gammas.size)
@@ -141,7 +147,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(sampling, "_draw_block", drawing)
         monkeypatch.setattr(stats, "evaluate_block", evaluating)
-        records = harness._record_chunk(config, 0, hi)
+        (records,) = harness._record_chunk([config], 0, hi)
         assert records["sample_index"].tolist() == list(range(hi))
         assert drawn == blocks
         assert len(stacks) < hi
@@ -166,7 +172,7 @@ class TestChunkHoisting:
 
         monkeypatch.setattr(sampling, "_pcg64_seeds", counting)
         config = uniform_config(n_full=8)
-        records = harness._record_chunk(config, self.LO, self.HI)
+        (records,) = harness._record_chunk([config], self.LO, self.HI)
         assert calls == [(self.LO, self.HI)]
         calls.clear()
         moments = weingarten._moment_chunk(weingarten.QUANTITIES, config, self.LO, self.HI)
@@ -193,7 +199,7 @@ class TestChunkHoisting:
         monkeypatch.setattr(sampling, "draw_squeezing", counting)
         config = RandomStateConfig(n_full=n_full, m_sys=1, profile=ZProfile.parse(profile),
                                    master_seed=4)
-        records = harness._record_chunk(config, self.LO, self.HI)
+        (records,) = harness._record_chunk([config], self.LO, self.HI)
         assert calls == [2 * n_full] * draws
         monkeypatch.undo()
         assert np.array_equal(records, np.concatenate([
@@ -202,9 +208,54 @@ class TestChunkHoisting:
         ]))
 
 
+def alone(configs, samples):
+    # each config as a one-config grid: its records and its CSV rows
+    pairs = [harness.compute_records(config, samples, return_csv=True) for config in configs]
+    rows = "".join(text.split("\n", 1)[1] for _, text in pairs)
+    return np.concatenate([records for records, _ in pairs]), CSV_HEADER + "\n" + rows
+
+
+class TestGridDraw:
+    # the grids span several draws, kernel blocks and covariance stacks
+    @pytest.mark.parametrize("profile, pipeline, m_sys, seed, grid", [
+        ("uniform:1.4", "purified", 1, 5, (2, 300)),
+        ("power:0.3", "direct", 2, 2**64 + 7, (3, 17, 64)),
+        ("vacuum", "purified", 3, 11, (3, 40)),
+        ("power:0.2", "purified", 3, 2**70 + 1, (5, 9)),
+    ])
+    def test_sweep_equals_points_alone(self, profile, pipeline, m_sys, seed, grid):
+        samples = 500
+        records, _, text = harness.run_sweep(grid, m_sys, ZProfile.parse(profile), samples, seed,
+                                             pipeline, threads=2, return_csv=True)
+        configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                     master_seed=seed, pipeline=pipeline) for n in grid]
+        expected, expected_text = alone(configs, samples)
+        assert np.array_equal(records, expected)
+        assert text == expected_text
+
+    @pytest.mark.parametrize("m_sys", [1, 2])
+    def test_file_profile_grid_equals_points_alone(self, tmp_path, m_sys):
+        # both configs have 8 ambient modes, so one file profile fits both
+        path = tmp_path / "z.txt"
+        path.write_text("".join(f"{1 + k / 8}\n" for k in range(8)))
+        profile = ZProfile.parse(f"file:{path}")
+        configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=profile,
+                                     master_seed=2**65 + 3, pipeline=pipeline)
+                   for n, pipeline in ((4, "purified"), (8, "direct"))]
+        records, text = harness._records(configs, 300, 1, True)
+        expected, expected_text = alone(configs, 300)
+        assert np.array_equal(records, expected)
+        assert text == expected_text
+
+    def test_grid_must_share_seed_m_and_profile(self):
+        for other in (uniform_config(seed=6), uniform_config(m_sys=2), uniform_config(z0=1.5)):
+            with pytest.raises(InvalidConfig):
+                list(sampling.iter_blocks([uniform_config(), other], 0, 3))
+
+
 class TestRecordJoin:
     def test_join_equals_fieldwise_concatenation(self):
-        chunks = [harness._record_chunk(uniform_config(n_full=n), lo, hi)
+        chunks = [harness._record_chunk([uniform_config(n_full=n)], lo, hi)[0]
                   for n, lo, hi in ((4, 0, 7), (6, 3, 40), (4, 7, 8))]
         chunks.insert(2, np.empty(0, stats.RECORD_DTYPE))
         joined = harness._join(chunks)

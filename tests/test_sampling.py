@@ -65,6 +65,19 @@ class TestStreams:
             assert np.array_equal(one.random(8), expected)
             assert np.array_equal(block.random(8), expected)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5])
+    def test_standard_normal_fills_in_sequence(self, seed):
+        # a grid draws each index's normals once: the (2, d, m) block of a
+        # smaller d is the prefix of a row of the largest d's draw
+        for m in (1, 2, 3):
+            row = np.empty(2 * 65 * m)
+            next(sm.block_streams(seed, 9, 10)).standard_normal(out=row)
+            for d in (1, 4, 33, 65):
+                block = np.empty((2, d, m))
+                next(sm.block_streams(seed, 9, 10)).standard_normal(out=block)
+                assert np.array_equal(block.ravel(), row[: 2 * d * m])
+                assert np.array_equal(row[: 2 * d * m].reshape(2, d, m), block)
+
     @pytest.mark.parametrize("seed, lo", [(-1, 0), (-(2**70), 5), (3, -1), (-2, -2)])
     def test_negative_seed_or_index(self, seed, lo):
         with pytest.raises(InvalidConfig):
