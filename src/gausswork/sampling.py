@@ -9,6 +9,7 @@ before the trace, so the ambient unitary lives in U(2 n_full).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -503,6 +504,28 @@ DRAW_ENTRIES = 1 << 17
 
 _SCRATCH = threading.local()
 
+# glibc's mallopt parameters, and the thresholds set once a block exceeds
+# the budget: 32 MiB is glibc's 64-bit ceiling for its dynamic mmap
+# threshold, and glibc keeps the trim threshold at twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process (forked
+    workers inherit them), so that the QR's fresh arrays of a sample past
+    the block budget, 512 KiB per matrix at d m = 2^15, come from memory
+    that stays mapped when they are freed instead of being faulted back in
+    on every sample.  A no-op where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
 
 def _block_buffers(entries: int, draws: int):
     """The thread's flat buffers: the Gaussian parts of a draw of up to
@@ -513,14 +536,17 @@ def _block_buffers(entries: int, draws: int):
     The buffers are reused from draw to draw, so that blocks do not map
     and unmap fresh memory (a budget-sized complex block is 128 KiB,
     glibc's initial mmap threshold), and each grows to the largest size
-    asked for: at most its budget, or one sample past it.  They are
+    asked for: at most its budget, or one sample past it, which first pins
+    the allocator's thresholds (:func:`_keep_freed_memory`).  They are
     private to the thread: ``Generator.standard_normal`` releases the GIL,
     so threads sharing them would overwrite each other's draws.
     """
-    if getattr(_SCRATCH, "entries", 0) < entries:
+    if getattr(_SCRATCH, "entries", -1) < entries:
+        if entries > BLOCK_ENTRIES:
+            _keep_freed_memory()
         _SCRATCH.entries = entries
         _SCRATCH.kernel = np.empty(entries, complex), np.empty(8 * entries)
-    if getattr(_SCRATCH, "draws", 0) < draws:
+    if getattr(_SCRATCH, "draws", -1) < draws:
         _SCRATCH.draws = draws
         _SCRATCH.parts = np.empty(2 * draws)
     return _SCRATCH.parts, *_SCRATCH.kernel
@@ -534,30 +560,37 @@ def _draw_block(
     ``shared`` holds per config a deterministic profile's vector and Gram
     diagonal, or is [None] for a random profile's one config.  See
     :func:`iter_blocks`."""
-    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
-    width = 2 * max(dims) * m
-    parts, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, width // 2), (hi - lo) * width // 2)
-    rows = parts[: (hi - lo) * width].reshape(hi - lo, width)
+    width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
+    rows = _block_buffers(0, (hi - lo) * width // 2)[0][: (hi - lo) * width].reshape(hi - lo, -1)
     drawn = []
     for row, rng in zip(rows, streams):
         if shared[0] is None:
-            drawn.append(draw_squeezing(configs[0].profile, dims[0], rng))
+            drawn.append(draw_squeezing(configs[0].profile, configs[0].ambient_modes, rng))
         rng.standard_normal(out=row)
+    if drawn:
+        shared = [(None, np.stack([squeeze_gram_diagonal(s) for s in drawn])[:, None, :])]
+    return [(gammas, drawn or [share[0]] * (hi - lo))
+            for gammas, share in zip(_kernel(configs, rows, shared), shared)]
+
+
+def _kernel(configs, rows: np.ndarray, shared) -> list[list[np.ndarray]]:
+    """Per config of a grid, the covariance blocks of the samples whose
+    Gaussian parts are ``rows``, one row of 2 d_max m normals per sample, of
+    which a config of ambient dimension d reads the first 2 d m; ``shared``
+    holds per config a pair whose second entry is the Gram diagonal, or a
+    (rows, 1, 2d) stack of one per sample."""
+    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
+    _, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, max(dims) * m), 0)
     blocks = []
-    for d, share in zip(dims, shared):
+    for d, (_, gram) in zip(dims, shared):
         step = max(1, BLOCK_ENTRIES // (d * m))
         gammas = []
-        for k in range(0, hi - lo, step):
-            # the prefix of each row that a draw at d alone fills
+        for k in range(0, len(rows), step):
             block = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
-            entries = block[:, 0].size
-            z = _ginibre(block[:, 0], block[:, 1], ginibre[:entries].reshape(-1, d, m))
-            if share is None:
-                gram = np.stack([squeeze_gram_diagonal(s) for s in drawn[k:k + step]])[:, None, :]
-            else:
-                gram = share[1]
-            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), gram, gamma))
-        blocks.append((gammas, drawn if share is None else [share[0]] * (hi - lo)))
+            z = _ginibre(block[:, 0], block[:, 1], ginibre[: block[:, 0].size].reshape(-1, d, m))
+            weights = gram if gram.ndim == 1 else gram[k:k + step]
+            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), weights, gamma))
+        blocks.append(gammas)
     return blocks
 
 

@@ -58,6 +58,8 @@ CASES = {
         "sample --n 8 --m 2 --z-profile uniform:1.5 --samples 12 --seed 5 --threads 2 "
         "--pipeline direct", (),
     ),
+    # d m = 2^15, four times the block budget: one block per sample
+    "sample-past-budget": ("sample --n 4096 --m 4 --z-profile uniform:1.5 --samples 2 --seed 3", ()),
     "sample-bad-profile": ("sample --n 4 --z-profile gauss:2 --samples 1", ()),
     "sweep-out": (
         "sweep --n-grid 6,12 --z-profile uniform:1.5 --samples 40 --seed 11 "
@@ -129,6 +131,7 @@ GOLDEN = {
     'sample-csv': (0, '8124a5f59c1de977', 'e3b0c44298fc1c14', {}),
     'sample-file-profile': (0, '4264f07ccdd157db', 'e3b0c44298fc1c14', {}),
     'sample-json-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'s.json': '4d5be827887f3cce'}),
+    'sample-past-budget': (0, '911af1e1d3d9511f', 'e3b0c44298fc1c14', {}),
     'sample-threads': (0, '9c39151a20badef2', 'e3b0c44298fc1c14', {}),
     'sweep-decreasing': (2, 'e3b0c44298fc1c14', 'bbfe349757343aff', {}),
     'sweep-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'sw.json': '203c792763adf532', 'sw.csv': 'e0d510bd2d16dac4'}),

@@ -1,7 +1,14 @@
+import ctypes
 import hashlib
 import math
 import threading
 import tracemalloc
+import types
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -538,6 +545,116 @@ class TestBlockScratch:
         assert not thread.is_alive()
         assert kept == [sm.BLOCK_ENTRIES, sm.BLOCK_ENTRIES]
         assert np.array_equal(*drawn)
+
+
+def in_fresh_thread(target):
+    """Run ``target`` in a new thread, whose block buffers start empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(target()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and result
+    return result[0]
+
+
+def has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return True
+
+
+class TestPastBudgetMemory:
+    # d m = 2^15 (purified n = 4096, m = 4) and just past the budget
+    WIDE = RandomStateConfig(n_full=4096, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+                             master_seed=3)
+    PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+                             master_seed=3)
+
+    @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
+    def test_wide_samples_stay_resident(self):
+        # each sample's QR frees about 1.9 MB; unless glibc's thresholds
+        # are pinned, it unmaps or trims them and the next sample faults
+        # them back in, about 480 minor faults per sample here
+        def faults_per_sample():
+            sm.sample_block(self.WIDE, 0, 1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sm.sample_block(self.WIDE, 1, 9)
+            return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8
+
+        assert in_fresh_thread(faults_per_sample) < 16
+
+    def test_budget_blocks_skip_the_hook(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sm, "_keep_freed_memory", lambda: calls.append(1))
+        budget = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+                                   master_seed=3)  # d m = BLOCK_ENTRIES exactly
+
+        def draw():
+            sm.sample_block(budget, 0, 2)
+            sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=budget.profile,
+                                              master_seed=3), 0, 3 * sm.BLOCK_ENTRIES // 16)
+            list(sm.iter_blocks([budget, RandomStateConfig(
+                n_full=16, m_sys=4, profile=budget.profile, master_seed=3)], 0, 3))
+            within = len(calls)
+            sm.sample_block(self.PAST, 0, 2)
+            sm.sample_block(self.PAST, 2, 3)
+            return within, len(calls)
+
+        assert in_fresh_thread(draw) == (0, 1)
+
+    @pytest.mark.parametrize("cdll", [
+        lambda name: (_ for _ in ()).throw(OSError("no libc")),
+        lambda name: object(),  # a libc without mallopt
+    ], ids=["no-libc", "no-mallopt"])
+    def test_failed_lookup_keeps_bytes(self, monkeypatch, cdll):
+        expected = sm.sample_block(self.PAST, 0, 2)[0]
+        looked_up = []
+
+        def lookup(name):
+            looked_up.append(name)
+            return cdll(name)
+
+        monkeypatch.setattr(sm, "ctypes", types.SimpleNamespace(CDLL=lookup))
+        sm._keep_freed_memory.cache_clear()
+        try:
+            gammas = in_fresh_thread(lambda: sm.sample_block(self.PAST, 0, 2)[0])
+        finally:
+            sm._keep_freed_memory.cache_clear()  # the next past-budget block pins again
+        assert looked_up == [None]
+        assert np.array_equal(gammas, expected)
+
+
+class TestKernel:
+    @staticmethod
+    def stream_rows(configs, lo, hi):
+        """The rows and shared vectors that _draw_block hands the kernel,
+        drawn with freshly allocated arrays."""
+        m, d_max = configs[0].m_sys, max(c.ambient_modes for c in configs)
+        profile, specs, rows = configs[0].profile, [], []
+        for rng in sm.block_streams(configs[0].master_seed, lo, hi):
+            if profile.is_random:
+                specs.append(sm.draw_squeezing(profile, configs[0].ambient_modes, rng))
+            rows.append(rng.standard_normal(2 * d_max * m))
+        if profile.is_random:
+            grams = np.array([sm.squeeze_gram_diagonal(s) for s in specs])[:, None, :]
+            return np.array(rows), [(None, grams)]
+        specs = [sm.draw_squeezing(profile, c.ambient_modes) for c in configs]
+        return np.array(rows), [(s, sm.squeeze_gram_diagonal(s)) for s in specs]
+
+    @pytest.mark.parametrize("grid, profile, pipeline", [
+        ((16,), "uniform:1.3", "purified"), ((8, 32), "power:0.3", "direct"),
+        ((2,), "flat:3.0", "purified"), ((1025,), "uniform:1.5", "purified"),
+    ])
+    @pytest.mark.parametrize("m_sys", [1, 2])
+    def test_given_rows_equal_sample_block(self, grid, profile, pipeline, m_sys):
+        configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                     master_seed=19, pipeline=pipeline) for n in grid]
+        lo, hi = 5, 5 + sm.BLOCK_ENTRIES // (configs[0].ambient_modes * m_sys) + 3
+        blocks = sm._kernel(configs, *self.stream_rows(configs, lo, hi))
+        for config, gammas in zip(configs, blocks):
+            assert np.array_equal(np.concatenate(gammas), sm.sample_block(config, lo, hi)[0])
 
 
 class TestEnergyScaling:
