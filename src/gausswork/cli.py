@@ -244,7 +244,7 @@ _STATE_OPTIONS = {
     "samples": Option(int, help="samples per grid point", required=True),
     "seed": Option(int, 0, "master seed"),
     "pipeline": Option(str, "purified", choices=("direct", "purified")),
-    "threads": Option(int, 1, "worker processes"),
+    "threads": Option(int, 1, "processes, this one included"),
     "out": Option(str, help="output path (default stdout)"),
 }
 _N_OPTION = Option(int, help="full system modes before tracing", required=True)

@@ -63,7 +63,9 @@ class RejectionTimeout(GaussworkError, RuntimeError):
 
 
 class WorkerFailure(GaussworkError, RuntimeError):
-    """A worker process of the pool died before returning its chunk."""
+    """A chunk's child process could not be forked, or ended without
+    sending its whole result: it was killed, or sent an empty or
+    truncated payload."""
 
     exit_code = 3
     label = "worker failure"

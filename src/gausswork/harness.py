@@ -88,11 +88,11 @@ def _chunk(configs, csv: bool, lo: int, hi: int) -> list[tuple[np.ndarray, str]]
 def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarray, str]:
     """Records of sample indices 0..samples-1 of every config, in
     config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
-    with ``csv`` their :func:`records_csv` text.  The configs are one job:
-    a chunk of indices covers every config."""
+    with ``csv`` their :func:`records_csv` text.  The configs share one
+    fan-out: a chunk of indices covers every config."""
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
-    chunks = parallel.run_chunked(_chunk, [((configs, csv), samples)], threads)
+    chunks = parallel.run_chunked(_chunk, (configs, csv), samples, threads)
     parts = [chunk[g] for g in range(len(configs)) for chunk in chunks]
     records = _join([records for records, _ in parts]).view(np.recarray)
     return records, stats.CSV_HEADER + "\n" + "".join([rows for _, rows in parts])
@@ -219,7 +219,7 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
-    # one job, so one process pool and one task per worker, for the whole grid
+    # one fan-out for the whole grid: each process's chunk covers every point
     all_records, csv_text = _records(configs, samples, threads, return_csv)
     per_n = []
     mean_deltas = []

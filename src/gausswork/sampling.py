@@ -504,8 +504,8 @@ DRAW_ENTRIES = 1 << 17
 
 _SCRATCH = threading.local()
 
-# glibc's mallopt parameters, and the thresholds set once a block exceeds
-# the budget: 32 MiB is glibc's 64-bit ceiling for its dynamic mmap
+# glibc's mallopt parameters, and the thresholds set once one sample fills
+# a block: 32 MiB is glibc's 64-bit ceiling for its dynamic mmap
 # threshold, and glibc keeps the trim threshold at twice that
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
@@ -514,10 +514,11 @@ _MMAP_THRESHOLD = 32 << 20
 @functools.cache
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds, once per process (forked
-    workers inherit them), so that the QR's fresh arrays of a sample past
-    the block budget, 512 KiB per matrix at d m = 2^15, come from memory
-    that stays mapped when they are freed instead of being faulted back in
-    on every sample.  A no-op where libc has no ``mallopt``."""
+    children inherit them), so that the QR's fresh arrays of a sample that
+    fills a block, 128 KiB per matrix at d m = 2^13 and 512 KiB at 2^15,
+    come from memory that stays mapped when they are freed instead of
+    being faulted back in on every sample.  A no-op where libc has no
+    ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -536,14 +537,11 @@ def _block_buffers(entries: int, draws: int):
     The buffers are reused from draw to draw, so that blocks do not map
     and unmap fresh memory (a budget-sized complex block is 128 KiB,
     glibc's initial mmap threshold), and each grows to the largest size
-    asked for: at most its budget, or one sample past it, which first pins
-    the allocator's thresholds (:func:`_keep_freed_memory`).  They are
+    asked for: at most its budget, or one sample past it.  They are
     private to the thread: ``Generator.standard_normal`` releases the GIL,
     so threads sharing them would overwrite each other's draws.
     """
     if getattr(_SCRATCH, "entries", -1) < entries:
-        if entries > BLOCK_ENTRIES:
-            _keep_freed_memory()
         _SCRATCH.entries = entries
         _SCRATCH.kernel = np.empty(entries, complex), np.empty(8 * entries)
     if getattr(_SCRATCH, "draws", -1) < draws:
@@ -580,7 +578,10 @@ def _kernel(configs, rows: np.ndarray, shared) -> list[list[np.ndarray]]:
     holds per config a pair whose second entry is the Gram diagonal, or a
     (rows, 1, 2d) stack of one per sample."""
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
-    _, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, max(dims) * m), 0)
+    widest = max(dims) * m
+    if widest >= BLOCK_ENTRIES:  # one sample fills a block: keep its QR's arrays mapped
+        _keep_freed_memory()
+    _, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, widest), 0)
     blocks = []
     for d, (_, gram) in zip(dims, shared):
         step = max(1, BLOCK_ENTRIES // (d * m))

@@ -182,7 +182,7 @@ def mc_moments(
     try:
         analytics = [_ANALYTIC[q](spec, config) for q in quantities]
         rows = np.concatenate(
-            parallel.run_chunked(_moment_chunk, [((quantities, config), n_samples)], threads)
+            parallel.run_chunked(_moment_chunk, (quantities, config), n_samples, threads)
         )
         reports = []
         for quantity, analytic, values in zip(quantities, analytics, rows.T.tolist()):

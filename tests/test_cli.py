@@ -2,17 +2,18 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import numpy as np
 import pytest
 
 from gausswork import cli, harness, parallel, sampling
 from gausswork import phasespace as ps
+from gausswork.errors import WorkerFailure
 from gausswork.sampling import RandomStateConfig, ZProfile
 
 
@@ -92,33 +93,16 @@ class TestSample:
         assert "threads" in result.stderr
 
     def test_pool_size_capped(self, tmp_path, monkeypatch):
-        # a pool forks all its workers at once, so its size is capped by the
-        # chunk count and the CPU count; the fake runs every task inline
+        # the process count, the calling one included, is capped by the CPU
+        # count; the spy runs every chunk inline
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
         base = ["sample", "--n", "6", "--m", "2", "--z-profile", "uniform:1.4",
                 "--samples", "10", "--seed", "4"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+        spy = FanOutSpy(monkeypatch, inline=True)
         assert cli.main([*base, "--threads", "100000", "--out", str(out2)]) == 0
-        assert sizes == [4]
+        assert [len(ranges) for ranges in spy.fan_outs] == [4]
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_required_flag(self):
@@ -215,22 +199,16 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_one_process_pool(self, tmp_path, monkeypatch, capsys):
-        # two CPUs, so --threads 2 starts a pool on any runner
+        # two CPUs, so --threads 2 forks on any runner: one child, once for
+        # the whole grid
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pools = []
-
-        class CountingPool(parallel.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
         base = ["sweep", "--n-grid", "6,12,24", "--m", "1", "--z-profile", "uniform:1.5",
                 "--samples", "40", "--seed", "11"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        spy = FanOutSpy(monkeypatch, inline=False)
         assert cli.main([*base, "--threads", "2", "--out", str(out2)]) == 0
-        assert len(pools) == 1
+        assert spy.fan_outs == [[(0, 20), (20, 40)]]
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -300,45 +278,26 @@ class TestSweep:
                 assert tail["fraction"] == fraction
 
 
-class RecordingPool:
-    """Process-pool stand-in that runs each task inline and records the
-    (lo, hi) index range it was given."""
+class FanOutSpy:
+    """Wraps ``parallel._fork_chunks`` and records the chunk ranges of each
+    fan-out, one range per process; with ``inline`` every chunk runs in
+    this process instead of a forked child."""
 
-    ranges: list = []
+    def __init__(self, monkeypatch, inline):
+        self.fan_outs = []
+        fork_chunks = parallel._fork_chunks
 
-    def __init__(self, max_workers):
-        pass
+        def spy(worker, args, ranges):
+            self.fan_outs.append(list(ranges))
+            if inline:
+                return [worker(*args, lo, hi) for lo, hi in ranges]
+            return fork_chunks(worker, args, ranges)
 
-    def __enter__(self):
-        return self
+        monkeypatch.setattr(parallel, "_fork_chunks", spy)
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.ranges.append(args[-2:])
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-class DeadWorkerPool(RecordingPool):
-    """Process-pool stand-in whose every worker dies."""
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_exception(BrokenProcessPool("a child process terminated abruptly"))
-        return done
-
-
-class SubmitCountingPool(ProcessPoolExecutor):
-    """The real process pool, counting the tasks submitted to it."""
-
-    tasks = 0
-
-    def submit(self, fn, *args):
-        type(self).tasks += 1
-        return super().submit(fn, *args)
+    @property
+    def ranges(self):
+        return [r for ranges in self.fan_outs for r in ranges]
 
 
 class TestFanOut:
@@ -348,27 +307,22 @@ class TestFanOut:
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: self.CPUS)
-        monkeypatch.setattr(RecordingPool, "ranges", [])
 
     @staticmethod
-    def assert_covering_runs(ranges, n_runs, n_items):
-        # each job's chunks are contiguous and cover 0..n_items, in job order
-        per_run = len(ranges) // n_runs
-        assert per_run * n_runs == len(ranges)
-        for k in range(n_runs):
-            run = ranges[k * per_run:(k + 1) * per_run]
-            assert run[0][0] == 0 and run[-1][1] == n_items
-            assert all(a[1] == b[0] for a, b in zip(run, run[1:]))
+    def assert_covering(ranges, n_items):
+        # the chunks are contiguous and cover 0..n_items, in index order
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_items
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
     def test_sample_cut_in_one_chunk_per_worker(self, tmp_path, monkeypatch):
         base = ["sample", "--n", "4", "--m", "1", "--z-profile", "uniform:1.5",
                 "--samples", "2000", "--seed", "3"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        spy = FanOutSpy(monkeypatch, inline=True)
         assert cli.main([*base, "--threads", "2000", "--out", str(out2)]) == 0
-        assert len(RecordingPool.ranges) == min(2000, os.cpu_count())
-        self.assert_covering_runs(RecordingPool.ranges, 1, 2000)
+        assert len(spy.ranges) == min(2000, os.cpu_count())
+        self.assert_covering(spy.ranges, 2000)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sweep_cut_in_one_chunk_per_worker(self, tmp_path, monkeypatch):
@@ -377,18 +331,17 @@ class TestFanOut:
                 "--samples", "40", "--seed", "11"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        spy = FanOutSpy(monkeypatch, inline=True)
         assert cli.main([*base, "--threads", "2000", "--out", str(out2)]) == 0
-        assert len(RecordingPool.ranges) == self.CPUS
-        self.assert_covering_runs(RecordingPool.ranges, 1, 40)
+        assert len(spy.ranges) == self.CPUS
+        self.assert_covering(spy.ranges, 40)
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", [3, 2 ** 70 + 12345])  # the second exceeds int64
     def test_worker_rows_match_records_csv(self, tmp_path, monkeypatch, seed):
-        # a real fork pool, so each chunk's rows are formatted in a worker
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SubmitCountingPool)
-        monkeypatch.setattr(SubmitCountingPool, "tasks", 0)
+        # real forks, so each chunk but the first has its rows formatted in a child
+        spy = FanOutSpy(monkeypatch, inline=False)
         profile, samples, grid = ZProfile("uniform", z0=1.5), 30, (4, 6)
         configs = {n: RandomStateConfig(n_full=n, m_sys=1, profile=profile, master_seed=seed)
                    for n in grid}
@@ -404,7 +357,7 @@ class TestFanOut:
                              "--threads", threads, "--out", str(out)]) == 0
             expected = harness.records_csv(np.concatenate([records[n] for n in grid]), configs[4])
             assert out.with_suffix(".csv").read_bytes() == expected.encode()
-        assert SubmitCountingPool.tasks == self.CPUS + self.CPUS
+        assert len(spy.ranges) == self.CPUS + self.CPUS
         assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
 
     @pytest.mark.parametrize("profile, per_chunk", [("uniform:1.5", 1), ("flat:6.0", 2)])
@@ -419,22 +372,139 @@ class TestFanOut:
             return pcg64_seeds(master_seed, lo, hi)
 
         monkeypatch.setattr(sampling, "_pcg64_seeds", counting)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        spy = FanOutSpy(monkeypatch, inline=True)
         harness.run_sweep([1, 2], 1, ZProfile.parse(profile), 40, 11, threads=3)
-        assert len(RecordingPool.ranges) == self.CPUS
-        assert calls == [r for r in RecordingPool.ranges for _ in range(per_chunk)]
+        assert len(spy.ranges) == self.CPUS
+        assert calls == [r for r in spy.ranges for _ in range(per_chunk)]
 
     @pytest.mark.parametrize("command", [
         ["sample", "--n", "4", "--z-profile", "uniform:1.5", "--samples", "20"],
         ["sweep", "--n-grid", "4,6", "--z-profile", "uniform:1.5", "--samples", "20"],
     ], ids=["sample", "sweep"])
     def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", DeadWorkerPool)
+        chunk = harness._chunk
+
+        def dying(configs, csv, lo, hi):
+            if lo:  # a forked child: the first chunk runs in this process
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk(configs, csv, lo, hi)
+
+        monkeypatch.setattr(harness, "_chunk", dying)
         out = tmp_path / "out.json"
         assert cli.main([*command, "--threads", "2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("worker failure: ")
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def index_sum(scale, lo, hi):
+    return scale * sum(range(lo, hi))
+
+
+class ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(0)
+
+
+def failing_child(how, lo, hi):
+    """A chunk worker whose forked children fail as ``how`` says; the
+    first chunk, which runs in the calling process, returns."""
+    if lo == 0:
+        return hi
+    if how == "killed":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if how == "empty":
+        os._exit(0)
+    if how == "raises":
+        raise ValueError(f"chunk from {lo}")
+    return [bytes(1 << 20), ExitWhenPickled()]  # the pipe gets 1 MiB of a pickle
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForks:
+    # four CPUs, so every case forks on any runner
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_results_in_index_order(self):
+        assert parallel.run_chunked(index_sum, (2,), 10, 4) == [
+            index_sum(2, lo, hi) for lo, hi in parallel.split_ranges(10, 4)]
+        assert_no_children()
+
+    @pytest.mark.parametrize("how, detail", [
+        ("killed", f"killed by signal {int(signal.SIGKILL)}"),
+        ("empty", "exit status 0"),
+        ("truncated", "exit status 0"),
+    ])
+    def test_child_without_result_is_worker_failure(self, how, detail):
+        with pytest.raises(WorkerFailure, match=rf"indices 2\.\.4 returned no result \({detail}\)"):
+            parallel.run_chunked(failing_child, (how,), 10, 4)
+        assert_no_children()
+
+    def test_failed_fork_is_worker_failure(self, monkeypatch):
+        # the second fork fails: the first child is killed and reaped, and
+        # no pipe end stays open
+        pipes, fork = [], os.fork
+
+        def recording_pipe(pipe=os.pipe):
+            pipes.extend(pipe())
+            return pipes[-2:]
+
+        def fork_once():
+            if len(pipes) > 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", fork_once)
+        with pytest.raises(WorkerFailure, match="^cannot fork a worker process: "):
+            parallel.run_chunked(index_sum, (1,), 10, 4)
+        assert_no_children()
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_lowest_failing_chunk_wins(self):
+        with pytest.raises(ValueError, match="^chunk from 2$"):
+            parallel.run_chunked(failing_child, ("raises",), 10, 4)
+        assert_no_children()
+
+    def test_failing_first_chunk_kills_children(self, tmp_path):
+        # the children would each leave a file after a second; they are
+        # killed once the first chunk fails here, not waited for
+        def worker(lo, hi):
+            if lo == 0:
+                raise ValueError("first chunk")
+            time.sleep(1.0)
+            (tmp_path / str(lo)).write_text("done")
+
+        with pytest.raises(ValueError, match="^first chunk$"):
+            parallel.run_chunked(worker, (), 10, 4)
+        assert_no_children()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, message", [
+        # every sample fails, so the first chunk fails in the calling process
+        (("--samples", "4", "--seed", "1", "--z-profile", "power:60"), "sample 0: "),
+        # samples 4, 5 and 7 fail: the first chunk passes and the error is a child's
+        (("--samples", "8", "--seed", "11", "--z-profile", "power:29"), "sample 4: "),
+    ], ids=["first-chunk", "later-chunk"])
+    def test_failing_sweep_same_stderr_at_every_thread_count(self, tmp_path, capsys, args, message):
+        errors = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"w{threads}.json"
+            assert cli.main(["sweep", "--n-grid", "2,4", *args, "--threads", threads,
+                             "--out", str(out)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert_no_children()
+        assert errors[0].startswith(f"numerical failure: {message}positive-definite")
+        assert errors == [errors[0]] * 3
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,9 @@
 import ctypes
+import functools
 import hashlib
 import math
+import subprocess
+import sys
 import threading
 import tracemalloc
 import types
@@ -566,11 +569,27 @@ def has_mallopt():
 
 
 class TestPastBudgetMemory:
-    # d m = 2^15 (purified n = 4096, m = 4) and just past the budget
+    # d m = 2^15 (purified n = 4096, m = 4), exactly the budget and just past it
     WIDE = RandomStateConfig(n_full=4096, m_sys=4, profile=ZProfile("uniform", z0=1.5),
                              master_seed=3)
+    BUDGET = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+                               master_seed=3)
     PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", z0=1.5),
                              master_seed=3)
+    # faults per sample of 8 samples of d m = BLOCK_ENTRIES, after one
+    # warm-up, in a fresh interpreter whose allocator no other test has pinned
+    BUDGET_FAULTS = """
+import resource
+from gausswork import sampling as sm
+from gausswork.sampling import RandomStateConfig, ZProfile
+config = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+                           master_seed=3)
+assert config.ambient_modes * config.m_sys == sm.BLOCK_ENTRIES
+sm.sample_block(config, 0, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sm.sample_block(config, 1, 9)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
+"""
 
     @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
     def test_wide_samples_stay_resident(self):
@@ -585,24 +604,37 @@ class TestPastBudgetMemory:
 
         assert in_fresh_thread(faults_per_sample) < 16
 
+    @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
+    def test_budget_samples_stay_resident(self):
+        # one sample that exactly fills a block frees its QR's 128 KiB
+        # arrays; unpinned, that is about 96 minor faults per sample
+        result = subprocess.run([sys.executable, "-c", self.BUDGET_FAULTS],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 16
+
     def test_budget_blocks_skip_the_hook(self, monkeypatch):
+        # the hook is cached, so it runs once per process
         calls = []
-        monkeypatch.setattr(sm, "_keep_freed_memory", lambda: calls.append(1))
-        budget = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
-                                   master_seed=3)  # d m = BLOCK_ENTRIES exactly
+        monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: calls.append(1)))
+        profile = self.BUDGET.profile
 
         def draw():
-            sm.sample_block(budget, 0, 2)
-            sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=budget.profile,
+            # blocks of several samples each (d m = 16, 128 and 4096)
+            sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=profile,
                                               master_seed=3), 0, 3 * sm.BLOCK_ENTRIES // 16)
-            list(sm.iter_blocks([budget, RandomStateConfig(
-                n_full=16, m_sys=4, profile=budget.profile, master_seed=3)], 0, 3))
+            list(sm.iter_blocks([RandomStateConfig(n_full=16, m_sys=4, profile=profile,
+                                                   master_seed=3),
+                                 RandomStateConfig(n_full=512, m_sys=4, profile=profile,
+                                                   master_seed=3)], 0, 3))
             within = len(calls)
+            sm.sample_block(self.BUDGET, 0, 2)  # d m = BLOCK_ENTRIES exactly
+            at_budget = len(calls)
             sm.sample_block(self.PAST, 0, 2)
             sm.sample_block(self.PAST, 2, 3)
-            return within, len(calls)
+            return within, at_budget, len(calls)
 
-        assert in_fresh_thread(draw) == (0, 1)
+        assert in_fresh_thread(draw) == (0, 1, 1)
 
     @pytest.mark.parametrize("cdll", [
         lambda name: (_ for _ in ()).throw(OSError("no libc")),
