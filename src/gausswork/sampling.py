@@ -13,8 +13,6 @@ import ctypes
 import functools
 import math
 import operator
-import os
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -324,17 +322,7 @@ def flat_z_max(energy: float) -> float:
 
 
 def _profile_file_values(path: str) -> np.ndarray:
-    """The z values of a ``file:`` profile, read-only.  Read once per
-    version of the file (absolute path, mtime, size), not once per sample."""
-    try:
-        st = os.stat(path)
-    except OSError as exc:
-        raise InvalidProfile(f"cannot read profile file {path}: {exc}") from exc
-    return _read_profile_file(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
-
-
-@functools.lru_cache(maxsize=8)
-def _read_profile_file(path: str, key: tuple) -> np.ndarray:
+    """The z values of a ``file:`` profile, one per non-blank line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             values = np.array([float(line) for line in fh if line.strip()])
@@ -344,7 +332,6 @@ def _read_profile_file(path: str, key: tuple) -> np.ndarray:
         raise InvalidProfile(f"profile file {path} has a non-numeric line: {exc}") from exc
     if not np.isfinite(values).all():
         raise InvalidProfile(f"profile file {path} has a non-finite value")
-    values.flags.writeable = False
     return values
 
 
@@ -437,9 +424,7 @@ class RandomStateConfig:
         return 2 * self.n_full if self.pipeline == "purified" else self.n_full
 
 
-def _gamma_from_rows(
-    rows: np.ndarray, gram_diag: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
     """Reduced covariance from the kept rows of the ambient unitary.
 
     ``rows`` holds the first m rows of U in U(d), or a stack of them
@@ -447,11 +432,10 @@ def _gamma_from_rows(
     [Re W, Im W] and [-Im W, Re W], and the kept covariance block is half
     their Gram matrix through the squeeze diagonal (which broadcasts
     against the stack).  The selector and its product with the diagonal
-    are built in ``scratch``, a float buffer of at least 8 * rows.size
-    entries, or in fresh memory without one.
+    are built in one fresh buffer of 8 * rows.size floats.
     """
     *stack, m, d = rows.shape
-    buffers = np.empty(8 * rows.size) if scratch is None else scratch[: 8 * rows.size]
+    buffers = np.empty(8 * rows.size)
     # The selector is laid out as np.block([[re, im], [-im, re]]) lays it
     # out, column-major per matrix where the rows are (the sampling
     # kernel's at m >= 2), else C order: matmul's BLAS route, and with it
@@ -494,19 +478,14 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
 # (d = 4096, m = 8) is a block of its own.
 BLOCK_ENTRIES = 1 << 13
 # Largest number of complex entries (samples x d_max x m) of one draw that
-# a grid's configs share: 2^18 normals, 2 MiB.  Up to d_max / d_min = 16 the
+# a grid's configs share: 2^18 normals, 2 MiB, 16 bytes per entry; a single
+# config at the block budget draws 128 KiB.  Up to d_max / d_min = 16 the
 # grid's smallest config still gets kernel blocks of the full budget.
-# Each thread keeps one set of kernel buffers (_block_buffers), 80 bytes
-# per entry: 0.625 MiB at the budget, 2.5 MiB after a d = 4096, m = 8
-# sample; and one draw buffer, 16 bytes per entry: 128 KiB for a single
-# config at the budget, 2 MiB at the cap.
 DRAW_ENTRIES = 1 << 17
 
-_SCRATCH = threading.local()
-
-# glibc's mallopt parameters, and the thresholds set once one sample fills
-# a block: 32 MiB is glibc's 64-bit ceiling for its dynamic mmap
-# threshold, and glibc keeps the trim threshold at twice that
+# glibc's mallopt parameters, and the thresholds pinned before the first
+# block: 32 MiB is glibc's 64-bit ceiling for its dynamic mmap threshold,
+# and glibc keeps the trim threshold at twice that
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 
@@ -514,11 +493,10 @@ _MMAP_THRESHOLD = 32 << 20
 @functools.cache
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds, once per process (forked
-    children inherit them), so that the QR's fresh arrays of a sample that
-    fills a block, 128 KiB per matrix at d m = 2^13 and 512 KiB at 2^15,
-    come from memory that stays mapped when they are freed instead of
-    being faulted back in on every sample.  A no-op where libc has no
-    ``mallopt``."""
+    children inherit them), so that a block's fresh arrays, 128 KiB per
+    matrix at d m = 2^13 and 512 KiB at 2^15, come from memory that stays
+    mapped when they are freed instead of being faulted back in on every
+    block.  A no-op where libc has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -526,28 +504,6 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-
-
-def _block_buffers(entries: int, draws: int):
-    """The thread's flat buffers: the Gaussian parts of a draw of up to
-    ``draws`` complex entries (2 floats each), and for kernel blocks of up
-    to ``entries`` complex entries the Ginibre block (1 complex each) and
-    the selector with its weighted copy (8 floats each).
-
-    The buffers are reused from draw to draw, so that blocks do not map
-    and unmap fresh memory (a budget-sized complex block is 128 KiB,
-    glibc's initial mmap threshold), and each grows to the largest size
-    asked for: at most its budget, or one sample past it.  They are
-    private to the thread: ``Generator.standard_normal`` releases the GIL,
-    so threads sharing them would overwrite each other's draws.
-    """
-    if getattr(_SCRATCH, "entries", -1) < entries:
-        _SCRATCH.entries = entries
-        _SCRATCH.kernel = np.empty(entries, complex), np.empty(8 * entries)
-    if getattr(_SCRATCH, "draws", -1) < draws:
-        _SCRATCH.draws = draws
-        _SCRATCH.parts = np.empty(2 * draws)
-    return _SCRATCH.parts, *_SCRATCH.kernel
 
 
 def _draw_block(
@@ -559,7 +515,7 @@ def _draw_block(
     diagonal, or is [None] for a random profile's one config.  See
     :func:`iter_blocks`."""
     width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
-    rows = _block_buffers(0, (hi - lo) * width // 2)[0][: (hi - lo) * width].reshape(hi - lo, -1)
+    rows = np.empty((hi - lo, width))
     drawn = []
     for row, rng in zip(rows, streams):
         if shared[0] is None:
@@ -578,19 +534,15 @@ def _kernel(configs, rows: np.ndarray, shared) -> list[list[np.ndarray]]:
     holds per config a pair whose second entry is the Gram diagonal, or a
     (rows, 1, 2d) stack of one per sample."""
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
-    widest = max(dims) * m
-    if widest >= BLOCK_ENTRIES:  # one sample fills a block: keep its QR's arrays mapped
-        _keep_freed_memory()
-    _, ginibre, gamma = _block_buffers(max(BLOCK_ENTRIES, widest), 0)
     blocks = []
     for d, (_, gram) in zip(dims, shared):
         step = max(1, BLOCK_ENTRIES // (d * m))
         gammas = []
         for k in range(0, len(rows), step):
             block = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
-            z = _ginibre(block[:, 0], block[:, 1], ginibre[: block[:, 0].size].reshape(-1, d, m))
+            z = _ginibre(block[:, 0], block[:, 1], np.empty((len(block), d, m), complex))
             weights = gram if gram.ndim == 1 else gram[k:k + step]
-            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), weights, gamma))
+            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), weights))
         blocks.append(gammas)
     return blocks
 
@@ -621,13 +573,14 @@ def iter_blocks(configs, lo: int, hi: int):
     blocks of at most ``BLOCK_ENTRIES`` entries of a draw (at least one
     sample).  Only the kept m rows of the ambient Haar unitary are
     generated (their marginal distribution is exact): O(d m^2) per
-    sample, not O(d^3).  The Gaussian parts, the Ginibre block, the
-    selector and its product with the squeeze diagonal are views of the
-    thread's reused buffers (:func:`_block_buffers`), and the phase
-    correction scales the QR's Q in place.  A stack gathers the many
-    small blocks of a large d, since its statistics cost about 0.2 ms per
-    call whatever its size.
+    sample, not O(d^3).  Each draw and each block get fresh arrays, and
+    the phase correction scales the QR's Q in place; glibc's thresholds
+    are pinned once per process, before the first draw
+    (:func:`_keep_freed_memory`), so freed blocks stay mapped.  A stack
+    gathers the many small blocks of a large d, since its statistics cost
+    about 0.2 ms per call whatever its size.
     """
+    _keep_freed_memory()
     if len({(c.master_seed, c.m_sys, c.profile) for c in configs}) != 1:
         raise InvalidConfig("the configs of a grid must share master seed, m and profile")
     profile = configs[0].profile

@@ -38,8 +38,8 @@ class TestComputeRecords:
             harness.compute_records(uniform_config(), 0)
 
     def test_concurrent_threads_keep_their_draws(self):
-        # two threads draw blocks of one shape at once; each has its own
-        # sampling scratch, so neither overwrites the other's Gaussian parts
+        # two threads draw blocks of one shape at once; each draw and block
+        # gets fresh arrays, so neither overwrites the other's Gaussian parts
         configs = [uniform_config(n_full=16, seed=seed) for seed in (11, 12)]
         samples = 3 * sampling.BLOCK_ENTRIES // 32 - 50  # three blocks, the last short
         expected = [harness.compute_records(config, samples) for config in configs]

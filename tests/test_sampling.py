@@ -4,8 +4,6 @@ import hashlib
 import math
 import subprocess
 import sys
-import threading
-import tracemalloc
 import types
 
 try:
@@ -16,6 +14,7 @@ except ImportError:  # not on Windows
 import numpy as np
 import pytest
 
+from gausswork import harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork.errors import (
@@ -305,8 +304,8 @@ class TestDrawSqueezing:
         monkeypatch.setattr(sm, "open", counting_open, raising=False)
         config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("file", path=str(path)),
                                    master_seed=0)
-        for index in range(5):
-            sm.sample_block(config, index, index + 1)
+        # once per call, not once per sample
+        harness.compute_records(config, 5)
         assert opened == [str(path)]
         # a rewritten file, or the same relative path from another directory, is read again
         path.write_text("1.25\n1.5\n2.0\n1.2\n")
@@ -510,54 +509,15 @@ class TestBlockScratch:
                 assert np.array_equal(sm.state_from_unitary(u, spec, m),
                                       gamma_reference(u[..., :m, :], gram))
 
-    @pytest.mark.parametrize("n_full, m_sys", [(16, 2), (128, 1)])
-    def test_repeated_block_allocates_under_three_blocks(self, n_full, m_sys):
-        # d = 32, m = 2 and d = 256, m = 1 at the block budget; the second
-        # same-shape block reuses the first one's scratch, so only the QR's
-        # arrays and the returned stack are new
-        config = RandomStateConfig(n_full=n_full, m_sys=m_sys,
-                                   profile=ZProfile("uniform", z0=1.5), master_seed=3)
-        step = sm.BLOCK_ENTRIES // (config.ambient_modes * m_sys)
-        sm.sample_block(config, 0, step)
-        tracemalloc.start()
-        try:
-            sm.sample_block(config, step, 2 * step)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * np.dtype(complex).itemsize * sm.BLOCK_ENTRIES
-
     def test_block_beyond_budget_is_not_kept(self):
         # a direct call for four budgets' worth of samples draws budget-sized
-        # blocks, so the thread keeps only the budget-sized set
+        # blocks: the bytes of four budget-sized calls
         config = RandomStateConfig(n_full=8, m_sys=1, profile=ZProfile("uniform", z0=1.5),
                                    master_seed=3)
         step = sm.BLOCK_ENTRIES // config.ambient_modes
-        drawn, kept = [], []
-
-        def draw():
-            drawn.append(sm.sample_block(config, 0, 4 * step)[0])
-            kept.append(getattr(sm._SCRATCH, "entries", 0))
-            drawn.append(np.concatenate([sm.sample_block(config, k, k + step)[0]
-                                         for k in range(0, 4 * step, step)]))
-            kept.append(sm._SCRATCH.entries)
-
-        thread = threading.Thread(target=draw)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert kept == [sm.BLOCK_ENTRIES, sm.BLOCK_ENTRIES]
-        assert np.array_equal(*drawn)
-
-
-def in_fresh_thread(target):
-    """Run ``target`` in a new thread, whose block buffers start empty."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(target()))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive() and result
-    return result[0]
+        whole = sm.sample_block(config, 0, 4 * step)[0]
+        parts = [sm.sample_block(config, k, k + step)[0] for k in range(0, 4 * step, step)]
+        assert np.array_equal(whole, np.concatenate(parts))
 
 
 def has_mallopt():
@@ -576,15 +536,14 @@ class TestPastBudgetMemory:
                                master_seed=3)
     PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", z0=1.5),
                              master_seed=3)
-    # faults per sample of 8 samples of d m = BLOCK_ENTRIES, after one
-    # warm-up, in a fresh interpreter whose allocator no other test has pinned
-    BUDGET_FAULTS = """
-import resource
+    # faults per sample of 8 samples, after one warm-up, in a fresh
+    # interpreter whose allocator no other test has pinned
+    FRESH_FAULTS = """
+import resource, sys
 from gausswork import sampling as sm
 from gausswork.sampling import RandomStateConfig, ZProfile
-config = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
-                           master_seed=3)
-assert config.ambient_modes * config.m_sys == sm.BLOCK_ENTRIES
+config = RandomStateConfig(n_full=int(sys.argv[1]), m_sys=int(sys.argv[2]),
+                           profile=ZProfile("uniform", z0=1.5), master_seed=3)
 sm.sample_block(config, 0, 1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sm.sample_block(config, 1, 9)
@@ -602,39 +561,40 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
             sm.sample_block(self.WIDE, 1, 9)
             return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8
 
-        assert in_fresh_thread(faults_per_sample) < 16
+        assert faults_per_sample() < 16
 
     @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
-    def test_budget_samples_stay_resident(self):
-        # one sample that exactly fills a block frees its QR's 128 KiB
-        # arrays; unpinned, that is about 96 minor faults per sample
-        result = subprocess.run([sys.executable, "-c", self.BUDGET_FAULTS],
+    @pytest.mark.parametrize("n_full, m_sys", [(16, 2), (1024, 4), (4096, 4)])
+    def test_budget_samples_stay_resident(self, n_full, m_sys):
+        # d m = 64, exactly the block budget, and four budgets: a sample
+        # that fills a block frees its QR's 128 KiB arrays, and unpinned
+        # that is about 96 minor faults per sample; pinned after the first
+        # block is allocated, 16 per sample at d m = 2^15
+        result = subprocess.run([sys.executable, "-c", self.FRESH_FAULTS, str(n_full), str(m_sys)],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert float(result.stdout) < 16
 
-    def test_budget_blocks_skip_the_hook(self, monkeypatch):
-        # the hook is cached, so it runs once per process
-        calls = []
-        monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: calls.append(1)))
-        profile = self.BUDGET.profile
-
-        def draw():
-            # blocks of several samples each (d m = 16, 128 and 4096)
-            sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=profile,
-                                              master_seed=3), 0, 3 * sm.BLOCK_ENTRIES // 16)
-            list(sm.iter_blocks([RandomStateConfig(n_full=16, m_sys=4, profile=profile,
-                                                   master_seed=3),
-                                 RandomStateConfig(n_full=512, m_sys=4, profile=profile,
-                                                   master_seed=3)], 0, 3))
-            within = len(calls)
-            sm.sample_block(self.BUDGET, 0, 2)  # d m = BLOCK_ENTRIES exactly
-            at_budget = len(calls)
-            sm.sample_block(self.PAST, 0, 2)
-            sm.sample_block(self.PAST, 2, 3)
-            return within, at_budget, len(calls)
-
-        assert in_fresh_thread(draw) == (0, 1, 1)
+    def test_hook_runs_once_before_the_first_draw(self, monkeypatch):
+        # whatever the size of the first block, the process pins glibc's
+        # thresholds before it draws it, and only once
+        events = []
+        draw_block = sm._draw_block
+        monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: events.append("pin")))
+        monkeypatch.setattr(sm, "_draw_block", lambda *a: events.append("draw") or draw_block(*a))
+        profile, flat = self.BUDGET.profile, ZProfile("flat", energy=6.0)
+        # blocks of several samples each (d m = 16, 128 and 4096), a flat
+        # grid, then one and two samples per block
+        sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=profile,
+                                          master_seed=3), 0, 3 * sm.BLOCK_ENTRIES // 16)
+        assert events[:2] == ["pin", "draw"]
+        list(sm.iter_blocks([RandomStateConfig(n_full=n, m_sys=4, profile=profile, master_seed=3)
+                             for n in (16, 512)], 0, 3))
+        list(sm.iter_blocks([RandomStateConfig(n_full=n, m_sys=1, profile=flat, master_seed=3)
+                             for n in (1, 2)], 0, 3))
+        sm.sample_block(self.BUDGET, 0, 2)
+        sm.sample_block(self.PAST, 0, 2)
+        assert events.count("pin") == 1
 
     @pytest.mark.parametrize("cdll", [
         lambda name: (_ for _ in ()).throw(OSError("no libc")),
@@ -651,9 +611,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
         monkeypatch.setattr(sm, "ctypes", types.SimpleNamespace(CDLL=lookup))
         sm._keep_freed_memory.cache_clear()
         try:
-            gammas = in_fresh_thread(lambda: sm.sample_block(self.PAST, 0, 2)[0])
+            gammas = sm.sample_block(self.PAST, 0, 2)[0]
         finally:
-            sm._keep_freed_memory.cache_clear()  # the next past-budget block pins again
+            sm._keep_freed_memory.cache_clear()  # the next iter_blocks call pins again
         assert looked_up == [None]
         assert np.array_equal(gammas, expected)
 
