@@ -139,12 +139,11 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
 
 
 def _ginibre(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, from their real
-    and imaginary parts, written into ``out``: (re + 1j * im) / sqrt(2)
-    by the same ufunc loops, in place."""
-    np.multiply(1j, im, out=out)
-    np.add(re, out, out=out)
-    out /= math.sqrt(2.0)
+    """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, written into ``out``:
+    each half is its part times 1/sqrt(2), bit for bit numpy's complex
+    division (re + 1j * im) / sqrt(2), which multiplies by the reciprocal."""
+    np.multiply(re, 1.0 / math.sqrt(2.0), out=out.real)
+    np.multiply(im, 1.0 / math.sqrt(2.0), out=out.imag)
     return out
 
 
@@ -318,7 +317,10 @@ def flat_z_max(energy: float) -> float:
     """Largest single z compatible with the ball: solves z^2 + z^-2 = 4E."""
     if energy < 0.5:
         raise EmptyConstraintSet(f"energy bound {energy} admits no z >= 1")
-    return math.sqrt(2.0 * energy + math.sqrt(4.0 * energy * energy - 1.0))
+    z_max = math.sqrt(2.0 * energy + math.sqrt(4.0 * energy * energy - 1.0))
+    if not math.isfinite(z_max):  # 4E^2 overflows
+        raise InvalidProfile(f"energy bound {energy} too large: z_max overflows")
+    return z_max
 
 
 def _profile_file_values(path: str) -> np.ndarray:
@@ -449,8 +451,10 @@ def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
     sel[..., :m, d:] = im
     np.negative(im, out=sel[..., m:, :d])
     sel[..., m:, d:] = re
-    np.multiply(sel, gram_diag, out=w)
-    w *= 0.5
+    # Halving a double is exact, so s (g / 2) has the bits of (s g) / 2
+    # unless s g / 2 is subnormal, which takes z >~ 1e150, where the
+    # statistics already overflow.
+    np.multiply(sel, 0.5 * gram_diag, out=w)
     return w @ np.swapaxes(sel, -1, -2)
 
 

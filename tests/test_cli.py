@@ -140,6 +140,8 @@ class TestSample:
         ("64", "power:200", 2),
         ("2", "uniform:1e50", 3),  # the dispersions overflow
         ("2", "power:60", 3),  # a sampled state loses positive definiteness to rounding
+        ("1", "flat:1e308", 2),  # 4E^2 overflows, so the largest z is infinite
+        ("1", "flat:1e160", 2),
     ])
     def test_overflowing_profile(self, tmp_path, n, profile, code):
         out = tmp_path / "s.csv"
@@ -195,6 +197,16 @@ class TestSweep:
                          "--threads", "2", "--out", str(out))
         assert result.returncode == 3
         assert result.stderr.startswith("numerical failure: sample 1: positive-definite")
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_flat_energy_exits_2(self, tmp_path):
+        out = tmp_path / "w.json"
+        result = run_cli("sweep", "--n-grid", "2,4", "--z-profile", "flat:1e300", "--samples", "4",
+                         "--threads", "2", "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith("invalid input: energy bound 1e+300 too large")
+        assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 

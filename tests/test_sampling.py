@@ -467,7 +467,52 @@ def gamma_reference(rows, gram_diag):
     return 0.5 * (sel * gram_diag) @ np.swapaxes(sel, -1, -2)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestKernelHelpers:
+    @staticmethod
+    def ginibre_pairs():
+        """(re, im) pairs as the kernel and haar_unitary hand them over."""
+        rng = np.random.default_rng(41)
+        for shape in ((1,), (7, 3), (4, 16, 2)):  # contiguous
+            yield rng.standard_normal(shape), rng.standard_normal(shape)
+        for d, d_max, m in ((8, 32, 2), (5, 5, 1), (64, 128, 3)):
+            # a grid draw's rows, read through a config's prefix
+            block = rng.standard_normal((6, 2 * d_max * m))[:, : 2 * d * m].reshape(-1, 2, d, m)
+            yield block[:, 0], block[:, 1]
+        for dim, shape in ((1, ()), (6, ()), (4, (3,)), (3, (2, 2))):
+            parts = rng.standard_normal((*shape, 2, dim, dim))
+            yield parts[..., 0, :, :], parts[..., 1, :, :]
+
+    def test_ginibre_is_complex_division(self):
+        for re, im in self.ginibre_pairs():
+            z = sm._ginibre(re, im, np.empty(re.shape, complex))
+            assert same_bits(z, (re + 1j * im) / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("z0", [1.5, 1e3, 1e50, 1e100])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_gamma_from_rows_equals_reference(self, m, z0):
+        rng = np.random.default_rng(43)
+        d, n = 12, 5
+        z = z0 * rng.uniform(1.0, 2.0, d)
+        gram = sm.squeeze_gram_diagonal(SqueezingSpec(z))
+        per_sample = np.stack([sm.squeeze_gram_diagonal(SqueezingSpec(z0 * rng.uniform(1.0, 2.0, d)))
+                               for _ in range(n)])[:, None, :]
+        q = sm._haar_columns(sm._ginibre(*rng.standard_normal((2, n, d, m)),
+                                         np.empty((n, d, m), complex)))
+        # C-order rows, and the kernel's rows: the transpose of the QR's Q
+        for rows in (np.ascontiguousarray(np.swapaxes(q, -1, -2)), np.swapaxes(q, -1, -2)):
+            for weights in (gram, per_sample):
+                assert same_bits(sm._gamma_from_rows(rows, weights), gamma_reference(rows, weights))
+            assert same_bits(sm._gamma_from_rows(rows[0], gram), gamma_reference(rows[0], gram))
+
+
 class TestBlockScratch:
+    """Sampled blocks against the block expression on freshly allocated arrays."""
+
     @pytest.mark.parametrize("pipeline", ["purified", "direct"])
     @pytest.mark.parametrize("n_full, m_sys, profile", [
         (16, 1, "uniform:1.3"), (16, 2, "uniform:1.3"), (16, 3, "uniform:1.3"),
