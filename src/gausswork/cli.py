@@ -202,7 +202,7 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_moments(opts: dict) -> int:
     config = _state_config(opts)
-    reports = weingarten.mc_moments(weingarten.QUANTITIES, config, opts["samples"], opts["threads"])
+    reports = weingarten.mc_moments(config, opts["samples"], opts["threads"])
     _write_output(opts["out"], _json_text([r.to_dict() for r in reports]))
     return 0
 
@@ -243,7 +243,8 @@ _STATE_OPTIONS = {
     ),
     "samples": Option(int, help="samples per grid point", required=True),
     "seed": Option(int, 0, "master seed"),
-    "pipeline": Option(str, "purified", choices=("direct", "purified")),
+    "pipeline": Option(str, "purified", "purified samples 2n ambient modes, the draws of "
+                       "direct at 2n, with n_modes_full = n", choices=("direct", "purified")),
     "threads": Option(int, 1, "processes, this one included"),
     "out": Option(str, help="output path (default stdout)"),
 }

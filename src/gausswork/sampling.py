@@ -198,14 +198,14 @@ def unitary_to_symplectic(u: np.ndarray) -> np.ndarray:
     return np.block([[u.real, u.imag], [-u.imag, u.real]])
 
 
-# kind -> None for a kind without parameter, else (its field, the parser of
-# its text, the test its value must pass, what an error says it needs)
+# kind -> None for a kind without parameter, else (the parser of its text,
+# the test its value must pass, what an error says it needs)
 _PROFILE_PARAMETERS = {
     "vacuum": None,
-    "uniform": ("z0", float, lambda v: v >= 1.0, "z0 >= 1, got {}"),
-    "power": ("beta", float, lambda v: v >= 0.0, "beta >= 0, got {}"),
-    "flat": ("energy", float, lambda v: v > 0.0, "a positive energy bound, got {}"),
-    "file": ("path", str, bool, "a path"),
+    "uniform": (float, lambda v: v >= 1.0, "z0 >= 1, got {}"),
+    "power": (float, lambda v: v >= 0.0, "beta >= 0, got {}"),
+    "flat": (float, lambda v: v > 0.0, "a positive energy bound, got {}"),
+    "file": (str, bool, "a path"),
 }
 
 
@@ -213,66 +213,55 @@ _PROFILE_PARAMETERS = {
 class ZProfile:
     """Squeezing profile for the ambient modes.
 
-    Kinds: ``vacuum`` (all ones), ``uniform`` (all z0), ``power`` (the
-    first ceil(n/4) modes squeezed to n^(beta/2), rest 1, so the largest
-    squeeze-spectrum entry grows like n^beta), ``flat`` (flat Lebesgue
-    measure on the energy ball, by rejection) and ``file`` (one z per line,
-    ambient-dimension many entries).
+    Kinds and their ``param``: ``vacuum`` (none; all ones), ``uniform``
+    (all z0), ``power`` (beta: the first ceil(n/4) modes squeezed to
+    n^(beta/2), rest 1, so the largest squeeze-spectrum entry grows like
+    n^beta), ``flat`` (energy E: flat Lebesgue measure on the energy ball,
+    by rejection) and ``file`` (a path: one z per line, ambient-dimension
+    many entries).
     """
 
     kind: str
-    z0: float | None = None
-    beta: float | None = None
-    energy: float | None = None
-    path: str | None = None
+    param: float | str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _PROFILE_PARAMETERS:
             raise InvalidProfile(f"unknown profile kind {self.kind!r}")
-        param = _PROFILE_PARAMETERS[self.kind]
-        own = param and param[0]
-        for field in ("z0", "beta", "energy", "path"):
-            value = getattr(self, field)
-            if value is not None and field != own:
-                raise InvalidProfile(f"{self.kind} profile takes no {field}, got {value!r}")
-        for value in (self.z0, self.beta, self.energy):
-            if value is not None and not math.isfinite(value):
-                raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
-        if param is not None:
-            _, _, valid, needs = param
-            value = getattr(self, own)
-            if value is None or not valid(value):
-                raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
+        rule, value = _PROFILE_PARAMETERS[self.kind], self.param
+        if rule is None:
+            if value is not None:
+                raise InvalidProfile(f"{self.kind} takes no parameter, got {value!r}")
+            return
+        if value is not None and not isinstance(value, str) and not math.isfinite(value):
+            raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
+        _, valid, needs = rule
+        if value is None or not valid(value):
+            raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
 
     @classmethod
     def parse(cls, text: str) -> "ZProfile":
         """Parse 'vacuum | uniform:<z0> | power:<beta> | flat:<E> | file:<path>'."""
-        head, _, tail = text.strip().partition(":")
+        head, sep, tail = text.strip().partition(":")
         if head not in _PROFILE_PARAMETERS:
             raise InvalidProfile(f"unknown profile {text!r}")
-        param = _PROFILE_PARAMETERS[head]
+        rule = _PROFILE_PARAMETERS[head]
         try:
-            if param is None:
-                if tail:
-                    raise InvalidProfile(f"{head} takes no parameter")
-                return cls(head)
-            field, parse_value, _, _ = param
-            return cls(head, **{field: parse_value(tail)})
+            if rule is None:
+                return cls(head, tail if sep else None)
+            return cls(head, rule[0](tail))
         except ValueError as exc:
             raise InvalidProfile(f"bad profile parameter in {text!r}") from exc
 
     def canonical(self) -> str:
-        param = _PROFILE_PARAMETERS[self.kind]
-        if param is None:
+        if self.param is None:
             return self.kind
-        value = getattr(self, param[0])
-        return f"{self.kind}:{value if isinstance(value, str) else repr(value)}"
+        return f"{self.kind}:{self.param if isinstance(self.param, str) else repr(self.param)}"
 
     @property
     def degree(self) -> float:
         """Polynomial growth degree of the squeeze spectrum (beta for
         power profiles, 0 for every bounded profile)."""
-        return float(self.beta) if self.kind == "power" else 0.0
+        return float(self.param) if self.kind == "power" else 0.0
 
     @property
     def is_random(self) -> bool:
@@ -351,16 +340,16 @@ def draw_squeezing(
     if profile.kind == "vacuum":
         return SqueezingSpec(np.ones(n_modes))
     if profile.kind == "uniform":
-        return SqueezingSpec(np.full(n_modes, float(profile.z0)))
+        return SqueezingSpec(np.full(n_modes, float(profile.param)))
     if profile.kind == "power":
         z = np.ones(n_modes)
         try:
-            z[: math.ceil(n_modes / 4)] = float(n_modes) ** (profile.beta / 2.0)
+            z[: math.ceil(n_modes / 4)] = float(n_modes) ** (profile.param / 2.0)
         except OverflowError as exc:
-            raise InvalidProfile(f"power profile overflows: {n_modes}^({profile.beta}/2)") from exc
+            raise InvalidProfile(f"power profile overflows: {n_modes}^({profile.param}/2)") from exc
         return SqueezingSpec(z)
     if profile.kind == "file":
-        values = _profile_file_values(profile.path)
+        values = _profile_file_values(profile.param)
         if len(values) != n_modes:
             raise DimensionMismatch(
                 f"profile file has {len(values)} entries, ambient dimension is {n_modes}"
@@ -368,7 +357,7 @@ def draw_squeezing(
         return SqueezingSpec(values)
 
     # flat measure on the energy ball
-    energy = float(profile.energy)
+    energy = float(profile.param)
     if 4.0 * energy < 2.0 * n_modes:
         raise EmptyConstraintSet(
             f"4E = {4 * energy} < 2n = {2 * n_modes}: the constraint set is empty"

@@ -140,7 +140,7 @@ def check_bound_chain(n_samples: int, rng_seed: int) -> None:
     # compute_records reaches stats.evaluate_block, which raises
     # NumericalFailure when work > sqrt(m * delta)
     config = RandomStateConfig(
-        n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.4), master_seed=rng_seed
+        n_full=8, m_sys=2, profile=ZProfile("uniform", 1.4), master_seed=rng_seed
     )
     harness.compute_records(config, n_samples)
 
@@ -150,7 +150,7 @@ def check_lipschitz(n_pairs: int, rng) -> None:
     # each block is one stacked draw of its pairs, u then v, equal to
     # pair-by-pair haar_unitary calls
     m_sys, d = 1, 8
-    spec = draw_squeezing(ZProfile("uniform", z0=1.5), d)
+    spec = draw_squeezing(ZProfile("uniform", 1.5), d)
     step = BLOCK_ENTRIES // (2 * d * d)
     for first in range(0, n_pairs, step):
         u, v = haar_unitary(d, rng, (min(step, n_pairs - first), 2)).swapaxes(0, 1)
@@ -170,7 +170,7 @@ def check_sampler_basics(rng_seed: int) -> None:
         "vacuum profile did not produce the vacuum state",
     )
     cfg = RandomStateConfig(
-        n_full=6, m_sys=6, profile=ZProfile("uniform", z0=1.3),
+        n_full=6, m_sys=6, profile=ZProfile("uniform", 1.3),
         master_seed=rng_seed, pipeline="direct",
     )
     gamma = sample_random_state(cfg, 1)

@@ -140,10 +140,11 @@ class MomentReport:
         return asdict(self)
 
 
-def _moment_chunk(quantities: tuple, config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
+def _moment_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
     """One draw per sample index, measured for every quantity: an
-    (hi - lo, len(quantities)) array."""
-    fns = [_MEASURES[q] for q in quantities]
+    (hi - lo, len(QUANTITIES)) array."""
+    # looked up per call, so that a wrapper put into _MEASURES (a tracer's) is called
+    fns = [_MEASURES[q] for q in QUANTITIES]
     return np.concatenate([
         np.stack([fn(gammas) for fn in fns], axis=-1)
         for _, _, gammas, _ in sampling.iter_blocks([config], lo, hi)
@@ -160,32 +161,22 @@ def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def mc_moments(
-    quantities,
-    config: RandomStateConfig,
-    n_samples: int,
-    threads: int = 1,
-) -> list[MomentReport]:
-    """Monte Carlo estimates of several moments next to their analytic values.
+def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> list[MomentReport]:
+    """Monte Carlo estimates of the moments next to their analytic values,
+    one report per entry of ``QUANTITIES``, in that order.
 
-    Every sample is drawn once and measured for all ``quantities``.
+    Every sample is drawn once and measured for all quantities.
     Deterministic under a fixed master seed for any thread count; the mean
     and standard error are accumulated with compensated summation.
     """
-    quantities = tuple(quantities)
-    for quantity in quantities:
-        if quantity not in _MEASURES:
-            raise InvalidConfig(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
     if n_samples < 2:
         raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
     spec = _ambient_spec(config)
     try:
-        analytics = [_ANALYTIC[q](spec, config) for q in quantities]
-        rows = np.concatenate(
-            parallel.run_chunked(_moment_chunk, (quantities, config), n_samples, threads)
-        )
+        analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
+        rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), n_samples, threads))
         reports = []
-        for quantity, analytic, values in zip(quantities, analytics, rows.T.tolist()):
+        for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T.tolist()):
             mean = math.fsum(values) / n_samples
             var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
             std_error = math.sqrt(var / n_samples)

@@ -354,7 +354,7 @@ class TestFanOut:
     def test_worker_rows_match_records_csv(self, tmp_path, monkeypatch, seed):
         # real forks, so each chunk but the first has its rows formatted in a child
         spy = FanOutSpy(monkeypatch, inline=False)
-        profile, samples, grid = ZProfile("uniform", z0=1.5), 30, (4, 6)
+        profile, samples, grid = ZProfile("uniform", 1.5), 30, (4, 6)
         configs = {n: RandomStateConfig(n_full=n, m_sys=1, profile=profile, master_seed=seed)
                    for n in grid}
         records = {n: harness.compute_records(configs[n], samples) for n in grid}

@@ -13,7 +13,7 @@ from gausswork.stats import CSV_HEADER
 
 def uniform_config(n_full=8, m_sys=1, z0=1.4, seed=5):
     return RandomStateConfig(
-        n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0=z0), master_seed=seed
+        n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0), master_seed=seed
     )
 
 
@@ -91,6 +91,21 @@ class TestBlockKernel:
         assert np.array_equal(one_block, split_blocks)
         assert np.array_equal(one_block, pooled)
 
+    @pytest.mark.parametrize("profile", ["uniform:2.0", "power:0.3", "flat:6.0", "vacuum"])
+    def test_purified_is_direct_at_twice_n(self, profile):
+        # the purified pipeline samples 2n ambient modes: the draws of the
+        # direct pipeline at 2n, with n_modes_full = n
+        purified, direct = (
+            harness.compute_records(RandomStateConfig(n_full=n, m_sys=2,
+                                                      profile=ZProfile.parse(profile),
+                                                      master_seed=7, pipeline=pipeline), 300)
+            for n, pipeline in ((3, "purified"), (6, "direct"))
+        )
+        assert set(purified["n_modes_full"]) == {3}
+        for name in stats.RECORD_DTYPE.names:
+            if name != "n_modes_full":
+                assert purified[name].tobytes() == direct[name].tobytes(), name
+
     def test_one_squeezing_vector_per_state(self):
         config = uniform_config()
         gammas, specs = sampling.sample_block(config, 0, 4)
@@ -107,7 +122,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(sampling, "_draw_block", counting)
         # d = 4096, m = 8 is one block per sample
-        wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
+        wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", 1.1),
                                  master_seed=2)
         assert len(harness._record_chunk([wide], 0, 3)[0]) == 3
         assert seen == [(0, 1), (1, 2), (2, 3)]
@@ -126,10 +141,10 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("config, hi, blocks", [
         # d = 4096, m = 8: one sample per draw, 32 per covariance stack
-        (RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", z0=1.1),
+        (RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", 1.1),
                            master_seed=2), 40, [(k, k + 1) for k in range(40)]),
         # d = 2, m = 2: a draw of 2048 samples would stack 32768 covariance entries
-        (RandomStateConfig(n_full=2, m_sys=2, profile=ZProfile("uniform", z0=1.1),
+        (RandomStateConfig(n_full=2, m_sys=2, profile=ZProfile("uniform", 1.1),
                            master_seed=2, pipeline="direct"), 1100,
          [(0, 512), (512, 1024), (1024, 1100)]),
     ], ids=["wide", "direct"])
@@ -175,7 +190,7 @@ class TestChunkHoisting:
         (records,) = harness._record_chunk([config], self.LO, self.HI)
         assert calls == [(self.LO, self.HI)]
         calls.clear()
-        moments = weingarten._moment_chunk(weingarten.QUANTITIES, config, self.LO, self.HI)
+        moments = weingarten._moment_chunk(config, self.LO, self.HI)
         assert calls == [(self.LO, self.HI)]
         assert len(records) == len(moments) == self.HI - self.LO
 
@@ -342,7 +357,7 @@ class TestSweep:
 
     def test_one_point_sweep_names_the_grid(self):
         _, summary = harness.run_sweep(
-            n_grid=[16], m_sys=1, profile=ZProfile("uniform", z0=1.5),
+            n_grid=[16], m_sys=1, profile=ZProfile("uniform", 1.5),
             samples=20, master_seed=1,
         )
         assert summary["delta_slope"] is None
@@ -350,7 +365,7 @@ class TestSweep:
 
     def test_tails_consistent_with_records(self):
         records, summary = harness.run_sweep(
-            n_grid=[8, 16], m_sys=1, profile=ZProfile("uniform", z0=1.8),
+            n_grid=[8, 16], m_sys=1, profile=ZProfile("uniform", 1.8),
             samples=200, master_seed=3, epsilons=[0.01, 0.1],
         )
         for block in summary["per_n"]:
@@ -364,7 +379,7 @@ class TestSweep:
 
     def test_quantiles_monotone(self):
         _, summary = harness.run_sweep(
-            n_grid=[8], m_sys=1, profile=ZProfile("uniform", z0=1.8),
+            n_grid=[8], m_sys=1, profile=ZProfile("uniform", 1.8),
             samples=300, master_seed=4,
         )
         block = summary["per_n"][0]
@@ -400,7 +415,7 @@ class TestSweep:
 
     def test_power_beta_flagged_in_sweep(self):
         _, summary = harness.run_sweep(
-            n_grid=[8, 16], m_sys=1, profile=ZProfile("power", beta=0.5),
+            n_grid=[8, 16], m_sys=1, profile=ZProfile("power", 0.5),
             samples=40, master_seed=6,
         )
         assert len(summary["warnings"]) >= 2
@@ -408,7 +423,7 @@ class TestSweep:
 
 class TestMoments:
     def test_all_quantities_reported(self):
-        reports = weingarten.mc_moments(weingarten.QUANTITIES, uniform_config(n_full=4), 300)
+        reports = weingarten.mc_moments(uniform_config(n_full=4), 300)
         assert [r.quantity for r in reports] == list(
             ("tr_gamma", "tr_gamma_sq", "tr_omega_gamma_sq")
         )
@@ -417,8 +432,7 @@ class TestMoments:
 
     def test_one_draw_per_sample(self, monkeypatch):
         config = uniform_config(n_full=4)
-        separate = [weingarten.mc_moments((q,), config, 40)[0].to_dict()
-                    for q in weingarten.QUANTITIES]
+        unpatched = [r.to_dict() for r in weingarten.mc_moments(config, 40)]
         calls = []
         open_streams = sampling.block_streams
 
@@ -427,6 +441,6 @@ class TestMoments:
             return open_streams(master_seed, lo, hi)
 
         monkeypatch.setattr(sampling, "block_streams", counting)
-        reports = weingarten.mc_moments(weingarten.QUANTITIES, config, 40)
+        reports = weingarten.mc_moments(config, 40)
         assert calls == list(range(40))
-        assert [r.to_dict() for r in reports] == separate
+        assert [r.to_dict() for r in reports] == unpatched

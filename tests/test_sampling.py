@@ -204,28 +204,44 @@ class TestEmbedding:
 class TestZProfile:
     def test_parse_and_canonical(self):
         assert ZProfile.parse("vacuum").kind == "vacuum"
-        assert ZProfile.parse("uniform:1.5").z0 == 1.5
-        assert ZProfile.parse("power:0.25").beta == 0.25
-        assert ZProfile.parse("flat:4").energy == 4.0
-        assert ZProfile.parse("file:/tmp/z.txt").path == "/tmp/z.txt"
+        assert ZProfile.parse("uniform:1.5").param == 1.5
+        assert ZProfile.parse("power:0.25").param == 0.25
+        assert ZProfile.parse("flat:4").param == 4.0
+        assert ZProfile.parse("file:/tmp/z.txt").param == "/tmp/z.txt"
         assert ZProfile.parse("uniform:1.5").canonical() == "uniform:1.5"
 
+    @pytest.mark.parametrize("text, canonical", [
+        ("vacuum", "vacuum"),
+        ("uniform:2", "uniform:2.0"),
+        ("power:0.3", "power:0.3"),
+        ("flat:6", "flat:6.0"),
+        ("file:/tmp/a:b%r%%.txt", "file:/tmp/a:b%r%%.txt"),
+    ])
+    def test_canonical_round_trip(self, text, canonical):
+        profile = ZProfile.parse(text)
+        assert profile.canonical() == canonical
+        assert ZProfile.parse(canonical) == profile
+
     @pytest.mark.parametrize("text", [
-        "box", "uniform", "uniform:0.5", "power:-1", "flat:0", "vacuum:2",
+        "box", "uniform", "uniform:0.5", "power:-1", "flat:0", "vacuum:2", "vacuum:",
         "uniform:nan", "uniform:inf", "power:nan", "power:inf", "flat:nan", "flat:inf",
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidProfile):
             ZProfile.parse(text)
 
-    @pytest.mark.parametrize("profile, field", [
-        (dict(kind="power", beta=0.3, z0=2.0), "z0"),
-        (dict(kind="vacuum", z0=5.0), "z0"),
-        (dict(kind="uniform", z0=1.5, path="x"), "path"),
+    @pytest.mark.parametrize("kind, param, message", [
+        ("uniform", None, "needs z0"),
+        ("flat", math.inf, "must be finite"),
+        ("power", -1.0, "needs beta"),
     ])
-    def test_stray_parameter_rejected(self, profile, field):
-        with pytest.raises(InvalidProfile, match=f"takes no {field}"):
-            ZProfile(**profile)
+    def test_constructor_rejects(self, kind, param, message):
+        with pytest.raises(InvalidProfile, match=message):
+            ZProfile(kind, param)
+
+    def test_stray_parameter_rejected(self):
+        with pytest.raises(InvalidProfile, match="vacuum takes no parameter"):
+            ZProfile("vacuum", 5.0)
 
     def test_degree(self):
         assert ZProfile.parse("power:0.3").degree == 0.3
@@ -237,11 +253,11 @@ class TestDrawSqueezing:
         assert np.array_equal(sm.draw_squeezing(ZProfile("vacuum"), 4).z, np.ones(4))
 
     def test_uniform(self):
-        spec = sm.draw_squeezing(ZProfile("uniform", z0=1.3), 5)
+        spec = sm.draw_squeezing(ZProfile("uniform", 1.3), 5)
         assert np.array_equal(spec.z, np.full(5, 1.3))
 
     def test_power_profile(self):
-        spec = sm.draw_squeezing(ZProfile("power", beta=0.25), 16)
+        spec = sm.draw_squeezing(ZProfile("power", 0.25), 16)
         assert spec.z.max() == pytest.approx(16.0 ** 0.125, abs=1e-12)
         assert np.sum(spec.z > 1.0) == 4  # ceil(16/4) modes carry the squeezing
         assert np.all(spec.z[4:] == 1.0)
@@ -252,45 +268,45 @@ class TestDrawSqueezing:
         z_hi = sm.flat_z_max(energy)
         assert z_hi == pytest.approx(math.sqrt(2.0 + math.sqrt(3.0)), abs=1e-12)
         for _ in range(50):
-            spec = sm.draw_squeezing(ZProfile("flat", energy=energy), 1, rng)
+            spec = sm.draw_squeezing(ZProfile("flat", energy), 1, rng)
             assert spec.z[0] <= z_hi
             assert float(np.sum(spec.z ** 2 + spec.z ** -2.0)) <= 4.0 * energy
 
     def test_flat_empty_set(self):
         with pytest.raises(EmptyConstraintSet):
-            sm.draw_squeezing(ZProfile("flat", energy=1.0), 3, np.random.default_rng(0))
+            sm.draw_squeezing(ZProfile("flat", 1.0), 3, np.random.default_rng(0))
 
     def test_flat_needs_rng(self):
         with pytest.raises(InvalidConfig):
-            sm.draw_squeezing(ZProfile("flat", energy=5.0), 2)
+            sm.draw_squeezing(ZProfile("flat", 5.0), 2)
 
     def test_flat_timeout(self, monkeypatch):
         monkeypatch.setattr(sm, "_REJECTION_MAX_DRAWS", 2048)
         rng = np.random.default_rng(19)
         # barely nonempty ball: acceptance is (numerically) never
         with pytest.raises(RejectionTimeout):
-            sm.draw_squeezing(ZProfile("flat", energy=20.0000001), 40, rng)
+            sm.draw_squeezing(ZProfile("flat", 20.0000001), 40, rng)
 
     def test_file_profile(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("1.0\n1.5\n2.0\n")
-        spec = sm.draw_squeezing(ZProfile("file", path=str(path)), 3)
+        spec = sm.draw_squeezing(ZProfile("file", str(path)), 3)
         assert np.array_equal(spec.z, [1.0, 1.5, 2.0])
         with pytest.raises(DimensionMismatch):
-            sm.draw_squeezing(ZProfile("file", path=str(path)), 4)
+            sm.draw_squeezing(ZProfile("file", str(path)), 4)
 
     def test_file_profile_bad_file(self, tmp_path):
         with pytest.raises(InvalidProfile, match="cannot read"):
-            sm.draw_squeezing(ZProfile("file", path=str(tmp_path / "nope.txt")), 3)
+            sm.draw_squeezing(ZProfile("file", str(tmp_path / "nope.txt")), 3)
         path = tmp_path / "z.txt"
         path.write_text("1.0\nlarge\n2.0\n")
         with pytest.raises(InvalidProfile, match="large"):
-            sm.draw_squeezing(ZProfile("file", path=str(path)), 3)
+            sm.draw_squeezing(ZProfile("file", str(path)), 3)
         for bad in ("nan", "inf"):
             path = tmp_path / f"{bad}.txt"
             path.write_text(f"1.0\n{bad}\n2.0\n")
             with pytest.raises(InvalidProfile, match="non-finite"):
-                sm.draw_squeezing(ZProfile("file", path=str(path)), 3)
+                sm.draw_squeezing(ZProfile("file", str(path)), 3)
 
     def test_file_profile_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "z.txt"
@@ -302,7 +318,7 @@ class TestDrawSqueezing:
             return open(*args, **kwargs)
 
         monkeypatch.setattr(sm, "open", counting_open, raising=False)
-        config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("file", path=str(path)),
+        config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("file", str(path)),
                                    master_seed=0)
         # once per call, not once per sample
         harness.compute_records(config, 5)
@@ -314,7 +330,7 @@ class TestDrawSqueezing:
         other.mkdir()
         (other / "z.txt").write_text("3.0\n1.5\n2.0\n1.2\n")
         monkeypatch.chdir(other)
-        assert sm.draw_squeezing(ZProfile("file", path="z.txt"), 4).z[0] == 3.0
+        assert sm.draw_squeezing(ZProfile("file", "z.txt"), 4).z[0] == 3.0
         assert len(opened) == 3
 
     def test_spec_validation(self):
@@ -336,7 +352,7 @@ class TestDrawSqueezing:
     @pytest.mark.parametrize("beta, n", [(1e308, 2), (200.0, 64), (1e300, 3)])
     def test_power_profile_overflow(self, beta, n):
         with pytest.raises(InvalidProfile):
-            sm.draw_squeezing(ZProfile("power", beta=beta), n)
+            sm.draw_squeezing(ZProfile("power", beta), n)
 
 
 class TestSqueezeGram:
@@ -366,7 +382,7 @@ class TestRandomState:
     @pytest.mark.parametrize("pipeline", ["direct", "purified"])
     def test_full_system_is_pure(self, pipeline):
         config = RandomStateConfig(
-            n_full=4, m_sys=4, profile=ZProfile("uniform", z0=1.4),
+            n_full=4, m_sys=4, profile=ZProfile("uniform", 1.4),
             master_seed=7, pipeline=pipeline,
         )
         # purified keeps m of 2n ambient modes; m=n still leaves a mixed
@@ -381,7 +397,7 @@ class TestRandomState:
 
     def test_determinism_and_stream_independence(self):
         config = RandomStateConfig(
-            n_full=6, m_sys=2, profile=ZProfile("uniform", z0=1.2), master_seed=21
+            n_full=6, m_sys=2, profile=ZProfile("uniform", 1.2), master_seed=21
         )
         first = sm.sample_random_state(config, 5)
         # drawing other indices first must not disturb index 5
@@ -391,7 +407,7 @@ class TestRandomState:
 
     def test_physical_and_energy_capped(self):
         config = RandomStateConfig(
-            n_full=8, m_sys=3, profile=ZProfile("power", beta=0.25), master_seed=2
+            n_full=8, m_sys=3, profile=ZProfile("power", 0.25), master_seed=2
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         cap = 0.5 * float(np.sum(sm.squeeze_gram_diagonal(spec)))
@@ -433,7 +449,7 @@ class TestRandomState:
         # empirical mean of Tr Gamma_m over a uniform profile; the trace is
         # deterministic there, so the check is at the noise floor
         config = RandomStateConfig(
-            n_full=64, m_sys=1, profile=ZProfile("uniform", z0=1.2), master_seed=31
+            n_full=64, m_sys=1, profile=ZProfile("uniform", 1.2), master_seed=31
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         nu = float(np.sum(sm.squeeze_gram_diagonal(spec))) / (4 * config.ambient_modes)
@@ -442,7 +458,7 @@ class TestRandomState:
 
     def test_flat_profile_redraws_z_per_sample(self):
         config = RandomStateConfig(
-            n_full=2, m_sys=1, profile=ZProfile("flat", energy=3.0), master_seed=5
+            n_full=2, m_sys=1, profile=ZProfile("flat", 3.0), master_seed=5
         )
         (spec_a,) = sm.sample_block(config, 0, 1)[1]
         (spec_b,) = sm.sample_block(config, 1, 2)[1]
@@ -557,7 +573,7 @@ class TestBlockScratch:
     def test_block_beyond_budget_is_not_kept(self):
         # a direct call for four budgets' worth of samples draws budget-sized
         # blocks: the bytes of four budget-sized calls
-        config = RandomStateConfig(n_full=8, m_sys=1, profile=ZProfile("uniform", z0=1.5),
+        config = RandomStateConfig(n_full=8, m_sys=1, profile=ZProfile("uniform", 1.5),
                                    master_seed=3)
         step = sm.BLOCK_ENTRIES // config.ambient_modes
         whole = sm.sample_block(config, 0, 4 * step)[0]
@@ -575,11 +591,11 @@ def has_mallopt():
 
 class TestPastBudgetMemory:
     # d m = 2^15 (purified n = 4096, m = 4), exactly the budget and just past it
-    WIDE = RandomStateConfig(n_full=4096, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+    WIDE = RandomStateConfig(n_full=4096, m_sys=4, profile=ZProfile("uniform", 1.5),
                              master_seed=3)
-    BUDGET = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+    BUDGET = RandomStateConfig(n_full=1024, m_sys=4, profile=ZProfile("uniform", 1.5),
                                master_seed=3)
-    PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+    PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", 1.5),
                              master_seed=3)
     # faults per sample of 8 samples, after one warm-up, in a fresh
     # interpreter whose allocator no other test has pinned
@@ -588,7 +604,7 @@ import resource, sys
 from gausswork import sampling as sm
 from gausswork.sampling import RandomStateConfig, ZProfile
 config = RandomStateConfig(n_full=int(sys.argv[1]), m_sys=int(sys.argv[2]),
-                           profile=ZProfile("uniform", z0=1.5), master_seed=3)
+                           profile=ZProfile("uniform", 1.5), master_seed=3)
 sm.sample_block(config, 0, 1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sm.sample_block(config, 1, 9)
@@ -627,7 +643,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
         draw_block = sm._draw_block
         monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: events.append("pin")))
         monkeypatch.setattr(sm, "_draw_block", lambda *a: events.append("draw") or draw_block(*a))
-        profile, flat = self.BUDGET.profile, ZProfile("flat", energy=6.0)
+        profile, flat = self.BUDGET.profile, ZProfile("flat", 6.0)
         # blocks of several samples each (d m = 16, 128 and 4096), a flat
         # grid, then one and two samples per block
         sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=profile,
@@ -699,7 +715,7 @@ class TestEnergyScaling:
         # input pure-state energy under power(beta) profiles follows
         # c * n^(beta+1) within a factor-2 envelope across the grid
         beta = 0.25
-        profile = ZProfile("power", beta=beta)
+        profile = ZProfile("power", beta)
         ratios = []
         for n_full in (16, 32, 64, 128, 256):
             config = RandomStateConfig(

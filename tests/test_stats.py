@@ -66,7 +66,7 @@ class TestDispersions:
 
     def test_symplectic_dispersion_pure_full_state(self):
         config = RandomStateConfig(
-            n_full=4, m_sys=4, profile=ZProfile("uniform", z0=1.5),
+            n_full=4, m_sys=4, profile=ZProfile("uniform", 1.5),
             master_seed=9, pipeline="direct",
         )
         gamma = sm.sample_random_state(config, 0)
@@ -101,7 +101,7 @@ class TestEvaluateRecord:
 
     def test_bound_chain_holds(self):
         config = RandomStateConfig(
-            n_full=12, m_sys=3, profile=ZProfile("uniform", z0=1.6), master_seed=4
+            n_full=12, m_sys=3, profile=ZProfile("uniform", 1.6), master_seed=4
         )
         for i in range(100):
             record = self._record(config, i)
@@ -113,7 +113,7 @@ class TestEvaluateRecord:
     def test_pure_full_state_work(self):
         # with no trace-out all nu = 1/2, so the work is the energy above n/2
         config = RandomStateConfig(
-            n_full=3, m_sys=3, profile=ZProfile("uniform", z0=1.4),
+            n_full=3, m_sys=3, profile=ZProfile("uniform", 1.4),
             master_seed=6, pipeline="direct",
         )
         record = self._record(config)
@@ -143,7 +143,7 @@ class TestEvaluateRecord:
         # a bound of 0.25 is first exceeded at sample 24 (work 0.278), again at 33
         monkeypatch.setattr(st, "work_bound", lambda m, delta: delta * 0.0 + 0.25)
         config = RandomStateConfig(
-            n_full=8, m_sys=2, profile=ZProfile("uniform", z0=1.8), master_seed=31
+            n_full=8, m_sys=2, profile=ZProfile("uniform", 1.8), master_seed=31
         )
         with pytest.raises(NumericalFailure) as info:
             harness.compute_records(config, 40)
@@ -153,7 +153,7 @@ class TestEvaluateRecord:
 
     def test_non_finite_statistics_name_first_sample(self):
         config = RandomStateConfig(
-            n_full=3, m_sys=1, profile=ZProfile("uniform", z0=1.5), master_seed=2
+            n_full=3, m_sys=1, profile=ZProfile("uniform", 1.5), master_seed=2
         )
         gammas, specs = sm.sample_block(config, 10, 14)
         gammas[2] *= 1e160  # the squared spectra overflow: delta is inf
@@ -169,7 +169,7 @@ class TestEvaluateRecord:
 class TestLipschitzPairs:
     def setup_method(self):
         self.config = RandomStateConfig(
-            n_full=4, m_sys=1, profile=ZProfile("uniform", z0=1.5), master_seed=0
+            n_full=4, m_sys=1, profile=ZProfile("uniform", 1.5), master_seed=0
         )
         self.spec = sm.draw_squeezing(self.config.profile, self.config.ambient_modes)
         self.d = self.config.ambient_modes
@@ -306,7 +306,7 @@ class TestLocalThermality:
         mean_t, mean_frak = [], []
         for n_full in (8, 16, 32, 64):
             config = RandomStateConfig(
-                n_full=n_full, m_sys=1, profile=ZProfile("uniform", z0=1.5),
+                n_full=n_full, m_sys=1, profile=ZProfile("uniform", 1.5),
                 master_seed=123,
             )
             records = st.evaluate_block(*sm.sample_block(config, 0, 1500), config, 0)
@@ -322,7 +322,7 @@ class TestAnalyticDispersionMean:
         # the exact closed form m(m+1) a^2 / (2(d+1)) with a = (z^2 - z^-2)/2
         z0, n_full, m_sys = 1.4, 8, 2
         config = RandomStateConfig(
-            n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0=z0), master_seed=99
+            n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0), master_seed=99
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         nu = st.thermal_nu(spec)
