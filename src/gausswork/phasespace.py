@@ -93,6 +93,17 @@ def energy(gamma: np.ndarray) -> float:
     return 0.5 * float(np.trace(gamma))
 
 
+def check_positive(lowest) -> None:
+    """Raise :class:`NonPositiveDefinite` for the first matrix of a stack
+    whose smallest eigenvalue, in ``lowest``, is <= 0 (NaN passes)."""
+    lowest = np.ravel(lowest)
+    bad = np.flatnonzero(lowest <= 0.0)
+    if bad.size:
+        raise NonPositiveDefinite(
+            f"positive-definite: smallest eigenvalue {lowest[bad[0]]:.3e} <= 0", int(bad[0])
+        )
+
+
 def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive-definite matrix, or of
     each matrix in a (..., k, k) stack."""
@@ -100,12 +111,7 @@ def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
         evals, vecs = np.linalg.eigh(gamma)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    lowest = evals[..., 0].ravel()
-    bad = np.flatnonzero(lowest <= 0.0)
-    if bad.size:
-        raise NonPositiveDefinite(
-            f"positive-definite: smallest eigenvalue {lowest[bad[0]]:.3e} <= 0", int(bad[0])
-        )
+    check_positive(evals[..., 0])
     return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import math
+import numbers
 import operator
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -198,14 +201,16 @@ def unitary_to_symplectic(u: np.ndarray) -> np.ndarray:
     return np.block([[u.real, u.imag], [-u.imag, u.real]])
 
 
-# kind -> None for a kind without parameter, else (the parser of its text,
-# the test its value must pass, what an error says it needs)
+# kind -> None for a kind without parameter, else (the type its value must
+# have and what an error calls it, the test its value must pass, what an
+# error says it needs); text is read as a float for a number, as it is
+# for a path
 _PROFILE_PARAMETERS = {
     "vacuum": None,
-    "uniform": (float, lambda v: v >= 1.0, "z0 >= 1, got {}"),
-    "power": (float, lambda v: v >= 0.0, "beta >= 0, got {}"),
-    "flat": (float, lambda v: v > 0.0, "a positive energy bound, got {}"),
-    "file": (str, bool, "a path"),
+    "uniform": (numbers.Real, "a number", lambda v: v >= 1.0, "z0 >= 1, got {}"),
+    "power": (numbers.Real, "a number", lambda v: v >= 0.0, "beta >= 0, got {}"),
+    "flat": (numbers.Real, "a number", lambda v: v > 0.0, "a positive energy bound, got {}"),
+    "file": (str, "a path string", bool, "a path"),
 }
 
 
@@ -232,9 +237,12 @@ class ZProfile:
             if value is not None:
                 raise InvalidProfile(f"{self.kind} takes no parameter, got {value!r}")
             return
-        if value is not None and not isinstance(value, str) and not math.isfinite(value):
+        kind_type, type_name, valid, needs = rule
+        # a bool is an int, so a number type alone would take it
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kind_type)):
+            raise InvalidProfile(f"{self.kind} profile parameter must be {type_name}, got {value!r}")
+        if kind_type is not str and value is not None and not math.isfinite(value):
             raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
-        _, valid, needs = rule
         if value is None or not valid(value):
             raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
 
@@ -248,7 +256,7 @@ class ZProfile:
         try:
             if rule is None:
                 return cls(head, tail if sep else None)
-            return cls(head, rule[0](tail))
+            return cls(head, tail if rule[0] is str else float(tail))
         except ValueError as exc:
             raise InvalidProfile(f"bad profile parameter in {text!r}") from exc
 
@@ -481,6 +489,38 @@ DRAW_ENTRIES = 1 << 17
 # and glibc keeps the trim threshold at twice that
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
+# OpenBLAS's thread-count setter: the name in the OpenBLAS that numpy's
+# wheels bundle (scipy-openblas, 64-bit integers), then a plain build's
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _bundled_blas() -> list[str]:
+    """Paths of the OpenBLAS libraries a numpy wheel bundles: numpy.libs
+    beside the package (Linux), numpy/.dylibs (macOS); none for a numpy
+    built against a system BLAS."""
+    root = os.path.dirname(np.__file__)
+    return sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
+                  + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+
+
+def _pin_blas_threads() -> None:
+    """Set OpenBLAS to one thread, looked up by name: in numpy's bundled
+    library, then in the process's global symbols.  OpenBLAS splits a long
+    reduction across its threads, so the QR of a wide sample (d m = 2^15)
+    rounds differently at 1 and 2 threads; at one thread its bytes do not
+    depend on ``OPENBLAS_NUM_THREADS``, and forked chunks do not multiply
+    into processes x BLAS threads.  A no-op where no setter is found."""
+    for path in (*_bundled_blas(), None):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
 
 
 @functools.cache
@@ -489,7 +529,9 @@ def _keep_freed_memory() -> None:
     children inherit them), so that a block's fresh arrays, 128 KiB per
     matrix at d m = 2^13 and 512 KiB at 2^15, come from memory that stays
     mapped when they are freed instead of being faulted back in on every
-    block.  A no-op where libc has no ``mallopt``."""
+    block; and pin OpenBLAS to one thread (:func:`_pin_blas_threads`).
+    The allocator pin is a no-op where libc has no ``mallopt``."""
+    _pin_blas_threads()
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -520,13 +562,60 @@ def _draw_block(
             for gammas, share in zip(_kernel(configs, rows, shared), shared)]
 
 
+def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) covariances of one kept mode from the (N, 2d) Gaussian
+    parts of its Ginibre columns, the real halves a, then the imaginary
+    halves b, and the Gram diagonal, shared (1, 2d) or per sample (N, 2d).
+
+    The kept row is the column's direction up to a phase, and a phase
+    only rotates the kept mode, which no recorded statistic sees.  So
+    Gamma = 1/2 [[Q1, Q3], [Q3, Q2]] / Q0 (ROADMAP item 10) with
+    Q0 = sum(a^2 + b^2), Q1 = sum(z^2 a^2 + z^-2 b^2),
+    Q2 = sum(z^-2 a^2 + z^2 b^2) and Q3 = sum((z^-2 - z^2) a b), written
+    as h I + [[p, q], [q, -p]] from four quadratic forms with
+    e = z^2 + z^-2 and c = z^2 - z^-2:
+
+        h = sum(e (a^2 + b^2)) / 4 Q0,  p = sum(c (a^2 - b^2)) / 4 Q0,
+        q = -sum(c a b) / 2 Q0.
+
+    The forms are einsum's own loops, three operands each, which sum each
+    sample in one order whatever the block and call no BLAS; Q0 takes
+    unit weights, so a vacuum (c = 0) gives h = 1/2 and p = q = 0
+    exactly.
+    """
+    d = parts.shape[-1] // 2
+    zsq, zinv = gram[..., :d], gram[..., d:]
+    e, c = zsq + zinv, zsq - zinv
+    a, b = parts[:, :d], parts[:, d:]
+
+    def form(x, y, weights):
+        return np.einsum("...j,...j,...j->...", x, y, weights)
+
+    q0 = form(parts, parts, np.ones(2 * d))
+    h = form(parts, parts, np.concatenate([e, e], axis=-1)) / (4.0 * q0)
+    p = form(parts, parts, np.concatenate([c, -c], axis=-1)) / (4.0 * q0)
+    gammas = np.empty((len(parts), 2, 2))
+    gammas[:, 0, 0] = h + p
+    gammas[:, 1, 1] = h - p
+    gammas[:, 0, 1] = gammas[:, 1, 0] = form(a, b, -c) / (2.0 * q0)
+    return gammas
+
+
 def _kernel(configs, rows: np.ndarray, shared) -> list[list[np.ndarray]]:
     """Per config of a grid, the covariance blocks of the samples whose
     Gaussian parts are ``rows``, one row of 2 d_max m normals per sample, of
     which a config of ambient dimension d reads the first 2 d m; ``shared``
     holds per config a pair whose second entry is the Gram diagonal, or a
-    (rows, 1, 2d) stack of one per sample."""
+    (rows, 1, 2d) stack of one per sample.
+
+    One kept mode takes the closed form of :func:`_one_mode_gammas`, one
+    block per config; more take the phase-corrected QR of the Ginibre
+    block and the Gamma build of :func:`_gamma_from_rows`, on blocks of at
+    most ``BLOCK_ENTRIES`` Ginibre entries."""
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
+    if m == 1:
+        return [[_one_mode_gammas(rows[:, : 2 * d], gram.reshape(-1, 2 * d))]
+                for d, (_, gram) in zip(dims, shared)]
     blocks = []
     for d, (_, gram) in zip(dims, shared):
         step = max(1, BLOCK_ENTRIES // (d * m))
@@ -562,16 +651,19 @@ def iter_blocks(configs, lo: int, hi: int):
 
     A draw spans at most ``DRAW_ENTRIES`` Ginibre entries of the largest
     config and ``BLOCK_ENTRIES`` of the smallest (at least one sample).
-    The QR, its phase correction and the Gamma build run per config on
-    blocks of at most ``BLOCK_ENTRIES`` entries of a draw (at least one
-    sample).  Only the kept m rows of the ambient Haar unitary are
-    generated (their marginal distribution is exact): O(d m^2) per
+    At m = 1 each config's covariances of a draw come from four quadratic
+    forms of its normals (:func:`_one_mode_gammas`), with no BLAS call.
+    At m >= 2 the QR, its phase correction and the Gamma build run per
+    config on blocks of at most ``BLOCK_ENTRIES`` entries of a draw (at
+    least one sample).  Only the kept m rows of the ambient Haar unitary
+    are generated (their marginal distribution is exact): O(d m^2) per
     sample, not O(d^3).  Each draw and each block get fresh arrays, and
     the phase correction scales the QR's Q in place; glibc's thresholds
-    are pinned once per process, before the first draw
-    (:func:`_keep_freed_memory`), so freed blocks stay mapped.  A stack
-    gathers the many small blocks of a large d, since its statistics cost
-    about 0.2 ms per call whatever its size.
+    and OpenBLAS's thread count are pinned once per process, before the
+    first draw (:func:`_keep_freed_memory`), so freed blocks stay mapped
+    and a sample's bytes do not depend on ``OPENBLAS_NUM_THREADS``.  A
+    stack gathers the many small blocks of a large d, since its
+    statistics cost about 0.2 ms per call whatever its size.
     """
     _keep_freed_memory()
     if len({(c.master_seed, c.m_sys, c.profile) for c in configs}) != 1:

@@ -96,6 +96,41 @@ def work_bound(m_sys: int, delta):
     return np.sqrt(m_sys * np.maximum(delta, 0.0))
 
 
+def _spectral_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:
+    """(energy, sum_sympl, work, stat_T, stat_frakT) of each matrix of a
+    (N, 2m, 2m) stack, from its eigen- and symplectic spectra."""
+    # eigvalsh and the square root's eigh stay two calls: taking the
+    # spectrum from the root's eigh changes the last bits of energy and stat_T
+    lam = np.linalg.eigvalsh(gammas)
+    nus = phasespace.symplectic_eigenvalues(gammas).nus
+    energy = 0.5 * np.sum(lam, axis=-1)
+    sum_sympl = np.sum(nus, axis=-1)
+    stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
+    return energy, sum_sympl, energy - sum_sympl, _spread(lam, nu), stat_frak
+
+
+def _one_mode_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:
+    """The same for a (N, 2, 2) stack, in closed form and without BLAS.
+
+    With h = (G11 + G22) / 2 and s = hypot((G11 - G22) / 2, G21), the
+    eigenvalues are h -+ s, the symplectic eigenvalue is nu with
+    nu^2 = (h - s)(h + s), and the work h - nu is s^2 / (h + nu), which
+    does not cancel.  G11 - G22 is exact wherever s << h (Sterbenz), so W
+    keeps full relative precision at weak squeezing; a vacuum's s = 0
+    gives nu = h, W = 0 and, at h = nu_th, zero dispersions exactly.
+    stat_T = 2 (h - nu_th)^2 + 2 s^2 and stat_frakT = 2 (nu^2 - nu_th^2)^2;
+    nu^2 overflows only where stat_frakT would.
+    """
+    g11, g22, g21 = gammas[:, 0, 0], gammas[:, 1, 1], gammas[:, 1, 0]
+    h = 0.5 * (g11 + g22)
+    s = np.hypot(0.5 * (g11 - g22), g21)
+    phasespace.check_positive(h - s)
+    nu_sq = (h - s) * (h + s)
+    nus = np.sqrt(nu_sq)
+    return (h, nus, s * s / (h + nus), 2.0 * (h - nu) ** 2 + 2.0 * (s * s),
+            2.0 * (nu_sq - np.square(nu)) ** 2)
+
+
 # overflow yields inf or NaN statistics, which the block's check refuses
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_block(
@@ -108,11 +143,14 @@ def evaluate_block(
     of sampled states, with their squeezing vectors and the sample indices
     first_index.. in order.
 
-    Enforces the per-sample work bound ``work <= sqrt(m * delta)`` (an
-    exact consequence of physicality); a violation beyond 1e-9, a
-    non-finite work or delta, or a state that rounding left without
-    positive definiteness indicates a numerical breakdown and raises
-    :class:`NumericalFailure` naming the sample index.
+    A stack of 2 x 2 matrices (m = 1) takes the closed form of
+    :func:`_one_mode_statistics`; larger ones their eigen- and symplectic
+    spectra.  Either way, a state that rounding left without positive
+    definiteness, a non-finite work or delta, or a violation of the
+    per-sample work bound ``work <= sqrt(m * delta)`` (an exact
+    consequence of physicality) beyond 1e-9 indicates a numerical
+    breakdown and raises :class:`NumericalFailure` naming the first such
+    sample index, checked in that order.
     Round-off-negative work is clamped to zero in the record only.
     """
     if len(specs) != len(gammas):
@@ -120,21 +158,13 @@ def evaluate_block(
     # a block of a deterministic profile shares one squeezing vector
     thermal = {spec: thermal_nu(spec, config.ambient_modes) for spec in set(specs)}
     nu = np.array([thermal[spec] for spec in specs])
-    # eigvalsh and the square root's eigh stay two calls: taking the
-    # spectrum from the root's eigh changes the last bits of energy and stat_T
-    lam = np.linalg.eigvalsh(gammas)
+    statistics = _one_mode_statistics if gammas.shape[-1] == 2 else _spectral_statistics
     try:
-        nus = phasespace.symplectic_eigenvalues(gammas).nus
+        energy, sum_sympl, raw, stat_t, stat_frak = statistics(gammas, nu)
     except NonPositiveDefinite as exc:
         # a sampled state is positive definite in exact arithmetic: losing
         # that to rounding is a breakdown of its statistics, not bad input
         raise NumericalFailure(f"sample {first_index + exc.index}: {exc}") from exc
-
-    energy = 0.5 * np.sum(lam, axis=-1)
-    sum_sympl = np.sum(nus, axis=-1)
-    raw = energy - sum_sympl
-    stat_t = _spread(lam, nu)
-    stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
     delta = stat_t + stat_frak
     bound = np.broadcast_to(work_bound(config.m_sys, delta), raw.shape)
     finite = np.isfinite(raw) & np.isfinite(delta)

@@ -13,19 +13,24 @@ values, or argparse's wording, and with them the hashes.  A refactor of
 the command line must leave every digest unchanged; a deliberate change
 of output updates the table in the same commit.
 
-The BLAS thread count also changes the bytes of a wide sample (its QR
-reduces long columns, which OpenBLAS splits across threads), so the cases
-in ``ONE_BLAS_THREAD`` run ``python -m gausswork`` in a child process with
-one BLAS thread, as CI and the benchmark pin it.
+The OpenBLAS thread count would change the bytes of a wide sample (its
+QR reduces long columns, which OpenBLAS splits across threads); the
+package pins OpenBLAS to one thread before its first sample, so every
+case runs in-process, and child processes check the wide case at other
+thread settings.  At m = 1 no BLAS routine touches a sampled value, so
+those cases give the same bytes under any OpenBLAS CPU kernel; child
+processes check that too, on x86-64.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gausswork import cli
@@ -112,23 +117,22 @@ CASES = {
     "no-command": ("", ()),
 }
 
-ONE_BLAS_THREAD = {"sample-past-budget"}
-
-# name -> (exit code, stdout, stderr, {file: digest}), recorded before the CLI refactor
+# name -> (exit code, stdout, stderr, {file: digest}), recorded before the
+# CLI refactor; the m = 1 cases since m = 1 takes its closed form
 GOLDEN = {
     'bad-choice': (2, 'e3b0c44298fc1c14', '049ad70258167b3d', {}),
     'bad-int': (2, 'e3b0c44298fc1c14', '359ebcba92a85b71', {}),
     'bad-int-list': (2, 'e3b0c44298fc1c14', 'd8ae243cb558bc15', {}),
     'config-bad-format': (2, 'e3b0c44298fc1c14', 'fe2d1238b577ca91', {}),
-    'config-dash-keys': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'c.json': 'dc1c92ab76eba271', 'c.csv': '9f3e7105abbf9d94'}),
+    'config-dash-keys': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'c.json': 'df9cdfe123dcc205', 'c.csv': 'aa007c73825ae956'}),
     'config-missing-file': (2, 'e3b0c44298fc1c14', '3676f33b2b9c4f88', {}),
     'config-not-key-value': (2, 'e3b0c44298fc1c14', '95dbce6770a1ea20', {}),
-    'config-override': (0, 'adb10b896854dee7', 'e3b0c44298fc1c14', {}),
+    'config-override': (0, '8f744c59ec64cd82', 'e3b0c44298fc1c14', {}),
     'config-unknown-key': (2, 'e3b0c44298fc1c14', '22cbaa3a8ad22ac0', {}),
     'config-validate-cov': (0, '8302e31ee61d1d8b', 'e3b0c44298fc1c14', {}),
     'missing-required': (2, 'e3b0c44298fc1c14', '403b56f5b77b61d5', {}),
     'missing-several': (2, 'e3b0c44298fc1c14', '67b012bae1640c71', {}),
-    'moments': (0, '9f9e11074335a12a', 'e3b0c44298fc1c14', {}),
+    'moments': (0, '650b96a5a1f90696', 'e3b0c44298fc1c14', {}),
     'moments-flat': (2, 'e3b0c44298fc1c14', '0c9f8f8ec350ffcb', {}),
     'moments-out-vacuum': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'mo.json': '5a61eaec2b4bc24a'}),
     'no-command': (2, 'e3b0c44298fc1c14', '07f79b7a7ef5b9be', {}),
@@ -138,15 +142,15 @@ GOLDEN = {
     'purify-two-mode': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'p2.txt': '0dd2478c72b858f2'}),
     'purify-unphysical': (2, 'e3b0c44298fc1c14', '78806593afc05bce', {}),
     'sample-bad-profile': (2, 'e3b0c44298fc1c14', '2264fce1931d9767', {}),
-    'sample-csv': (0, '8124a5f59c1de977', 'e3b0c44298fc1c14', {}),
-    'sample-file-profile': (0, '4264f07ccdd157db', 'e3b0c44298fc1c14', {}),
+    'sample-csv': (0, 'df37e95d560c3cb2', 'e3b0c44298fc1c14', {}),
+    'sample-file-profile': (0, '7eab6b277f8e780e', 'e3b0c44298fc1c14', {}),
     'sample-json-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'s.json': '4d5be827887f3cce'}),
     'sample-past-budget': (0, '911af1e1d3d9511f', 'e3b0c44298fc1c14', {}),
     'sample-threads': (0, '9c39151a20badef2', 'e3b0c44298fc1c14', {}),
     'sweep-decreasing': (2, 'e3b0c44298fc1c14', 'bbfe349757343aff', {}),
-    'sweep-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'sw.json': '203c792763adf532', 'sw.csv': 'e0d510bd2d16dac4'}),
-    'sweep-power': (0, '25276ded3c73792f', 'e3b0c44298fc1c14', {}),
-    'sweep-vacuum': (0, 'fcbc63c8db3dd786', 'e3b0c44298fc1c14', {}),
+    'sweep-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'sw.json': 'f91d03539d3cf8ba', 'sw.csv': '5ad849c88d49082f'}),
+    'sweep-power': (0, '7347abc8ea0d3892', 'e3b0c44298fc1c14', {}),
+    'sweep-vacuum': (0, '79acf5e822c035a8', 'e3b0c44298fc1c14', {}),
     'validate-cov-asym': (1, 'e3b0c44298fc1c14', 'eeafd119ed76e23e', {}),
     'validate-cov-good': (0, '8302e31ee61d1d8b', 'e3b0c44298fc1c14', {}),
     'validate-cov-missing': (2, 'e3b0c44298fc1c14', 'b41e33f43f61cc66', {}),
@@ -159,14 +163,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def observe(name: str, tmp) -> tuple:
-    """(exit code, stdout digest, stderr digest, {file: digest}) of one case."""
+def observe(name: str, tmp, env=None) -> tuple:
+    """(exit code, stdout digest, stderr digest, {file: digest}) of one
+    case: in-process, or with ``env`` in a ``python -m gausswork`` child
+    process with that environment."""
     argv_text, outputs = CASES[name]
     argv = argv_text.format(tmp=tmp).split()
-    if name in ONE_BLAS_THREAD:
-        pinned = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if env is not None:
         child = subprocess.run([sys.executable, "-m", "gausswork", *argv], capture_output=True,
-                               text=True, env={**os.environ, **pinned})
+                               text=True, env=env)
         rc, out, err = child.returncode, io.StringIO(child.stdout), io.StringIO(child.stderr)
     else:
         out, err = io.StringIO(), io.StringIO()
@@ -199,3 +204,32 @@ def test_golden(name, golden_dir, monkeypatch):
 
 def test_every_case_pinned():
     assert set(GOLDEN) == set(CASES)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["1", "2", None], ids=["one", "two", "unset"])
+def test_wide_sample_bytes_at_any_blas_thread_count(threads, golden_dir):
+    # d m = 2^15: unpinned, two OpenBLAS threads gave another digest
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    assert observe("sample-past-budget", golden_dir, env) == GOLDEN["sample-past-budget"]
+
+
+# OpenBLAS kernel -> the CPU feature it needs, as numpy detects it
+CORE_FEATURES = {"Haswell": "AVX2", "SkylakeX": "AVX512F"}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("coretype", sorted(CORE_FEATURES))
+@pytest.mark.parametrize("name", ["sample-csv", "sweep-out", "moments"])
+def test_one_mode_bytes_at_any_blas_kernel(name, coretype, golden_dir):
+    # the CPU kernel changes how BLAS rounds; m = 1 values use no BLAS
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    if not features.get(CORE_FEATURES[coretype]):
+        pytest.skip(f"this CPU cannot run the {coretype} kernel")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    assert observe(name, golden_dir, env) == GOLDEN[name]

@@ -239,6 +239,21 @@ class TestZProfile:
         with pytest.raises(InvalidProfile, match=message):
             ZProfile(kind, param)
 
+    @pytest.mark.parametrize("kind, param", [
+        ("uniform", True), ("uniform", "2"), ("power", np.bool_(True)), ("flat", 1j),
+        ("file", 3.0), ("file", b"z.txt"),
+    ])
+    def test_wrongly_typed_parameter_rejected(self, kind, param):
+        # each kind takes one type: a number, or a path string; a bool is
+        # not a number here, although Python's bool is an int
+        with pytest.raises(InvalidProfile, match=f"^{kind} profile parameter must be a "):
+            ZProfile(kind, param)
+
+    def test_numbers_of_any_real_type_accepted(self):
+        assert ZProfile("uniform", 2).canonical() == "uniform:2"
+        assert ZProfile.parse(ZProfile("uniform", 2).canonical()) == ZProfile("uniform", 2)
+        assert ZProfile("power", np.float64(0.3)) == ZProfile.parse("power:0.3")
+
     def test_stray_parameter_rejected(self):
         with pytest.raises(InvalidProfile, match="vacuum takes no parameter"):
             ZProfile("vacuum", 5.0)
@@ -526,6 +541,30 @@ class TestKernelHelpers:
             assert same_bits(sm._gamma_from_rows(rows[0], gram), gamma_reference(rows[0], gram))
 
 
+def assert_one_mode_forms(gammas, parts, grams):
+    """Each one-mode covariance against 1/2 [[Q1, Q3], [Q3, Q2]] / Q0 of its
+    normals (a, b) = parts[k] and Gram diagonal (z^2, z^-2) = grams[k],
+    evaluated in 50 digits.  The bound is the first-order forward error of
+    the kernel's float arithmetic in units of eps h, h = Tr Gamma / 2:
+    2d + 1 each for h and p, whose sums run over 2d products, and 1 for
+    h + p; the off-diagonal entry's sum is half as long."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for gamma, (a, b), gram in zip(gammas, parts, grams):
+            d = len(a)
+            a, b, zsq, zinv = ([mpmath.mpf(float(v)) for v in x] for x in (a, b, gram[:d], gram[d:]))
+            q0 = mpmath.fsum(x * x + y * y for x, y in zip(a, b))
+            q1 = mpmath.fsum(s * x * x + t * y * y for x, y, s, t in zip(a, b, zsq, zinv))
+            q2 = mpmath.fsum(t * x * x + s * y * y for x, y, s, t in zip(a, b, zsq, zinv))
+            q3 = mpmath.fsum((t - s) * x * y for x, y, s, t in zip(a, b, zsq, zinv))
+            bound = (4 * d + 3) * eps * (q1 + q2) / (4 * q0)
+            exact = [[q1, q3], [q3, q2]]
+            for i in range(2):
+                for j in range(2):
+                    assert abs(mpmath.mpf(float(gamma[i, j])) - exact[i][j] / (2 * q0)) <= bound
+
+
 class TestBlockScratch:
     """Sampled blocks against the block expression on freshly allocated arrays."""
 
@@ -536,7 +575,8 @@ class TestBlockScratch:
     ])
     def test_equals_block_expression(self, n_full, m_sys, profile, pipeline):
         # a budget-sized block, then a short one, rebuilt from the same
-        # streams with freshly allocated arrays and np.block's selector
+        # streams with freshly allocated arrays and np.block's selector;
+        # at m = 1 against the exact quadratic forms of the same normals
         config = RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile.parse(profile),
                                    master_seed=12, pipeline=pipeline)
         d = config.ambient_modes
@@ -547,6 +587,12 @@ class TestBlockScratch:
                 specs.append(sm.draw_squeezing(config.profile, d, rng))
                 parts.append(rng.standard_normal((2, d, m_sys)))
             parts = np.array(parts)
+            gammas, block_specs = sm.sample_block(config, lo, hi)
+            assert all(np.array_equal(a.z, b.z) for a, b in zip(block_specs, specs))
+            if m_sys == 1:
+                assert_one_mode_forms(gammas, parts[..., 0],
+                                      [sm.squeeze_gram_diagonal(spec) for spec in specs])
+                continue
             z = (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)
             q, r = np.linalg.qr(z)
             diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -555,9 +601,7 @@ class TestBlockScratch:
                 gram = np.array([sm.squeeze_gram_diagonal(s) for s in specs])[:, None, :]
             else:
                 gram = sm.squeeze_gram_diagonal(specs[0])
-            gammas, block_specs = sm.sample_block(config, lo, hi)
             assert np.array_equal(gammas, gamma_reference(rows, gram))
-            assert all(np.array_equal(a.z, b.z) for a, b in zip(block_specs, specs))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_state_from_unitary_equals_block_expression(self, order):
@@ -675,7 +719,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
             gammas = sm.sample_block(self.PAST, 0, 2)[0]
         finally:
             sm._keep_freed_memory.cache_clear()  # the next iter_blocks call pins again
-        assert looked_up == [None]
+        # OpenBLAS's setter in numpy's bundled library, then in the global
+        # symbols; then libc's mallopt
+        assert looked_up == [*sm._bundled_blas(), None, None]
         assert np.array_equal(gammas, expected)
 
 

@@ -166,6 +166,56 @@ class TestEvaluateRecord:
             st.evaluate_block(gammas, specs, config, 10)
 
 
+class TestOneModeClosedForm:
+    @pytest.mark.parametrize("n_full", [16, 256, 1024])
+    @pytest.mark.parametrize("z0", [1.001, 2.0, 100.0])
+    def test_work_and_nu_against_mpmath(self, z0, n_full):
+        # on the stored Gamma, 50 digits: nu = sqrt(det Gamma) and
+        # W = Tr Gamma / 2 - nu; at z0 = 1.001 W is about 1e-6 of the
+        # energy, where the spectral route lost up to 1e-5 of W itself
+        mpmath = pytest.importorskip("mpmath")
+        config = RandomStateConfig(n_full=n_full, m_sys=1, profile=ZProfile("uniform", z0),
+                                   master_seed=7)
+        gammas, specs = sm.sample_block(config, 0, 100)
+        records = st.evaluate_block(gammas, specs, config, 0)
+        with mpmath.workdps(50):
+            for gamma, record in zip(gammas, records):
+                g11, g22, g21 = (mpmath.mpf(float(v)) for v in (gamma[0, 0], gamma[1, 1], gamma[1, 0]))
+                nu = mpmath.sqrt(g11 * g22 - g21 * g21)
+                work = (g11 + g22) / 2 - nu
+                assert abs(record.sum_sympl - nu) <= 1e-14 * nu
+                assert abs(record.work - work) <= 1e-14 * work
+
+    def test_vacuum_is_exact(self):
+        config = RandomStateConfig(n_full=5, m_sys=1, profile=ZProfile("vacuum"), master_seed=2)
+        gammas, specs = sm.sample_block(config, 0, 50)
+        assert np.array_equal(gammas, np.broadcast_to(np.eye(2) / 2, gammas.shape))
+        records = st.evaluate_block(gammas, specs, config, 0)
+        assert np.all(records.work == 0.0) and np.all(records.stat_delta == 0.0)
+
+    def test_matches_spectral_route(self):
+        # the closed form and the eigen- and symplectic spectra agree on
+        # every statistic
+        config = RandomStateConfig(n_full=6, m_sys=1, profile=ZProfile("power", 0.5),
+                                   master_seed=3)
+        gammas, specs = sm.sample_block(config, 0, 200)
+        nu = np.full(len(gammas), st.thermal_nu(specs[0]))
+        closed = st._one_mode_statistics(gammas, nu)
+        spectral = st._spectral_statistics(gammas, nu)
+        for got, want in zip(closed, spectral):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_lost_positive_definiteness_names_first_sample(self):
+        config = RandomStateConfig(n_full=3, m_sys=1, profile=ZProfile("uniform", 1.5),
+                                   master_seed=2)
+        gammas, specs = sm.sample_block(config, 10, 14)
+        gammas[2] = [[1.0, 1.0], [1.0, 1.0]]  # eigenvalues 0 and 2
+        gammas[3] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
+        with pytest.raises(NumericalFailure, match=r"^sample 12: positive-definite: smallest "
+                                                   r"eigenvalue 0\.000e\+00 <= 0$"):
+            st.evaluate_block(gammas, specs, config, 10)
+
+
 class TestLipschitzPairs:
     def setup_method(self):
         self.config = RandomStateConfig(
