@@ -423,36 +423,24 @@ class RandomStateConfig:
         return 2 * self.n_full if self.pipeline == "purified" else self.n_full
 
 
-def _gamma_from_rows(rows: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
-    """Reduced covariance from the kept rows of the ambient unitary.
+# Signs of V's blocks by half (z, 1/z) and part (Re, Im); see _gamma_from_rows
+_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])[:, :, None, None]
 
-    ``rows`` holds the first m rows of U in U(d), or a stack of them
-    (..., m, d); the corresponding rows of the embedded interferometer are
-    [Re W, Im W] and [-Im W, Re W], and the kept covariance block is half
-    their Gram matrix through the squeeze diagonal (which broadcasts
-    against the stack).  The selector and its product with the diagonal
-    are built in one fresh buffer of 8 * rows.size floats.
-    """
-    *stack, m, d = rows.shape
-    buffers = np.empty(8 * rows.size)
-    # The selector is laid out as np.block([[re, im], [-im, re]]) lays it
-    # out, column-major per matrix where the rows are (the sampling
-    # kernel's at m >= 2), else C order: matmul's BLAS route, and with it
-    # the last bits of Gamma, follow the layout.
-    if m > 1 and abs(rows.strides[-2]) < abs(rows.strides[-1]):
-        sel, w = buffers.reshape(2, *stack, 2 * d, 2 * m).swapaxes(-1, -2)
-    else:
-        sel, w = buffers.reshape(2, *stack, 2 * m, 2 * d)
-    re, im = rows.real, rows.imag
-    sel[..., :m, :d] = re
-    sel[..., :m, d:] = im
-    np.negative(im, out=sel[..., m:, :d])
-    sel[..., m:, d:] = re
-    # Halving a double is exact, so s (g / 2) has the bits of (s g) / 2
-    # unless s g / 2 is subnormal, which takes z >~ 1e150, where the
-    # statistics already overflow.
-    np.multiply(sel, 0.5 * gram_diag, out=w)
-    return w @ np.swapaxes(sel, -1, -2)
+
+def _gamma_from_rows(parts: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
+    """1/2 S(W) G S(W)^T, S(W) = [[Re W, Im W], [-Im W, Re W]], for m x d
+    matrices W given as ``parts`` = (..., 2, m, d), Re W then Im W, and the
+    squeeze Gram diagonal G, which broadcasts against the stack: the kept
+    covariance block where W holds the first m rows of a unitary.  One
+    syrk V^T V per matrix, V = [[z a, -z b], [b / z, a / z]] / sqrt(2) for
+    W^T = a + ib."""
+    *stack, _, m, d = parts.shape
+    weights = np.sqrt(0.5 * gram_diag).reshape(*gram_diag.shape[:-1], 2, 1, 1, d) * _SIGNS
+    v = np.empty((*stack, 2, m, 2, d))
+    np.multiply(parts, weights[..., 0, :, :, :], out=v[..., 0, :])
+    np.multiply(parts[..., ::-1, :, :], weights[..., 1, :, :, :], out=v[..., 1, :])
+    v = v.reshape(*stack, 2 * m, 2 * d)
+    return v @ v.mT
 
 
 def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.ndarray:
@@ -460,7 +448,9 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     per unitary of a (..., d, d) stack.
 
     Equals the full pipeline: embed u, conjugate the squeeze Gram matrix,
-    halve, and keep the first ``m_sys`` modes.
+    halve, and keep the first ``m_sys`` modes.  It is the sampling
+    kernel's Gamma build (:func:`_gamma_from_rows`) on the kept rows of u,
+    with no transform T to apply.
     """
     u = np.asarray(u, dtype=complex)
     d = _check_unitary(u)
@@ -468,11 +458,13 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
         raise DimensionMismatch(f"unitary is {d}-dimensional, squeezing has {spec.n_modes} modes")
     if not 1 <= m_sys <= d:
         raise BadModeCount(f"m_sys={m_sys} out of range 1..{d}")
-    return _gamma_from_rows(u[..., :m_sys, :], squeeze_gram_diagonal(spec))
+    rows = u[..., :m_sys, :]
+    parts = np.stack([rows.real, rows.imag], axis=-3)
+    return _gamma_from_rows(parts, squeeze_gram_diagonal(spec))
 
 
 # Largest number of complex Ginibre entries (samples x d x m) in one block
-# of the QR and Gamma kernel, and of covariance entries (samples x 2m x 2m,
+# of the m >= 2 Gamma kernel, and of covariance entries (samples x 2m x 2m,
 # 64 KB) in one stack.  Blocks of 2^13 to 2^15 entries gave the same
 # per-sample time on a sweep; 2^15 raised the peak memory of a moment grid
 # by about 3 MB, 2^13 by about 1 MB.  A sample larger than the budget
@@ -505,11 +497,12 @@ def _bundled_blas() -> list[str]:
 
 def _pin_blas_threads() -> None:
     """Set OpenBLAS to one thread, looked up by name: in numpy's bundled
-    library, then in the process's global symbols.  OpenBLAS splits a long
-    reduction across its threads, so the QR of a wide sample (d m = 2^15)
-    rounds differently at 1 and 2 threads; at one thread its bytes do not
-    depend on ``OPENBLAS_NUM_THREADS``, and forked chunks do not multiply
-    into processes x BLAS threads.  A no-op where no setter is found."""
+    library, then in the process's global symbols.  OpenBLAS may split a
+    long reduction across its threads (a QR of a wide sample, d m = 2^15,
+    rounded differently at 1 and 2 threads); at one thread no sample's
+    bytes depend on ``OPENBLAS_NUM_THREADS``, and forked chunks do not
+    multiply into processes x BLAS threads.  A no-op where no setter is
+    found."""
     for path in (*_bundled_blas(), None):
         try:
             library = ctypes.CDLL(path)
@@ -526,8 +519,8 @@ def _pin_blas_threads() -> None:
 @functools.cache
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds, once per process (forked
-    children inherit them), so that a block's fresh arrays, 128 KiB per
-    matrix at d m = 2^13 and 512 KiB at 2^15, come from memory that stays
+    children inherit them), so that a block's fresh arrays, up to 256 KiB
+    per matrix at d m = 2^13 and 1 MiB at 2^15, come from memory that stays
     mapped when they are freed instead of being faulted back in on every
     block; and pin OpenBLAS to one thread (:func:`_pin_blas_threads`).
     The allocator pin is a no-op where libc has no ``mallopt``."""
@@ -559,7 +552,7 @@ def _draw_block(
     if drawn:
         shared = [(None, np.stack([squeeze_gram_diagonal(s) for s in drawn])[:, None, :])]
     return [(gammas, drawn or [share[0]] * (hi - lo))
-            for gammas, share in zip(_kernel(configs, rows, shared), shared)]
+            for gammas, share in zip(_kernel(configs, rows, shared, lo), shared)]
 
 
 def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -601,30 +594,78 @@ def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return gammas
 
 
-def _kernel(configs, rows: np.ndarray, shared) -> list[list[np.ndarray]]:
+def _phase_fixed_transform(parts: np.ndarray, first: int) -> np.ndarray:
+    """S(T), T = R^-T, for each d x m block X = a + ib of ``parts`` =
+    (N, 2, d, m), with R the positive-diagonal Cholesky factor of
+    H = X^H X: the R of X's QR with Mezzadri's phase fix (Notices AMS 54,
+    592 (2007)), so the kept rows are Q^T = T X^T and Q is never formed.
+    Re H is a syrk of [a; b], Im H = a^T b - b^T a, and T = conj(L^-1) for
+    numpy's factor L = R^H.  An H that is not numerically positive
+    definite raises :class:`NumericalFailure` naming the first such
+    sample, the stack's first being ``first``."""
+    n, _, d, m = parts.shape
+    cross = parts[:, 0].mT @ parts[:, 1]
+    flat = parts.reshape(n, 2 * d, m)
+    gram = np.empty((n, m, m), complex)
+    gram.real = flat.mT @ flat
+    np.subtract(cross, cross.mT, out=gram.imag)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        for k, one in enumerate(gram):
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"sample {first + k}: the Gram matrix X^H X of its "
+                                       "Ginibre block is not numerically positive definite") from exc
+        raise
+    # L^-1 by forward substitution over the whole stack, row k from the
+    # rows above it, added in order whatever the stack's size;
+    # np.linalg.inv, one LAPACK solve per matrix, would map about 0.4 MB
+    # more of OpenBLAS into the process
+    inverse = np.zeros_like(low)
+    inverse.reshape(n, -1)[:, :: m + 1] = 1.0
+    for k in range(m):
+        inverse[:, k] -= np.sum(low[:, k, :k, None] * inverse[:, :k], axis=1)
+        inverse[:, k] /= low[:, k, k, None]
+    transform = np.empty((n, 2, m, 2, m))
+    transform[:, 0, :, 0] = transform[:, 1, :, 1] = inverse.real
+    np.negative(inverse.imag, out=transform[:, 0, :, 1])
+    transform[:, 1, :, 0] = inverse.imag
+    return transform.reshape(n, 2 * m, 2 * m)
+
+
+def _kernel(configs, rows: np.ndarray, shared, first: int) -> list[list[np.ndarray]]:
     """Per config of a grid, the covariance blocks of the samples whose
     Gaussian parts are ``rows``, one row of 2 d_max m normals per sample, of
     which a config of ambient dimension d reads the first 2 d m; ``shared``
     holds per config a pair whose second entry is the Gram diagonal, or a
-    (rows, 1, 2d) stack of one per sample.
+    (rows, 1, 2d) stack of one per sample; ``first`` is the index of the
+    first row's sample, which an error names.
 
     One kept mode takes the closed form of :func:`_one_mode_gammas`, one
-    block per config; more take the phase-corrected QR of the Ginibre
-    block and the Gamma build of :func:`_gamma_from_rows`, on blocks of at
-    most ``BLOCK_ENTRIES`` Ginibre entries."""
+    block per config.  More take, on blocks of at most ``BLOCK_ENTRIES``
+    Ginibre entries, S(Q^T) = S(T) S(X^T) (S is a homomorphism):
+    Gamma = S(T) Gamma_X S(T)^T, with Gamma_X the Gamma build of
+    :func:`_gamma_from_rows` on the raw block's rows X^T and S(T) from
+    :func:`_phase_fixed_transform`; exact in exact arithmetic, within
+    about eps kappa(X)^2 |Gamma| in floating point.  Scaling X scales T
+    inversely, so the Ginibre 1/sqrt(2) is left out."""
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
     if m == 1:
         return [[_one_mode_gammas(rows[:, : 2 * d], gram.reshape(-1, 2 * d))]
                 for d, (_, gram) in zip(dims, shared)]
     blocks = []
     for d, (_, gram) in zip(dims, shared):
+        gram = gram.reshape(-1, 2 * d)
         step = max(1, BLOCK_ENTRIES // (d * m))
         gammas = []
         for k in range(0, len(rows), step):
-            block = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
-            z = _ginibre(block[:, 0], block[:, 1], np.empty((len(block), d, m), complex))
-            weights = gram if gram.ndim == 1 else gram[k:k + step]
-            gammas.append(_gamma_from_rows(np.swapaxes(_haar_columns(z), -1, -2), weights))
+            parts = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
+            transform = _phase_fixed_transform(parts, first + k)
+            gamma_x = _gamma_from_rows(parts.swapaxes(-1, -2),
+                                       gram if len(gram) == 1 else gram[k:k + step])
+            gammas.append(transform @ gamma_x @ transform.mT)
         blocks.append(gammas)
     return blocks
 
@@ -653,13 +694,13 @@ def iter_blocks(configs, lo: int, hi: int):
     config and ``BLOCK_ENTRIES`` of the smallest (at least one sample).
     At m = 1 each config's covariances of a draw come from four quadratic
     forms of its normals (:func:`_one_mode_gammas`), with no BLAS call.
-    At m >= 2 the QR, its phase correction and the Gamma build run per
-    config on blocks of at most ``BLOCK_ENTRIES`` entries of a draw (at
-    least one sample).  Only the kept m rows of the ambient Haar unitary
-    are generated (their marginal distribution is exact): O(d m^2) per
-    sample, not O(d^3).  Each draw and each block get fresh arrays, and
-    the phase correction scales the QR's Q in place; glibc's thresholds
-    and OpenBLAS's thread count are pinned once per process, before the
+    At m >= 2 they come per config, on blocks of at most ``BLOCK_ENTRIES``
+    entries of a draw (at least one sample), from two Gram matrices of
+    the normals and the Cholesky factor of one of them (:func:`_kernel`).
+    They stand for the kept m rows of the ambient Haar unitary, whose
+    marginal distribution is exact: O(d m^2) per sample, not O(d^3).
+    Each draw and each block get fresh arrays; glibc's thresholds and
+    OpenBLAS's thread count are pinned once per process, before the
     first draw (:func:`_keep_freed_memory`), so freed blocks stay mapped
     and a sample's bytes do not depend on ``OPENBLAS_NUM_THREADS``.  A
     stack gathers the many small blocks of a large d, since its

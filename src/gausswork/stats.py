@@ -98,15 +98,16 @@ def work_bound(m_sys: int, delta):
 
 def _spectral_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:
     """(energy, sum_sympl, work, stat_T, stat_frakT) of each matrix of a
-    (N, 2m, 2m) stack, from its eigen- and symplectic spectra."""
-    # eigvalsh and the square root's eigh stay two calls: taking the
-    # spectrum from the root's eigh changes the last bits of energy and stat_T
-    lam = np.linalg.eigvalsh(gammas)
+    (N, 2m, 2m) stack, from its symplectic spectrum; energy = Tr Gamma / 2
+    and stat_T = |Gamma - nu_th I|_F^2 = sum_k (lambda_k - nu_th)^2 need no
+    eigensolver."""
     nus = phasespace.symplectic_eigenvalues(gammas).nus
-    energy = 0.5 * np.sum(lam, axis=-1)
+    energy = 0.5 * np.trace(gammas, axis1=-2, axis2=-1)
+    shifted = gammas - nu[:, None, None] * np.eye(gammas.shape[-1])
+    stat_t = np.sum(shifted * shifted, axis=(-2, -1))
     sum_sympl = np.sum(nus, axis=-1)
     stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
-    return energy, sum_sympl, energy - sum_sympl, _spread(lam, nu), stat_frak
+    return energy, sum_sympl, energy - sum_sympl, stat_t, stat_frak
 
 
 def _one_mode_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:

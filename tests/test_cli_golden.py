@@ -13,13 +13,13 @@ values, or argparse's wording, and with them the hashes.  A refactor of
 the command line must leave every digest unchanged; a deliberate change
 of output updates the table in the same commit.
 
-The OpenBLAS thread count would change the bytes of a wide sample (its
-QR reduces long columns, which OpenBLAS splits across threads); the
-package pins OpenBLAS to one thread before its first sample, so every
-case runs in-process, and child processes check the wide case at other
-thread settings.  At m = 1 no BLAS routine touches a sampled value, so
-those cases give the same bytes under any OpenBLAS CPU kernel; child
-processes check that too, on x86-64.
+The OpenBLAS thread count could change the bytes of a wide sample (its
+Gram matrices reduce long columns, which OpenBLAS may split across
+threads); the package pins OpenBLAS to one thread before its first
+sample, so every case runs in-process, and child processes check the
+wide case at other thread settings.  At m = 1 no BLAS routine touches a
+sampled value, so those cases give the same bytes under any OpenBLAS CPU
+kernel; child processes check that too, on x86-64.
 """
 
 import contextlib
@@ -118,7 +118,9 @@ CASES = {
 }
 
 # name -> (exit code, stdout, stderr, {file: digest}), recorded before the
-# CLI refactor; the m = 1 cases since m = 1 takes its closed form
+# CLI refactor; the m = 1 cases since m = 1 takes its closed form, the
+# sampled m >= 2 cases since Gamma comes from Gram matrices and a Cholesky
+# factor
 GOLDEN = {
     'bad-choice': (2, 'e3b0c44298fc1c14', '049ad70258167b3d', {}),
     'bad-int': (2, 'e3b0c44298fc1c14', '359ebcba92a85b71', {}),
@@ -134,7 +136,7 @@ GOLDEN = {
     'missing-several': (2, 'e3b0c44298fc1c14', '67b012bae1640c71', {}),
     'moments': (0, '650b96a5a1f90696', 'e3b0c44298fc1c14', {}),
     'moments-flat': (2, 'e3b0c44298fc1c14', '0c9f8f8ec350ffcb', {}),
-    'moments-out-vacuum': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'mo.json': '5a61eaec2b4bc24a'}),
+    'moments-out-vacuum': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'mo.json': 'c9abaf853356add7'}),
     'no-command': (2, 'e3b0c44298fc1c14', '07f79b7a7ef5b9be', {}),
     'purify-malformed': (2, 'e3b0c44298fc1c14', '3eaaeb045f22094d', {}),
     'purify-missing': (2, 'e3b0c44298fc1c14', 'b41e33f43f61cc66', {}),
@@ -144,9 +146,9 @@ GOLDEN = {
     'sample-bad-profile': (2, 'e3b0c44298fc1c14', '2264fce1931d9767', {}),
     'sample-csv': (0, 'df37e95d560c3cb2', 'e3b0c44298fc1c14', {}),
     'sample-file-profile': (0, '7eab6b277f8e780e', 'e3b0c44298fc1c14', {}),
-    'sample-json-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'s.json': '4d5be827887f3cce'}),
-    'sample-past-budget': (0, '911af1e1d3d9511f', 'e3b0c44298fc1c14', {}),
-    'sample-threads': (0, '9c39151a20badef2', 'e3b0c44298fc1c14', {}),
+    'sample-json-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'s.json': 'd2e31ed20ca8cd83'}),
+    'sample-past-budget': (0, 'ab0e3d67b151a230', 'e3b0c44298fc1c14', {}),
+    'sample-threads': (0, '05bea57a0af3714d', 'e3b0c44298fc1c14', {}),
     'sweep-decreasing': (2, 'e3b0c44298fc1c14', 'bbfe349757343aff', {}),
     'sweep-out': (0, 'e3b0c44298fc1c14', 'e3b0c44298fc1c14', {'sw.json': 'f91d03539d3cf8ba', 'sw.csv': '5ad849c88d49082f'}),
     'sweep-power': (0, '7347abc8ea0d3892', 'e3b0c44298fc1c14', {}),
@@ -211,7 +213,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 
 @pytest.mark.parametrize("threads", ["1", "2", None], ids=["one", "two", "unset"])
 def test_wide_sample_bytes_at_any_blas_thread_count(threads, golden_dir):
-    # d m = 2^15: unpinned, two OpenBLAS threads gave another digest
+    # d m = 2^15; unpinned, two OpenBLAS threads gave another digest under
+    # the QR route that the Gram matrices replaced
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads

@@ -23,6 +23,7 @@ from gausswork.errors import (
     InvalidConfig,
     InvalidProfile,
     NotUnitary,
+    NumericalFailure,
     RejectionTimeout,
 )
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
@@ -490,17 +491,101 @@ class TestRandomState:
             )
 
 
-def gamma_reference(rows, gram_diag):
-    """The Gamma build as np.block wrote it, the layout reference of
-    sampling._gamma_from_rows."""
-    re, im = rows.real, rows.imag
-    sel = np.block([[re, im], [-im, re]])
-    return 0.5 * (sel * gram_diag) @ np.swapaxes(sel, -1, -2)
-
-
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
                                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def mp_rows(stack):
+    """The rows of each complex matrix of a stack as mpmath numbers, which
+    hold a double exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    return [[[mpmath.mpc(float(v.real), float(v.imag)) for v in row] for row in w] for w in stack]
+
+
+def exact_rows(x):
+    """The rows Q^T of the phase-fixed QR of a d x m complex matrix, in the
+    current mpmath precision: Gram-Schmidt with a positive diagonal of R,
+    which is what Mezzadri's phase fix makes of LAPACK's Q."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = []
+    for v in mp_rows([np.asarray(x).T])[0]:
+        for q in rows:
+            r = mpmath.fdot(v, q, conjugate=True)
+            v = [vi - r * qi for vi, qi in zip(v, q)]
+        norm = mpmath.sqrt(mpmath.fsum(abs(vi) ** 2 for vi in v))
+        rows.append([vi / norm for vi in v])
+    return rows
+
+
+def exact_gamma(rows, gram):
+    """1/2 S(W) G S(W)^T, S(W) = [[Re W, Im W], [-Im W, Re W]], of m rows of
+    mpmath numbers W and a float Gram diagonal (z^2, z^-2), in the current
+    mpmath precision; a list of 2m rows."""
+    mpmath = pytest.importorskip("mpmath")
+    d = len(rows[0])
+    zsq, zinv = [mpmath.mpf(float(v)) for v in gram[:d]], [mpmath.mpf(float(v)) for v in gram[d:]]
+    re = [[mpmath.re(w) for w in row] for row in rows]
+    im = [[mpmath.im(w) for w in row] for row in rows]
+    # the rows of S(W), each as its two halves of d entries
+    halves = [(a, b) for a, b in zip(re, im)] + [([-v for v in b], a) for a, b in zip(re, im)]
+
+    def entry(p, q):
+        return (mpmath.fdot(p[0], [x * g for x, g in zip(q[0], zsq)])
+                + mpmath.fdot(p[1], [x * g for x, g in zip(q[1], zinv)])) / 2
+
+    return [[entry(p, q) for q in halves] for p in halves]
+
+
+def gamma_bound(d, m, kappa, gram):
+    """First-order bound on max |Gamma - exact| for the sampling kernel's
+    Gamma of a d x m Ginibre block X, kappa = kappa(X), in units of
+    eps kappa^2 s with s = max(G) / 2 >= |Gamma|_2 (G the Gram diagonal):
+
+    - the Gram H = X^H X (sums of 2d products and a difference) and its
+      Cholesky factor are exact for H + E with |E|_2 <= (3d + 2m + 4) m eps
+      sigma_1^2, so the implied Q = X R^-1 is Q Z with Z^H Z = I - Phi,
+      |Phi|_2 <= (3d + 2m + 4) m eps kappa^2, and the upper-triangular
+      Z - I has 2-norm <= sqrt(m / 2) |Phi|_2: Gamma moves by twice that,
+      sqrt(2m) m (3d + 2m + 4);
+    - the forward substitution for L^-1, whose residual
+      |L X - I| <= m eps |L| |X| makes T = (I + F) T_exact with
+      |F|_2 <= m^2 eps kappa^2: twice that, 2 m^2;
+    - Gamma_X's syrk over 2d products of weights rounded twice,
+      (2d + 4) eps |V|^T |V|, whose norm is at most 2 m s sigma_1^2, taken
+      through S(T), |S(T)|_2 = 1 / sigma_m: 2m (2d + 4);
+    - the two 2m x 2m products: 2 (2m eps) |S(T)|^2_F |Gamma_X|_2, 8 m^2.
+
+    T = I (state_from_unitary) leaves the third term only, for which
+    kappa(W^T) ~ 1 and the same bound holds."""
+    eps = np.finfo(float).eps
+    c = math.sqrt(2 * m) * m * (3 * d + 2 * m + 4) + 2 * m * m + 2 * m * (2 * d + 4) + 8 * m * m
+    return c * eps * kappa ** 2 * 0.5 * float(np.max(gram))
+
+
+def assert_near_exact(gammas, rows, grams, kappas):
+    """Each Gamma against 1/2 S(W) G S(W)^T of its exact rows W and Gram
+    diagonal, in 50 digits, within :func:`gamma_bound`."""
+    mpmath = pytest.importorskip("mpmath")
+    for gamma, w, gram, kappa in zip(gammas, rows, grams, kappas):
+        d, m = len(w[0]), len(w)
+        bound = gamma_bound(d, m, kappa, gram)
+        with mpmath.workdps(50):
+            exact = exact_gamma(w, gram)
+            error = max(abs(mpmath.mpf(float(gamma[i, j])) - exact[i][j])
+                        for i in range(2 * m) for j in range(2 * m))
+        assert error <= bound, (error, bound, kappa)
+
+
+def assert_matches_qr_oracle(gammas, parts, grams):
+    """Each Gamma of m >= 2 kept modes against the 50-digit phase-fixed QR
+    of its Ginibre block X = a + ib, parts[k] = (a, b), within
+    :func:`gamma_bound` at kappa(X)."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = parts[:, 0] + 1j * parts[:, 1]
+    with mpmath.workdps(50):
+        rows = [exact_rows(x) for x in xs]
+    assert_near_exact(gammas, rows, grams, np.linalg.cond(xs))
 
 
 class TestKernelHelpers:
@@ -526,19 +611,23 @@ class TestKernelHelpers:
     @pytest.mark.parametrize("z0", [1.5, 1e3, 1e50, 1e100])
     @pytest.mark.parametrize("m", [1, 2, 8])
     def test_gamma_from_rows_equals_reference(self, m, z0):
+        # Haar rows W, as a contiguous stack of (Re W, Im W) and as the
+        # kernel lays them out (the transpose of a d x m block), against
+        # the exact 1/2 S(W) G S(W)^T, shared and per-sample diagonals
         rng = np.random.default_rng(43)
         d, n = 12, 5
         z = z0 * rng.uniform(1.0, 2.0, d)
         gram = sm.squeeze_gram_diagonal(SqueezingSpec(z))
         per_sample = np.stack([sm.squeeze_gram_diagonal(SqueezingSpec(z0 * rng.uniform(1.0, 2.0, d)))
-                               for _ in range(n)])[:, None, :]
+                               for _ in range(n)])
         q = sm._haar_columns(sm._ginibre(*rng.standard_normal((2, n, d, m)),
                                          np.empty((n, d, m), complex)))
-        # C-order rows, and the kernel's rows: the transpose of the QR's Q
-        for rows in (np.ascontiguousarray(np.swapaxes(q, -1, -2)), np.swapaxes(q, -1, -2)):
-            for weights in (gram, per_sample):
-                assert same_bits(sm._gamma_from_rows(rows, weights), gamma_reference(rows, weights))
-            assert same_bits(sm._gamma_from_rows(rows[0], gram), gamma_reference(rows[0], gram))
+        block = np.stack([q.real, q.imag], axis=1)
+        rows, kappas = mp_rows(np.swapaxes(q, -1, -2)), np.linalg.cond(q)
+        for parts in (np.ascontiguousarray(np.swapaxes(block, -1, -2)), np.swapaxes(block, -1, -2)):
+            assert_near_exact(sm._gamma_from_rows(parts, gram), rows, [gram] * n, kappas)
+            assert_near_exact(sm._gamma_from_rows(parts, per_sample), rows, per_sample, kappas)
+            assert_near_exact(sm._gamma_from_rows(parts[0], gram)[None], rows, [gram], kappas)
 
 
 def assert_one_mode_forms(gammas, parts, grams):
@@ -566,7 +655,7 @@ def assert_one_mode_forms(gammas, parts, grams):
 
 
 class TestBlockScratch:
-    """Sampled blocks against the block expression on freshly allocated arrays."""
+    """Sampled blocks against the exact expression of the same normals."""
 
     @pytest.mark.parametrize("pipeline", ["purified", "direct"])
     @pytest.mark.parametrize("n_full, m_sys, profile", [
@@ -574,9 +663,10 @@ class TestBlockScratch:
         (8, 8, "uniform:1.3"), (2, 1, "flat:3.0"),
     ])
     def test_equals_block_expression(self, n_full, m_sys, profile, pipeline):
-        # a budget-sized block, then a short one, rebuilt from the same
-        # streams with freshly allocated arrays and np.block's selector;
-        # at m = 1 against the exact quadratic forms of the same normals
+        # a budget-sized block, then a short one, against the same streams'
+        # normals in 50 digits: at m = 1 the exact quadratic forms, at
+        # m >= 2 the phase-fixed QR of each Ginibre block (direct 8, 8 is
+        # d = m, where kappa(X) has its heaviest tail)
         config = RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile.parse(profile),
                                    master_seed=12, pipeline=pipeline)
         d = config.ambient_modes
@@ -589,30 +679,25 @@ class TestBlockScratch:
             parts = np.array(parts)
             gammas, block_specs = sm.sample_block(config, lo, hi)
             assert all(np.array_equal(a.z, b.z) for a, b in zip(block_specs, specs))
+            grams = [sm.squeeze_gram_diagonal(spec) for spec in specs]
             if m_sys == 1:
-                assert_one_mode_forms(gammas, parts[..., 0],
-                                      [sm.squeeze_gram_diagonal(spec) for spec in specs])
-                continue
-            z = (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)
-            q, r = np.linalg.qr(z)
-            diag = np.diagonal(r, axis1=-2, axis2=-1)
-            rows = np.swapaxes(q * (diag / np.abs(diag))[..., None, :], -1, -2)
-            if config.profile.is_random:
-                gram = np.array([sm.squeeze_gram_diagonal(s) for s in specs])[:, None, :]
+                assert_one_mode_forms(gammas, parts[..., 0], grams)
             else:
-                gram = sm.squeeze_gram_diagonal(specs[0])
-            assert np.array_equal(gammas, gamma_reference(rows, gram))
+                assert_matches_qr_oracle(gammas, parts, grams)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_state_from_unitary_equals_block_expression(self, order):
+        # the kernel's Gamma build with T = I, against the exact
+        # 1/2 S(W) G S(W)^T of the given unitary's first m rows
         rng = np.random.default_rng(37)
         spec = SqueezingSpec(rng.uniform(1.0, 1.8, 6))
         gram = sm.squeeze_gram_diagonal(spec)
         for shape in ((), (4,), (2, 3)):
             u = np.asarray(sm.haar_unitary(6, rng, shape), order=order)
             for m in (1, 2, 6):
-                assert np.array_equal(sm.state_from_unitary(u, spec, m),
-                                      gamma_reference(u[..., :m, :], gram))
+                gammas = sm.state_from_unitary(u, spec, m).reshape(-1, 2 * m, 2 * m)
+                w = u[..., :m, :].reshape(-1, m, 6)
+                assert_near_exact(gammas, mp_rows(w), [gram] * len(w), np.linalg.cond(w))
 
     def test_block_beyond_budget_is_not_kept(self):
         # a direct call for four budgets' worth of samples draws budget-sized
@@ -657,9 +742,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
 
     @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
     def test_wide_samples_stay_resident(self):
-        # each sample's QR frees about 1.9 MB; unless glibc's thresholds
-        # are pinned, it unmaps or trims them and the next sample faults
-        # them back in, about 480 minor faults per sample here
+        # each sample's Gamma build frees about 1.3 MiB; unless glibc's
+        # thresholds are pinned, it unmaps or trims it and the next sample
+        # faults it back in, about 480 minor faults per sample here
         def faults_per_sample():
             sm.sample_block(self.WIDE, 0, 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -671,10 +756,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
     @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
     @pytest.mark.parametrize("n_full, m_sys", [(16, 2), (1024, 4), (4096, 4)])
     def test_budget_samples_stay_resident(self, n_full, m_sys):
-        # d m = 64, exactly the block budget, and four budgets: a sample
-        # that fills a block frees its QR's 128 KiB arrays, and unpinned
-        # that is about 96 minor faults per sample; pinned after the first
-        # block is allocated, 16 per sample at d m = 2^15
+        # d m = 64, exactly the block budget, and four budgets: unpinned,
+        # the last faults about 480 pages per sample; pinned after the
+        # first block is allocated, 16 per sample at d m = 2^15
         result = subprocess.run([sys.executable, "-c", self.FRESH_FAULTS, str(n_full), str(m_sys)],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -751,10 +835,25 @@ class TestKernel:
         configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=ZProfile.parse(profile),
                                      master_seed=19, pipeline=pipeline) for n in grid]
         lo, hi = 5, 5 + sm.BLOCK_ENTRIES // (configs[0].ambient_modes * m_sys) + 3
-        blocks = sm._kernel(configs, *self.stream_rows(configs, lo, hi))
+        blocks = sm._kernel(configs, *self.stream_rows(configs, lo, hi), lo)
         for config, gammas in zip(configs, blocks):
             assert np.array_equal(np.concatenate(gammas), sm.sample_block(config, lo, hi)[0])
 
+
+    def test_singular_gram_names_first_sample(self):
+        # a kept Ginibre column of zeros leaves X^H X singular; the first
+        # such sample is named, in the second block of its draw, and the
+        # error is a numerical failure (exit 3), not LAPACK's LinAlgError
+        config = RandomStateConfig(n_full=16, m_sys=3, profile=ZProfile("uniform", 1.3),
+                                   master_seed=19)
+        d, lo = config.ambient_modes, 40
+        step = sm.BLOCK_ENTRIES // (d * 3)
+        rows, shared = self.stream_rows([config], lo, lo + 2 * step)
+        for k in (step + 7, step + 30):
+            rows[k, : 2 * d * 3].reshape(2, d, 3)[:, :, 1] = 0.0
+        with pytest.raises(NumericalFailure, match=rf"^sample {lo + step + 7}: ") as info:
+            sm._kernel([config], rows, shared, lo)
+        assert info.value.exit_code == 3
 
 class TestEnergyScaling:
     def test_purified_input_energy_grows_polynomially(self):

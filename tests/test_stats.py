@@ -148,7 +148,7 @@ class TestEvaluateRecord:
         with pytest.raises(NumericalFailure) as info:
             harness.compute_records(config, 40)
         assert str(info.value) == (
-            "work bound violated at sample 24: work=0.27809077470365806 > sqrt(m*delta)=0.25"
+            "work bound violated at sample 24: work=0.27809077470365984 > sqrt(m*delta)=0.25"
         )
 
     def test_non_finite_statistics_name_first_sample(self):
