@@ -11,7 +11,6 @@ from .phasespace import (
     check_covariance,
     energy,
     extractable_work,
-    partial_trace,
     purify,
     symplectic_eigenvalues,
     symplectic_form,
@@ -59,7 +58,6 @@ __all__ = [
     "expected_tr_omega_gamma_sq",
     "extractable_work",
     "haar_unitary",
-    "partial_trace",
     "purify",
     "sample_random_state",
     "state_from_unitary",

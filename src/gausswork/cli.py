@@ -300,15 +300,24 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     return resolved
 
 
+_COMMAND_NAMES = (*_COMMANDS, "purify")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="gausswork",
         description="Monte Carlo laboratory for extractable-work statistics "
         "of random energy-bounded Gaussian states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a parser of one command shows the full command list in its usage, as
+    # the full parser does; it cannot raise the errors that would name it
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(_COMMAND_NAMES) + "}")
     for name, (handler, summary, shared, own) in _COMMANDS.items():
+        if command not in (None, name):
+            continue  # a short command does not pay for building the others
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file; flags override")
         for dest, option in {**shared, **own}.items():
@@ -320,16 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(fn=lambda args, handler=handler: handler(_resolve_options(args)))
 
-    p_purify = sub.add_parser("purify", help="purify a covariance text file")
-    p_purify.add_argument("input", help="input covariance file")
-    p_purify.add_argument("output", help="output covariance file")
-    p_purify.set_defaults(fn=lambda args: cmd_purify(args.input, args.output))
+    if command in (None, "purify"):
+        p_purify = sub.add_parser("purify", help="purify a covariance text file")
+        p_purify.add_argument("input", help="input covariance file")
+        p_purify.add_argument("output", help="output covariance file")
+        p_purify.set_defaults(fn=lambda args: cmd_purify(args.input, args.output))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command gets its own parser; anything else (--help, no
+    # arguments, an unknown command) the full one, which lists them all
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except GaussworkError as exc:

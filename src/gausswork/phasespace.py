@@ -165,7 +165,7 @@ def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> Williams
     # so b is the q column and a the p column of an orthogonal Q with
     # Q^T K Q = [[0, diag(nu)], [-diag(nu), 0]].
     q_orth = np.sqrt(2.0) * np.concatenate([vecs.imag, vecs.real], axis=1)
-    factor = (root @ q_orth) * np.tile(nus, 2) ** -0.5
+    factor = (root @ q_orth) * np.concatenate([nus, nus]) ** -0.5
     return WilliamsonResult(nus=nus, symplectic_factor=factor)
 
 
@@ -216,21 +216,6 @@ def extractable_work(gamma: np.ndarray) -> float:
     return 0.5 * float(np.trace(gamma)) - float(np.sum(nus))
 
 
-def keep_indices(n_modes: int, keep: int) -> np.ndarray:
-    """Row/column indices of the first ``keep`` modes in split ordering."""
-    if not 1 <= keep <= n_modes:
-        raise BadModeCount(f"keep={keep} out of range for {n_modes} modes")
-    return np.concatenate([np.arange(keep), n_modes + np.arange(keep)])
-
-
-def partial_trace(gamma: np.ndarray, keep: int) -> np.ndarray:
-    """Covariance matrix of the first ``keep`` modes."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    idx = keep_indices(n, keep)
-    return gamma[np.ix_(idx, idx)].copy()
-
-
 def purify(gamma_m: np.ndarray) -> np.ndarray:
     """Two-copy pure extension of a physical m-mode covariance matrix.
 
@@ -253,19 +238,22 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     excess[excess <= 1e-12] = 0.0
     cross = np.sqrt(excess)
 
-    big = np.zeros((4 * m, 4 * m))
-    q_a, q_r = np.arange(m), m + np.arange(m)
-    p_a, p_r = 2 * m + np.arange(m), 3 * m + np.arange(m)
-    for a, r, c in ((q_a, q_r, cross), (p_a, p_r, -cross)):
-        big[a, a] = big[r, r] = nus
-        big[a, r] = big[r, a] = c
+    # The pure state in (q, p) x (original, partner) x mode ordering: S D S^T
+    # on the original half, D = diag(nu) (+) diag(nu) on the partner half,
+    # and the two-mode-squeezed correlations diag(cross) (+) diag(-cross)
+    # carried by S into the original rows.  The + 0.0 turns a -0.0 product
+    # into 0.0, so that a zero correlation is written as 0.0.
+    factor, diag = res.symplectic_factor, np.concatenate([nus, nus])
+    kept = (factor * diag) @ factor.T
+    link = (factor * np.concatenate([cross, -cross]) + 0.0).reshape(2, m, 2, m)
+    pure = np.zeros((2, 2, m, 2, 2, m))
+    pure[:, 0, :, :, 0] = kept.reshape(2, m, 2, m)
+    pure[:, 0, :, :, 1] = link
+    pure[:, 1, :, :, 0] = link.transpose(2, 3, 0, 1)
+    pure[:, 1, :, :, 1] = np.diag(diag).reshape(2, m, 2, m)
+    pure = pure.reshape(4 * m, 4 * m)
 
-    # S acts on the original half, whose rows are q_a then p_a
-    embed = np.eye(4 * m)
-    embed[np.ix_(np.r_[q_a, p_a], np.r_[q_a, p_a])] = res.symplectic_factor
-    pure = embed @ big @ embed.T
-
-    roundtrip = float(np.max(np.abs(partial_trace(pure, m) - gamma_m)))
+    roundtrip = float(np.max(np.abs(kept - gamma_m)))
     if roundtrip > ROUNDTRIP_TOL:
         raise NumericalFailure(f"purification round trip error {roundtrip:.3e} exceeds 1e-10")
     purity = float(np.max(np.abs(symplectic_eigenvalues(pure).nus - 0.5)))
@@ -308,7 +296,7 @@ def read_covariance_text(stream: TextIO) -> np.ndarray:
     rows = []
     for line in lines[1:]:
         try:
-            row = [float(tok) for tok in line.split()]
+            row = list(map(float, line.split()))
         except ValueError as exc:
             raise MalformedFile(f"non-numeric entry in row: {line!r}") from exc
         if len(row) != 2 * n:
@@ -321,5 +309,5 @@ def write_covariance_text(gamma: np.ndarray, stream: TextIO) -> None:
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     stream.write(f"{n}\n")
-    for row in gamma:
-        stream.write(" ".join(repr(float(x)) for x in row) + "\n")
+    for row in gamma.tolist():
+        stream.write(" ".join(map(repr, row)) + "\n")

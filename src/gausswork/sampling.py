@@ -112,14 +112,15 @@ def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-class _GivenState(np.random.bit_generator.ISeedSequence):
-    """Seed sequence of one index's precomputed PCG64 seed words."""
+class _GivenStates(np.random.bit_generator.ISeedSequence):
+    """Seed sequence of a range's precomputed PCG64 seed words: each PCG64
+    seeded from it takes the next index's words."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def __init__(self, seeds: np.ndarray):
+        self.rows = iter(seeds)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        return next(self.rows)
 
 
 def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
@@ -137,8 +138,8 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
         raise InvalidConfig(f"master_seed must be >= 0, got {master_seed}")
     if lo < 0:
         raise InvalidConfig(f"sample_index must be >= 0, got {lo}")
-    seeds = _pcg64_seeds(master_seed, lo, hi)
-    return (np.random.Generator(np.random.PCG64(_GivenState(words))) for words in seeds)
+    seeds = _GivenStates(_pcg64_seeds(master_seed, lo, hi))
+    return (np.random.Generator(np.random.PCG64(seeds)) for _ in range(lo, hi))
 
 
 def _ginibre(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -545,12 +546,14 @@ def _draw_block(
     width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
     rows = np.empty((hi - lo, width))
     drawn = []
-    for row, rng in zip(rows, streams):
-        if shared[0] is None:
+    if shared[0] is None:
+        for row, rng in zip(rows, streams):
             drawn.append(draw_squeezing(configs[0].profile, configs[0].ambient_modes, rng))
-        rng.standard_normal(out=row)
-    if drawn:
+            rng.standard_normal(out=row)
         shared = [(None, np.stack([squeeze_gram_diagonal(s) for s in drawn])[:, None, :])]
+    else:
+        for row, rng in zip(rows, streams):
+            rng.standard_normal(out=row)
     return [(gammas, drawn or [share[0]] * (hi - lo))
             for gammas, share in zip(_kernel(configs, rows, shared, lo), shared)]
 

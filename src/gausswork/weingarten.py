@@ -9,6 +9,7 @@ sampler.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import parallel, sampling, stats
 from .errors import BadDimension, InvalidConfig, NumericalFailure
-from .phasespace import symplectic_form
 from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
@@ -101,7 +101,10 @@ def measure_tr_gamma_sq(gamma: np.ndarray) -> np.ndarray:
 
 
 def measure_tr_omega_gamma_sq(gamma: np.ndarray) -> np.ndarray:
-    og = symplectic_form(gamma.shape[-1] // 2) @ gamma
+    # Omega Gamma, Omega = [[0, I], [-I, 0]], is Gamma's lower rows over its
+    # negated upper rows: the matrix product's entries, with no BLAS call
+    m = gamma.shape[-1] // 2
+    og = np.concatenate([gamma[..., m:, :], -gamma[..., :m, :]], axis=-2)
     return np.sum(og * np.swapaxes(og, -1, -2), axis=(-2, -1))
 
 
@@ -176,9 +179,12 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
         analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
         rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), n_samples, threads))
         reports = []
-        for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T.tolist()):
-            mean = math.fsum(values) / n_samples
-            var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
+        for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T):
+            mean = math.fsum(values.tolist()) / n_samples
+            # pow(x, 2) is x ** 2, libm's pow, which rounds some squares
+            # differently from numpy's x * x
+            squares = map(pow, (values - mean).tolist(), itertools.repeat(2))
+            var = math.fsum(squares) / (n_samples - 1)
             std_error = math.sqrt(var / n_samples)
             if not all(map(math.isfinite, (analytic, mean, std_error))):
                 raise OverflowError(

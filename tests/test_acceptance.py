@@ -21,6 +21,7 @@ from gausswork import weingarten as wg
 from gausswork.sampling import RandomStateConfig, ZProfile
 
 import minwork
+from test_phasespace import partial_trace
 from test_weingarten import omega_probe_scores
 
 SWEEP_SEED = 20240810
@@ -95,7 +96,7 @@ def test_criterion_04_purification_contract():
         m = 1 + k % 4
         gamma = sm.random_covariance(m, rng)
         pure = ps.purify(gamma)
-        assert np.max(np.abs(ps.partial_trace(pure, m) - gamma)) <= 1e-10
+        assert np.max(np.abs(partial_trace(pure, m) - gamma)) <= 1e-10
         assert np.max(np.abs(ps.symplectic_eigenvalues(pure).nus - 0.5)) <= 1e-8
         assert np.trace(pure) <= 2.0 * np.trace(gamma) + 1e-9
     report(4, "purification round trip, purity and energy bound hold on 100 states")

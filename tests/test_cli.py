@@ -732,6 +732,39 @@ class TestHelp:
         assert re.search(rf"^  --seed SEED .*\(default {seed}\)$", text, re.M)
 
 
+class TestCommandParser:
+    # main builds the invoked command's parser alone
+    @pytest.mark.parametrize("argv", [[*cmd, flag] for cmd in (["sample"], ["sweep"], ["moments"],
+                                                               ["validate"], ["purify", "a", "b"])
+                                      for flag in ("--help", "--bogus")])
+    def test_output_equals_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        outputs = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outputs.append((exc.value.code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (0 if argv[-1] == "--help" else 2)
+
+    def test_one_command_per_parser(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser("moments").parse_args(["sample", "--n", "2"])
+        args = cli.build_parser("moments").parse_args(["moments", "--n", "2"])
+        assert (args.command, args.n) == ("moments", 2)
+
+    @pytest.mark.parametrize("argv", [["nope"], ["--seed", "3", "moments"], []])
+    def test_other_arguments_list_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gausswork [-h] {sample,sweep,moments,validate,purify} ...\n")
+        if argv == ["nope"]:
+            assert err.endswith("invalid choice: 'nope' (choose from 'sample', 'sweep', "
+                                "'moments', 'validate', 'purify')\n")
+
+
 class TestImports:
     # a fresh interpreter, so modules pytest or other tests loaded cannot mask one
     SCRIPT = """

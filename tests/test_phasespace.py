@@ -15,6 +15,40 @@ from gausswork.sampling import random_covariance, random_symplectic
 from gausswork.validate import check_eigensolver_crosscheck, check_symplectic_trace_invariance
 
 
+def keep_indices(n_modes, keep):
+    """Row/column indices of the first ``keep`` modes in split ordering."""
+    if not 1 <= keep <= n_modes:
+        raise BadModeCount(f"keep={keep} out of range for {n_modes} modes")
+    return np.concatenate([np.arange(keep), n_modes + np.arange(keep)])
+
+
+def partial_trace(gamma, keep):
+    """Covariance matrix of the first ``keep`` modes."""
+    gamma = np.asarray(gamma, dtype=float)
+    idx = keep_indices(ps.mode_count(gamma), keep)
+    return gamma[np.ix_(idx, idx)].copy()
+
+
+def embedded_purification(gamma):
+    """Purification as E B E^T: the Williamson factor S embedded in the
+    identity on the original modes' rows, conjugating the two-copy matrix B
+    of each mode's nu and two-mode-squeezed correlation +-sqrt(nu^2 - 1/4),
+    in (q_orig, q_partner, p_orig, p_partner) ordering."""
+    res = ps.symplectic_eigenvalues(gamma, with_factor=True)
+    m, nus = len(res.nus), res.nus
+    excess = nus * nus - 0.25
+    excess[excess <= 1e-12] = 0.0
+    big = np.zeros((4 * m, 4 * m))
+    q_a, q_r = np.arange(m), m + np.arange(m)
+    p_a, p_r = 2 * m + np.arange(m), 3 * m + np.arange(m)
+    for a, r, c in ((q_a, q_r, np.sqrt(excess)), (p_a, p_r, -np.sqrt(excess))):
+        big[a, a] = big[r, r] = nus
+        big[a, r] = big[r, a] = c
+    embed = np.eye(4 * m)
+    embed[np.ix_(np.r_[q_a, p_a], np.r_[q_a, p_a])] = res.symplectic_factor
+    return embed @ big @ embed.T
+
+
 def single_mode_squeezer(z, n_modes, target_mode):
     """Symplectic matrix scaling q of one (zero-based) mode by z and its p
     by 1/z; z = 1 gives the identity."""
@@ -229,26 +263,26 @@ class TestPartialTrace:
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(31)
         gamma = random_covariance(3, rng)
-        assert np.array_equal(ps.partial_trace(gamma, 3), gamma)
+        assert np.array_equal(partial_trace(gamma, 3), gamma)
 
     def test_two_mode_squeezed_reduces_to_thermal(self):
         gamma = two_mode_squeezed(1.0)
-        assert np.allclose(ps.partial_trace(gamma, 1), np.eye(2), atol=1e-15)
+        assert np.allclose(partial_trace(gamma, 1), np.eye(2), atol=1e-15)
 
     def test_index_arithmetic(self):
         gamma = np.diag([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(ps.partial_trace(gamma, 1), np.diag([1.0, 3.0]))
+        assert np.array_equal(partial_trace(gamma, 1), np.diag([1.0, 3.0]))
 
     def test_trace_shrinks(self):
         rng = np.random.default_rng(37)
         gamma = random_covariance(4, rng)
-        assert np.trace(ps.partial_trace(gamma, 2)) <= np.trace(gamma)
+        assert np.trace(partial_trace(gamma, 2)) <= np.trace(gamma)
 
     def test_bad_mode_count(self):
         with pytest.raises(BadModeCount):
-            ps.partial_trace(np.eye(4), 3)
+            partial_trace(np.eye(4), 3)
         with pytest.raises(BadModeCount):
-            ps.partial_trace(np.eye(4), 0)
+            partial_trace(np.eye(4), 0)
 
 
 class TestPurify:
@@ -262,13 +296,31 @@ class TestPurify:
         assert pure[2, 3] == pytest.approx(-c, abs=1e-12)
         assert np.allclose(np.diag(pure), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [
+        np.eye(2) / 2, np.eye(4) / 2, 1.3 * np.eye(6), np.diag([2.0, 0.125]), two_mode_squeezed(0.7),
+        *(random_covariance(m, np.random.default_rng(50 + m)) for m in (1, 2, 3, 8)),
+    ])
+    def test_equals_embedded_product(self, gamma):
+        # the blocks outside the kept one are single products, equal to the
+        # bit and the sign of a zero; the kept block S D S^T sums the same
+        # products as the embedded one, whose padding zeros may change the
+        # BLAS kernel's order (at 8 modes on some kernels)
+        pure, expected = ps.purify(gamma), embedded_purification(gamma)
+        m = ps.mode_count(gamma)
+        outside = np.ones(pure.shape, bool)
+        outside[np.ix_(keep_indices(2 * m, m), keep_indices(2 * m, m))] = False
+        assert np.array_equal(pure[outside], expected[outside])
+        assert np.array_equal(np.signbit(pure), np.signbit(expected))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(pure - expected)) <= 4 * m * eps * np.max(np.abs(expected))
+
     def test_roundtrip_purity_energy(self):
         rng = np.random.default_rng(41)
         for m in (1, 2, 3, 4):
             for _ in range(10):
                 gamma = random_covariance(m, rng)
                 pure = ps.purify(gamma)
-                assert np.max(np.abs(ps.partial_trace(pure, m) - gamma)) <= 1e-10
+                assert np.max(np.abs(partial_trace(pure, m) - gamma)) <= 1e-10
                 nus = ps.symplectic_eigenvalues(pure).nus
                 assert np.max(np.abs(nus - 0.5)) <= 1e-8
                 assert np.trace(pure) <= 2.0 * np.trace(gamma) + 1e-9

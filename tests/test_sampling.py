@@ -29,6 +29,8 @@ from gausswork.errors import (
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 from gausswork.validate import check_embedding
 
+from test_phasespace import keep_indices
+
 EMBED_IMAG_TOL = 1e-12
 
 
@@ -87,6 +89,18 @@ class TestStreams:
                 next(sm.block_streams(seed, 9, 10)).standard_normal(out=block)
                 assert np.array_equal(block.ravel(), row[: 2 * d * m])
                 assert np.array_equal(row[: 2 * d * m].reshape(2, d, m), block)
+
+    def test_live_iterators_keep_their_own_indices(self):
+        # every call seeds its PCG64s from its own range's words: two calls
+        # on one range, one from lo > 0 and one across 2^32, advanced in turn
+        seed = 2**64 + 5
+        ranges = [(7, 13), (7, 13), (2**32 - 3, 2**32 + 3)]
+        iterators = [sm.block_streams(seed, lo, hi) for lo, hi in ranges]
+        for k in range(6):
+            for (lo, _), streams in zip(ranges, iterators):
+                oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo + k,)))
+                assert np.array_equal(next(streams).random(4), oracle.random(4))
+        assert all(next(streams, None) is None for streams in iterators)
 
     @pytest.mark.parametrize("seed, lo", [(-1, 0), (-(2**70), 5), (3, -1), (-2, -2)])
     def test_negative_seed_or_index(self, seed, lo):
@@ -441,7 +455,7 @@ class TestRandomState:
         fast = sm.state_from_unitary(u, spec, 2)
         o = sm.unitary_to_symplectic(u)
         full = 0.5 * o @ np.diag(sm.squeeze_gram_diagonal(spec)) @ o.T
-        idx = ps.keep_indices(6, 2)
+        idx = keep_indices(6, 2)
         assert np.max(np.abs(fast - full[np.ix_(idx, idx)])) <= 1e-13
 
     def test_state_from_unitary_takes_stacks(self):
@@ -727,11 +741,14 @@ class TestPastBudgetMemory:
     PAST = RandomStateConfig(n_full=1025, m_sys=4, profile=ZProfile("uniform", 1.5),
                              master_seed=3)
     # faults per sample of 8 samples, after one warm-up, in a fresh
-    # interpreter whose allocator no other test has pinned
+    # interpreter whose allocator no other test has pinned; "unpinned" makes
+    # the pin a no-op
     FRESH_FAULTS = """
 import resource, sys
 from gausswork import sampling as sm
 from gausswork.sampling import RandomStateConfig, ZProfile
+if sys.argv[3] == "unpinned":
+    sm._keep_freed_memory = lambda: None
 config = RandomStateConfig(n_full=int(sys.argv[1]), m_sys=int(sys.argv[2]),
                            profile=ZProfile("uniform", 1.5), master_seed=3)
 sm.sample_block(config, 0, 1)
@@ -754,15 +771,21 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
         assert faults_per_sample() < 16
 
     @pytest.mark.skipif(resource is None or not has_mallopt(), reason="needs getrusage, mallopt")
-    @pytest.mark.parametrize("n_full, m_sys", [(16, 2), (1024, 4), (4096, 4)])
+    @pytest.mark.parametrize("n_full, m_sys", [(8192, 1), (4096, 2), (4096, 4)])
     def test_budget_samples_stay_resident(self, n_full, m_sys):
-        # d m = 64, exactly the block budget, and four budgets: unpinned,
-        # the last faults about 480 pages per sample; pinned after the
-        # first block is allocated, 16 per sample at d m = 2^15
-        result = subprocess.run([sys.executable, "-c", self.FRESH_FAULTS, str(n_full), str(m_sys)],
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert float(result.stdout) < 16
+        # d m = 2^14, two block budgets, on the closed-form m = 1 path and on
+        # the m >= 2 kernel, and 2^15, four budgets: unpinned, they fault
+        # about 140, 250 and 54 pages per sample; pinned after the first
+        # block is allocated, at most 0.5.  The unpinned run shows that the
+        # shape would catch a missing pin.
+        faults = {}
+        for pin in ("pinned", "unpinned"):
+            result = subprocess.run([sys.executable, "-c", self.FRESH_FAULTS, str(n_full),
+                                     str(m_sys), pin], capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            faults[pin] = float(result.stdout)
+        assert faults["pinned"] < 16
+        assert faults["unpinned"] > 2 * 16
 
     def test_hook_runs_once_before_the_first_draw(self, monkeypatch):
         # whatever the size of the first block, the process pins glibc's

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import weingarten as wg
@@ -205,6 +206,18 @@ class TestOmegaSecondMoment:
         assert retained == pytest.approx(-d / 2.0, abs=1e-12)
         assert abs(alternate + d / 2.0) > 1e-3
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("m_sys", [1, 2, 4])
+    def test_row_slices_equal_the_matrix_product(self, shape, m_sys):
+        # Omega's entries are 0 and +-1, so Omega @ Gamma is exact and row
+        # slicing gives the same bits
+        rng = np.random.default_rng(m_sys)
+        gamma = np.array([sm.random_covariance(m_sys, rng) for _ in range(math.prod(shape))])
+        gamma = gamma.reshape(*shape, 2 * m_sys, 2 * m_sys)
+        og = ps.symplectic_form(m_sys) @ gamma
+        expected = np.sum(og * np.swapaxes(og, -1, -2), axis=(-2, -1))
+        assert np.array_equal(wg.measure_tr_omega_gamma_sq(gamma), expected)
+
     def test_brute_force_probe_decides(self):
         scores = omega_probe_scores(60000)
         assert min(scores, key=scores.get) == "retained"
@@ -260,6 +273,19 @@ class TestMcMoment:
         a = wg.mc_moments(config, 400, threads=1)[2]
         b = wg.mc_moments(config, 400, threads=2)[2]
         assert a == b
+
+    def test_variance_squares_as_python_pow(self, monkeypatch):
+        # (v - mean) ** 2 is libm's pow, which rounds some squares unlike
+        # x * x: for these three values the x * x variance ends one ulp off
+        # under glibc
+        values = [0.5844585494097838, 1.2401439595373347, 0.534803777580241]
+        mean = math.fsum(values) / 3
+        expected = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 2 / 3)
+        rows = np.array([[v] * len(wg.QUANTITIES) for v in values])
+        monkeypatch.setattr(wg.parallel, "run_chunked", lambda *args: [rows])
+        reports = wg.mc_moments(uniform_config(4, 1, 1.2, 0), 3)
+        assert [r.std_error for r in reports] == [expected] * len(wg.QUANTITIES)
+        assert [r.estimate for r in reports] == [mean] * len(wg.QUANTITIES)
 
     def test_rejects_bad_input(self):
         config = uniform_config(4, 1, 1.2, 0)
