@@ -7,7 +7,6 @@ against exact Haar-moment formulas.
 """
 
 from .phasespace import (
-    WilliamsonResult,
     check_covariance,
     energy,
     extractable_work,
@@ -28,8 +27,6 @@ from .sampling import (
 )
 from .stats import (
     RECORD_DTYPE,
-    eigen_dispersion,
-    symplectic_dispersion,
     tail_probability,
     thermal_nu,
 )
@@ -41,31 +38,3 @@ from .weingarten import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MomentReport",
-    "RECORD_DTYPE",
-    "RandomStateConfig",
-    "SqueezingSpec",
-    "WilliamsonResult",
-    "ZProfile",
-    "check_covariance",
-    "draw_squeezing",
-    "eigen_dispersion",
-    "energy",
-    "expected_tr_gamma",
-    "expected_tr_gamma_sq",
-    "expected_tr_omega_gamma_sq",
-    "extractable_work",
-    "haar_unitary",
-    "purify",
-    "sample_random_state",
-    "state_from_unitary",
-    "symplectic_dispersion",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "symplectic_trace",
-    "tail_probability",
-    "thermal_nu",
-    "unitary_to_symplectic",
-]

@@ -35,8 +35,8 @@ def _join(chunks) -> np.ndarray:
 def _record_chunk(configs, lo: int, hi: int) -> list[np.ndarray]:
     """The records of indices lo..hi-1 at each config of a grid."""
     stacks = [[] for _ in configs]
-    for g, first, gammas, specs in sampling.iter_blocks(configs, lo, hi):
-        stacks[g].append(stats.evaluate_block(gammas, specs, configs[g], first))
+    for g, first, gammas, nu in sampling.iter_blocks(configs, lo, hi):
+        stacks[g].append(stats.evaluate_block(gammas, nu, configs[g], first))
     return [_join(records) for records in stacks]
 
 

@@ -13,7 +13,6 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -115,21 +114,6 @@ def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-@dataclass
-class WilliamsonResult:
-    """Symplectic spectrum, descending, plus the optional diagonalizing factor.
-
-    When ``symplectic_factor`` is present it satisfies
-    ``Gamma = S D S^T`` with ``D = diag(nus) (+) diag(nus)``.  S is unique
-    only up to a phase-space rotation of each mode (and a mixing of modes
-    with equal nu); a fixed phase gauge picks one, and S = I for a one-mode
-    thermal state.
-    """
-
-    nus: np.ndarray
-    symplectic_factor: np.ndarray | None = None
-
-
 def _williamson_kernel(gamma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(G^{1/2}, G^{1/2} Omega G^{1/2}) of one matrix or of a stack."""
     root = _sqrt_spd(gamma)
@@ -146,7 +130,7 @@ def _kernel_nus(kernel: np.ndarray, n: int) -> np.ndarray:
     return evals[..., n:][..., ::-1].copy()
 
 
-def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> WilliamsonResult:
+def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> tuple:
     """Spectrum and factor S with Gamma = S D S^T from the eigenvectors of
     the Hermitian i * kernel of one matrix."""
     try:
@@ -166,26 +150,34 @@ def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> Williams
     # Q^T K Q = [[0, diag(nu)], [-diag(nu), 0]].
     q_orth = np.sqrt(2.0) * np.concatenate([vecs.imag, vecs.real], axis=1)
     factor = (root @ q_orth) * np.concatenate([nus, nus]) ** -0.5
-    return WilliamsonResult(nus=nus, symplectic_factor=factor)
+    return nus, factor
 
 
-def symplectic_eigenvalues(gamma: np.ndarray, with_factor: bool = False) -> WilliamsonResult:
-    """Williamson symplectic spectrum of a positive-definite matrix.
+def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
+    """Williamson symplectic spectrum nu_1 >= .. >= nu_n of a
+    positive-definite matrix, or (..., n) of a (..., 2n, 2n) stack.
 
     The eigenvalues of Omega @ Gamma are {+-i nu_k}; the nu_k are computed
     from the Hermitian matrix i * G^{1/2} Omega G^{1/2}, which is the
-    numerically robust route.  Without ``with_factor`` ``gamma`` may be a
-    (..., 2n, 2n) stack, and ``nus`` is then (..., n).  With
-    ``with_factor`` the eigenvectors of that Hermitian matrix, for one
-    matrix, additionally yield S with Gamma = S D S^T.
+    numerically robust route.
     """
     gamma = np.asarray(gamma, dtype=float)
     # the first matrix of a stack stands for the shape of all of them
     n = mode_count(gamma[(0,) * (gamma.ndim - 2)])
-    root, kernel = _williamson_kernel(gamma, n)
-    if with_factor:
-        return _williamson_factor(root, kernel, n)
-    return WilliamsonResult(nus=_kernel_nus(kernel, n))
+    return _kernel_nus(_williamson_kernel(gamma, n)[1], n)
+
+
+def williamson(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson decomposition Gamma = S D S^T of one positive-definite
+    matrix, D = diag(nus) (+) diag(nus): the pair (nus, S), the spectrum of
+    :func:`symplectic_eigenvalues` and a symplectic S, from the eigenvectors
+    of the same Hermitian matrix.  S is unique only up to a phase-space
+    rotation of each mode (and a mixing of modes with equal nu); a fixed
+    phase gauge picks one, and S = I for a one-mode thermal state.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    n = mode_count(gamma)
+    return _williamson_factor(*_williamson_kernel(gamma, n), n)
 
 
 def symplectic_eigenvalues_direct(gamma: np.ndarray) -> np.ndarray:
@@ -201,7 +193,7 @@ def symplectic_eigenvalues_direct(gamma: np.ndarray) -> np.ndarray:
 
 def symplectic_trace(gamma: np.ndarray) -> float:
     """Sum of symplectic eigenvalues over the doubled spectrum, 2 * sum(nu)."""
-    return 2.0 * float(np.sum(symplectic_eigenvalues(gamma).nus))
+    return 2.0 * float(np.sum(symplectic_eigenvalues(gamma)))
 
 
 def extractable_work(gamma: np.ndarray) -> float:
@@ -212,7 +204,7 @@ def extractable_work(gamma: np.ndarray) -> float:
     result slightly negative; it is clamped only in reports, never here.
     """
     gamma = np.asarray(gamma, dtype=float)
-    nus = symplectic_eigenvalues(gamma).nus
+    nus = symplectic_eigenvalues(gamma)
     return 0.5 * float(np.trace(gamma)) - float(np.sum(nus))
 
 
@@ -229,8 +221,7 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     gamma_m = np.asarray(gamma_m, dtype=float)
     # the uncertainty check and the factor share one decomposition
     m, root, kernel = _checked_kernel(gamma_m)
-    res = _williamson_factor(root, kernel, m)
-    nus = res.nus
+    nus, factor = _williamson_factor(root, kernel, m)
     # The square root amplifies eigenvalue round-off near nu = 1/2 (an
     # excess of 1e-16 becomes a 1e-8 cross term); sub-noise excesses mean
     # the mode is pure and needs no partner.
@@ -243,7 +234,7 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     # and the two-mode-squeezed correlations diag(cross) (+) diag(-cross)
     # carried by S into the original rows.  The + 0.0 turns a -0.0 product
     # into 0.0, so that a zero correlation is written as 0.0.
-    factor, diag = res.symplectic_factor, np.concatenate([nus, nus])
+    diag = np.concatenate([nus, nus])
     kept = (factor * diag) @ factor.T
     link = (factor * np.concatenate([cross, -cross]) + 0.0).reshape(2, m, 2, m)
     pure = np.zeros((2, 2, m, 2, 2, m))
@@ -256,7 +247,7 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     roundtrip = float(np.max(np.abs(kept - gamma_m)))
     if roundtrip > ROUNDTRIP_TOL:
         raise NumericalFailure(f"purification round trip error {roundtrip:.3e} exceeds 1e-10")
-    purity = float(np.max(np.abs(symplectic_eigenvalues(pure).nus - 0.5)))
+    purity = float(np.max(np.abs(symplectic_eigenvalues(pure) - 0.5)))
     if purity > PURITY_TOL:
         raise NumericalFailure(f"purification impurity {purity:.3e} exceeds 1e-8")
     return pure
@@ -269,12 +260,10 @@ def is_symplectic(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     return float(np.max(np.abs(matrix @ omega @ matrix.T - omega))) <= tol
 
 
-def williamson_reconstruction_error(gamma: np.ndarray, result: WilliamsonResult) -> float:
-    """Relative spectral-norm error of Gamma - S D S^T."""
-    if result.symplectic_factor is None:
-        raise ValueError("result carries no symplectic factor")
-    s = result.symplectic_factor
-    delta = gamma - (s * np.tile(result.nus, 2)) @ s.T
+def williamson_reconstruction_error(gamma: np.ndarray, nus: np.ndarray, s: np.ndarray) -> float:
+    """Relative spectral-norm error of Gamma - S D S^T, for (nus, S) of
+    :func:`williamson`."""
+    delta = gamma - (s * np.concatenate([nus, nus])) @ s.T
     return float(np.linalg.norm(delta, 2) / np.linalg.norm(gamma, 2))
 
 

@@ -142,21 +142,18 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
     return (np.random.Generator(np.random.PCG64(seeds)) for _ in range(lo, hi))
 
 
-def _ginibre(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Complex standard-Gaussian entries, E|Z_ij|^2 = 1, written into ``out``:
-    each half is its part times 1/sqrt(2), bit for bit numpy's complex
-    division (re + 1j * im) / sqrt(2), which multiplies by the reciprocal."""
-    np.multiply(re, 1.0 / math.sqrt(2.0), out=out.real)
-    np.multiply(im, 1.0 / math.sqrt(2.0), out=out.imag)
-    return out
-
-
-def _haar_columns(z: np.ndarray) -> np.ndarray:
-    """Phase-corrected QR (Mezzadri 2007) of a stack of Ginibre matrices
-    (..., dim, cols): orthonormal columns distributed as the first columns
-    of a Haar unitary of size dim (the raw QR alone is not Haar)."""
+def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed unitary of size ``dim``, or a ``(*shape, dim, dim)``
+    stack of them from one Ginibre draw that equals successive single draws:
+    the QR of complex standard-Gaussian entries (re + i im) / sqrt(2), each
+    column's phase fixed by R's diagonal (Mezzadri 2007; the raw QR alone
+    is not Haar)."""
+    if dim < 1:
+        raise BadModeCount(f"invalid unitary size {dim}")
+    parts = rng.standard_normal((*shape, 2, dim, dim))
+    z = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / math.sqrt(2.0)
     try:
-        q, r = np.linalg.qr(z, mode="reduced")
+        q, r = np.linalg.qr(z)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
         raise NumericalFailure(f"QR factorization failed: {exc}") from exc
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -164,16 +161,6 @@ def _haar_columns(z: np.ndarray) -> np.ndarray:
     diag[diag == 0] = 1.0
     q *= (diag / np.abs(diag))[..., None, :]
     return q
-
-
-def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Haar-distributed unitary of size ``dim``, or a ``(*shape, dim, dim)``
-    stack of them from one Ginibre draw that equals successive single draws."""
-    if dim < 1:
-        raise BadModeCount(f"invalid unitary size {dim}")
-    parts = rng.standard_normal((*shape, 2, dim, dim))
-    z = np.empty((*shape, dim, dim), complex)
-    return _haar_columns(_ginibre(parts[..., 0, :, :], parts[..., 1, :, :], z))
 
 
 def _check_unitary(u: np.ndarray) -> int:
@@ -279,14 +266,9 @@ class ZProfile:
 
 @dataclass(frozen=True, eq=False)
 class SqueezingSpec:
-    """Vector of per-mode squeezing values z_i >= 1.
-
-    ``energy_bound`` marks membership in the energy ball
-    sum(z^2 + z^-2) <= 4E; profile-generated vectors carry None.
-    """
+    """Vector of per-mode squeezing values z_i >= 1."""
 
     z: np.ndarray
-    energy_bound: float | None = None
 
     def __post_init__(self) -> None:
         z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
@@ -297,12 +279,6 @@ class SqueezingSpec:
         z_max = float(z.max())
         if not math.isfinite(z.size * z_max * z_max):  # bounds sum(z^2 + z^-2)
             raise InvalidProfile(f"squeezing too large: n * max(z)^2 overflows, max z is {z_max}")
-        if self.energy_bound is not None:
-            budget = float(np.sum(z * z + z ** -2.0))
-            if budget > 4.0 * self.energy_bound:
-                raise InvalidProfile(
-                    f"energy-ball violation: sum(z^2 + z^-2) = {budget} > 4E = {4 * self.energy_bound}"
-                )
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
@@ -381,7 +357,7 @@ def draw_squeezing(
         cost = np.sum(batch * batch + batch ** -2.0, axis=1)
         hits = np.nonzero(cost <= 4.0 * energy)[0]
         if hits.size:
-            return SqueezingSpec(batch[hits[0]], energy_bound=energy)
+            return SqueezingSpec(batch[hits[0]])
     raise RejectionTimeout(
         f"no acceptance in {_REJECTION_MAX_DRAWS} draws (rate < 1e-6); "
         "use a deterministic profile (uniform/power) instead"
@@ -392,6 +368,12 @@ def squeeze_gram_diagonal(spec: SqueezingSpec) -> np.ndarray:
     """Diagonal (z_1^2..z_n^2, z_1^-2..z_n^-2) of the squeeze-layer Gram matrix."""
     zsq = spec.z * spec.z
     return np.concatenate([zsq, 1.0 / zsq])
+
+
+def _thermal_nu(gram: np.ndarray) -> np.ndarray:
+    """sum(G) / 4d, the mean energy per ambient mode, of a Gram diagonal G
+    of 2d entries, or of each row of a stack of them."""
+    return np.sum(gram, axis=-1) / (2.0 * gram.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -536,26 +518,26 @@ def _keep_freed_memory() -> None:
 
 
 def _draw_block(
-    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], shared
-) -> list[tuple[list[np.ndarray], list[SqueezingSpec]]]:
-    """Per config of a grid, the covariance blocks and squeezing vectors
-    of indices lo..hi-1, from one draw of the next hi - lo of ``streams``;
-    ``shared`` holds per config a deterministic profile's vector and Gram
-    diagonal, or is [None] for a random profile's one config.  See
+    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], grams
+) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+    """Per config of a grid, the covariance blocks of indices lo..hi-1,
+    from one draw of the next hi - lo of ``streams``, and the Gram
+    diagonals they were built with: ``grams`` holds per config a
+    deterministic profile's (1, 2d) diagonal, or is [None] for a random
+    profile's one config, whose (hi - lo, 2d) draw takes its place.  See
     :func:`iter_blocks`."""
     width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
     rows = np.empty((hi - lo, width))
-    drawn = []
-    if shared[0] is None:
-        for row, rng in zip(rows, streams):
-            drawn.append(draw_squeezing(configs[0].profile, configs[0].ambient_modes, rng))
+    if grams[0] is None:
+        profile, d = configs[0].profile, configs[0].ambient_modes
+        grams = [np.empty((hi - lo, 2 * d))]
+        for row, gram, rng in zip(rows, grams[0], streams):
+            gram[:] = squeeze_gram_diagonal(draw_squeezing(profile, d, rng))
             rng.standard_normal(out=row)
-        shared = [(None, np.stack([squeeze_gram_diagonal(s) for s in drawn])[:, None, :])]
     else:
         for row, rng in zip(rows, streams):
             rng.standard_normal(out=row)
-    return [(gammas, drawn or [share[0]] * (hi - lo))
-            for gammas, share in zip(_kernel(configs, rows, shared, lo), shared)]
+    return _kernel(configs, rows, grams, lo), grams
 
 
 def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -638,12 +620,12 @@ def _phase_fixed_transform(parts: np.ndarray, first: int) -> np.ndarray:
     return transform.reshape(n, 2 * m, 2 * m)
 
 
-def _kernel(configs, rows: np.ndarray, shared, first: int) -> list[list[np.ndarray]]:
+def _kernel(configs, rows: np.ndarray, grams, first: int) -> list[list[np.ndarray]]:
     """Per config of a grid, the covariance blocks of the samples whose
     Gaussian parts are ``rows``, one row of 2 d_max m normals per sample, of
-    which a config of ambient dimension d reads the first 2 d m; ``shared``
-    holds per config a pair whose second entry is the Gram diagonal, or a
-    (rows, 1, 2d) stack of one per sample; ``first`` is the index of the
+    which a config of ambient dimension d reads the first 2 d m; ``grams``
+    holds per config the Gram diagonal, (1, 2d) when the samples share it
+    and (rows, 2d) with one per sample; ``first`` is the index of the
     first row's sample, which an error names.
 
     One kept mode takes the closed form of :func:`_one_mode_gammas`, one
@@ -656,11 +638,9 @@ def _kernel(configs, rows: np.ndarray, shared, first: int) -> list[list[np.ndarr
     inversely, so the Ginibre 1/sqrt(2) is left out."""
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
     if m == 1:
-        return [[_one_mode_gammas(rows[:, : 2 * d], gram.reshape(-1, 2 * d))]
-                for d, (_, gram) in zip(dims, shared)]
+        return [[_one_mode_gammas(rows[:, : 2 * d], gram)] for d, gram in zip(dims, grams)]
     blocks = []
-    for d, (_, gram) in zip(dims, shared):
-        gram = gram.reshape(-1, 2 * d)
+    for d, gram in zip(dims, grams):
         step = max(1, BLOCK_ENTRIES // (d * m))
         gammas = []
         for k in range(0, len(rows), step):
@@ -674,11 +654,12 @@ def _kernel(configs, rows: np.ndarray, shared, first: int) -> list[list[np.ndarr
 
 
 def iter_blocks(configs, lo: int, hi: int):
-    """Covariances (2m x 2m) and squeezing vectors of the samples with
+    """Covariances (2m x 2m) and thermal values nu of the samples with
     indices lo..hi-1 at each config of a grid, deterministic in (seed,
-    index): yields (grid position, first index, covariances, squeezing
-    vectors) per config and stack of at most ``BLOCK_ENTRIES`` covariance
-    entries, each config's stacks in index order.  The one path from seed
+    index): yields (grid position, first index, covariances, nu) per
+    config and stack of at most ``BLOCK_ENTRIES`` covariance entries, each
+    config's stacks in index order; nu is a float array, one sum(G) / 4d
+    of the sample's Gram diagonal G per covariance.  The one path from seed
     to covariances; one config is a grid of one.
 
     The configs share master seed, m and profile.  Every index has its own
@@ -689,8 +670,8 @@ def iter_blocks(configs, lo: int, hi: int):
     profile draws no vector, so its grid draws each index's 2 d_max m
     normals once, and a config of ambient dimension d reads the first
     2 d m, the normals it would draw alone
-    (``Generator.standard_normal(out=...)`` fills in sequence); its vector
-    and Gram diagonal are built once per config.  A random profile's
+    (``Generator.standard_normal(out=...)`` fills in sequence); its Gram
+    diagonal and nu are built once per config.  A random profile's
     vector has d entries, so each config of its grid is a grid of one.
 
     A draw spans at most ``DRAW_ENTRIES`` Ginibre entries of the largest
@@ -715,38 +696,40 @@ def iter_blocks(configs, lo: int, hi: int):
     profile = configs[0].profile
     if profile.is_random and len(configs) > 1:
         for g, config in enumerate(configs):
-            for _, first, gammas, specs in iter_blocks([config], lo, hi):
-                yield g, first, gammas, specs
+            for _, first, gammas, nu in iter_blocks([config], lo, hi):
+                yield g, first, gammas, nu
         return
     m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
     step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
     streams = block_streams(configs[0].master_seed, lo, hi)
-    shared = [None] if profile.is_random else [
-        (spec, squeeze_gram_diagonal(spec)) for spec in (draw_squeezing(profile, d) for d in dims)
-    ]
+    if profile.is_random:
+        grams = nus = [None]
+    else:
+        specs = [draw_squeezing(profile, d) for d in dims]
+        grams = [squeeze_gram_diagonal(spec)[None] for spec in specs]
+        nus = [_thermal_nu(gram)[0] for gram in grams]
     for first in range(lo, hi, stack):
         last = min(first + stack, hi)
-        gammas, specs = [[] for _ in configs], [[] for _ in configs]
+        gammas, drawn = [[] for _ in configs], []
         for k in range(first, last, step):
-            for g, (blocks, block_specs) in enumerate(
-                _draw_block(configs, k, min(k + step, last), streams, shared)
-            ):
-                gammas[g] += blocks
-                specs[g] += block_specs
-        for g in range(len(configs)):
-            yield g, first, np.concatenate(gammas[g]), specs[g]
+            blocks, block_grams = _draw_block(configs, k, min(k + step, last), streams, grams)
+            for g, block in enumerate(blocks):
+                gammas[g] += block
+            drawn += block_grams
+        for g, nu in enumerate(nus):
+            nu = np.full(last - first, nu) if nu is not None else _thermal_nu(np.concatenate(drawn))
+            yield g, first, np.concatenate(gammas[g]), nu
 
 
-def sample_block(
-    config: RandomStateConfig, lo: int, hi: int
-) -> tuple[np.ndarray, list[SqueezingSpec]]:
-    """Covariances (hi - lo, 2m, 2m) and squeezing vectors of the samples
-    with indices lo..hi-1: the stacks of :func:`iter_blocks`, joined."""
+def sample_block(config: RandomStateConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances (hi - lo, 2m, 2m) and thermal values nu (hi - lo) of the
+    samples with indices lo..hi-1: the stacks of :func:`iter_blocks`,
+    joined."""
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
-    _, _, gammas, specs = zip(*iter_blocks([config], lo, hi))
-    return np.concatenate(gammas), [spec for stack in specs for spec in stack]
+    _, _, gammas, nus = zip(*iter_blocks([config], lo, hi))
+    return np.concatenate(gammas), np.concatenate(nus)
 
 
 def sample_random_state(config: RandomStateConfig, sample_index: int) -> np.ndarray:

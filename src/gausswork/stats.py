@@ -16,7 +16,13 @@ import numpy as np
 
 from . import phasespace
 from .errors import DimensionMismatch, EmptyInput, NonPositiveDefinite, NumericalFailure
-from .sampling import RandomStateConfig, SqueezingSpec, squeeze_gram_diagonal, state_from_unitary
+from .sampling import (
+    RandomStateConfig,
+    SqueezingSpec,
+    _thermal_nu,
+    squeeze_gram_diagonal,
+    state_from_unitary,
+)
 
 WORK_BOUND_SLACK = 1e-9
 
@@ -58,36 +64,13 @@ def record_columns(records: np.ndarray, config: RandomStateConfig) -> list:
     return fields[:_AFTER_BETA] + constant + fields[_AFTER_BETA:]
 
 
-def thermal_nu(spec: SqueezingSpec, ambient_modes: int | None = None) -> float:
+def thermal_nu(spec: SqueezingSpec) -> float:
     """Mean energy per mode of the ambient squeezed input, always >= 1/2.
 
     Equals the trace of the squeeze Gram matrix over four times the ambient
     mode count; 1/2 exactly for the vacuum profile.
     """
-    if ambient_modes is not None and ambient_modes != spec.n_modes:
-        raise DimensionMismatch(
-            f"squeezing has {spec.n_modes} modes, ambient dimension is {ambient_modes}"
-        )
-    return float(np.sum(squeeze_gram_diagonal(spec))) / (4.0 * spec.n_modes)
-
-
-def _spread(x: np.ndarray, center) -> np.ndarray:
-    """sum_k (x_k - center)^2 over the last axis; ``center`` is one value
-    or one per spectrum of a stack."""
-    return np.sum((x - np.asarray(center)[..., None]) ** 2, axis=-1)
-
-
-def eigen_dispersion(gamma_m: np.ndarray, nu_th):
-    """Squared distance of the eigenspectrum from the thermal value:
-    sum_k (lambda_k - nu_th)^2 = Tr[(Gamma - nu_th I)^2], for one matrix
-    or for each of a (..., 2m, 2m) stack."""
-    return _spread(np.linalg.eigvalsh(np.asarray(gamma_m, dtype=float)), nu_th)
-
-
-def symplectic_dispersion(gamma_m: np.ndarray, nu_th):
-    """Squared distance of the symplectic spectrum from the thermal value:
-    2 sum_k (nu_k^2 - nu_th^2)^2, for one matrix or for each of a stack."""
-    return 2.0 * _spread(phasespace.symplectic_eigenvalues(gamma_m).nus ** 2, np.square(nu_th))
+    return float(_thermal_nu(squeeze_gram_diagonal(spec)))
 
 
 def work_bound(m_sys: int, delta):
@@ -96,72 +79,70 @@ def work_bound(m_sys: int, delta):
     return np.sqrt(m_sys * np.maximum(delta, 0.0))
 
 
-def _spectral_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:
+def spectral_statistics(gammas: np.ndarray, nu) -> tuple:
     """(energy, sum_sympl, work, stat_T, stat_frakT) of each matrix of a
-    (N, 2m, 2m) stack, from its symplectic spectrum; energy = Tr Gamma / 2
-    and stat_T = |Gamma - nu_th I|_F^2 = sum_k (lambda_k - nu_th)^2 need no
-    eigensolver."""
-    nus = phasespace.symplectic_eigenvalues(gammas).nus
+    (..., 2m, 2m) stack against the thermal value nu_th ``nu``, one value
+    or one per matrix: energy = Tr Gamma / 2, sum_sympl the sum of the
+    symplectic spectrum, work = energy - sum_sympl, the eigen-dispersion
+    stat_T = sum_k (lambda_k - nu_th)^2 and the symplectic dispersion
+    stat_frakT = 2 sum_k (nu_k^2 - nu_th^2)^2.  A matrix that is not
+    positive definite raises :class:`NonPositiveDefinite` naming the first.
+
+    At m = 1, in closed form and without BLAS: with h = (G11 + G22) / 2 and
+    s = hypot((G11 - G22) / 2, G21), the eigenvalues are h -+ s, the
+    symplectic eigenvalue is nu with nu^2 = (h - s)(h + s), and the work
+    h - nu is s^2 / (h + nu), which does not cancel.  G11 - G22 is exact
+    wherever s << h (Sterbenz), so W keeps full relative precision at weak
+    squeezing; a vacuum's s = 0 gives nu = h, W = 0 and, at h = nu_th, zero
+    dispersions exactly.  stat_T = 2 (h - nu_th)^2 + 2 s^2 and
+    stat_frakT = 2 (nu^2 - nu_th^2)^2; nu^2 overflows only where stat_frakT
+    would.  At m >= 2, from the symplectic spectrum; stat_T is
+    |Gamma - nu_th I|_F^2 and needs no eigensolver.
+    """
+    nu = np.asarray(nu)
+    if gammas.shape[-1] == 2:
+        g11, g22, g21 = gammas[..., 0, 0], gammas[..., 1, 1], gammas[..., 1, 0]
+        h = 0.5 * (g11 + g22)
+        s = np.hypot(0.5 * (g11 - g22), g21)
+        phasespace.check_positive(h - s)
+        nu_sq = (h - s) * (h + s)
+        nus = np.sqrt(nu_sq)
+        return (h, nus, s * s / (h + nus), 2.0 * (h - nu) ** 2 + 2.0 * (s * s),
+                2.0 * (nu_sq - np.square(nu)) ** 2)
+    nus = phasespace.symplectic_eigenvalues(gammas)
     energy = 0.5 * np.trace(gammas, axis1=-2, axis2=-1)
-    shifted = gammas - nu[:, None, None] * np.eye(gammas.shape[-1])
+    shifted = gammas - nu[..., None, None] * np.eye(gammas.shape[-1])
     stat_t = np.sum(shifted * shifted, axis=(-2, -1))
     sum_sympl = np.sum(nus, axis=-1)
-    stat_frak = 2.0 * _spread(nus ** 2, np.square(nu))
+    stat_frak = 2.0 * np.sum((nus ** 2 - np.square(nu)[..., None]) ** 2, axis=-1)
     return energy, sum_sympl, energy - sum_sympl, stat_t, stat_frak
-
-
-def _one_mode_statistics(gammas: np.ndarray, nu: np.ndarray) -> tuple:
-    """The same for a (N, 2, 2) stack, in closed form and without BLAS.
-
-    With h = (G11 + G22) / 2 and s = hypot((G11 - G22) / 2, G21), the
-    eigenvalues are h -+ s, the symplectic eigenvalue is nu with
-    nu^2 = (h - s)(h + s), and the work h - nu is s^2 / (h + nu), which
-    does not cancel.  G11 - G22 is exact wherever s << h (Sterbenz), so W
-    keeps full relative precision at weak squeezing; a vacuum's s = 0
-    gives nu = h, W = 0 and, at h = nu_th, zero dispersions exactly.
-    stat_T = 2 (h - nu_th)^2 + 2 s^2 and stat_frakT = 2 (nu^2 - nu_th^2)^2;
-    nu^2 overflows only where stat_frakT would.
-    """
-    g11, g22, g21 = gammas[:, 0, 0], gammas[:, 1, 1], gammas[:, 1, 0]
-    h = 0.5 * (g11 + g22)
-    s = np.hypot(0.5 * (g11 - g22), g21)
-    phasespace.check_positive(h - s)
-    nu_sq = (h - s) * (h + s)
-    nus = np.sqrt(nu_sq)
-    return (h, nus, s * s / (h + nus), 2.0 * (h - nu) ** 2 + 2.0 * (s * s),
-            2.0 * (nu_sq - np.square(nu)) ** 2)
 
 
 # overflow yields inf or NaN statistics, which the block's check refuses
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_block(
     gammas: np.ndarray,
-    specs,
+    nu: np.ndarray,
     config: RandomStateConfig,
     first_index: int,
 ) -> np.recarray:
     """Records (one :data:`RECORD_DTYPE` row each) for a (N, 2m, 2m) stack
-    of sampled states, with their squeezing vectors and the sample indices
-    first_index.. in order.
+    of sampled states, with their thermal values nu_th and the sample
+    indices first_index.. in order.
 
-    A stack of 2 x 2 matrices (m = 1) takes the closed form of
-    :func:`_one_mode_statistics`; larger ones their eigen- and symplectic
-    spectra.  Either way, a state that rounding left without positive
-    definiteness, a non-finite work or delta, or a violation of the
-    per-sample work bound ``work <= sqrt(m * delta)`` (an exact
-    consequence of physicality) beyond 1e-9 indicates a numerical
-    breakdown and raises :class:`NumericalFailure` naming the first such
-    sample index, checked in that order.
+    The statistics are :func:`spectral_statistics`.  A state that
+    rounding left without positive definiteness, a non-finite work or
+    delta, or a violation of the per-sample work bound
+    ``work <= sqrt(m * delta)`` (an exact consequence of physicality)
+    beyond 1e-9 indicates a numerical breakdown and raises
+    :class:`NumericalFailure` naming the first such sample index, checked
+    in that order.
     Round-off-negative work is clamped to zero in the record only.
     """
-    if len(specs) != len(gammas):
-        raise DimensionMismatch(f"{len(gammas)} states but {len(specs)} squeezing vectors")
-    # a block of a deterministic profile shares one squeezing vector
-    thermal = {spec: thermal_nu(spec, config.ambient_modes) for spec in set(specs)}
-    nu = np.array([thermal[spec] for spec in specs])
-    statistics = _one_mode_statistics if gammas.shape[-1] == 2 else _spectral_statistics
+    if len(nu) != len(gammas):
+        raise DimensionMismatch(f"{len(gammas)} states but {len(nu)} thermal values")
     try:
-        energy, sum_sympl, raw, stat_t, stat_frak = statistics(gammas, nu)
+        energy, sum_sympl, raw, stat_t, stat_frak = spectral_statistics(gammas, nu)
     except NonPositiveDefinite as exc:
         # a sampled state is positive definite in exact arithmetic: losing
         # that to rounding is a breakdown of its statistics, not bad input
@@ -206,7 +187,7 @@ def _dispersion_pair(
     v: np.ndarray,
     spec: SqueezingSpec,
     m_sys: int,
-    statistic,
+    column: int,
     constant: float,
     power: int,
 ):
@@ -214,7 +195,9 @@ def _dispersion_pair(
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim < 2:
         raise DimensionMismatch(f"need two unitaries or stacks of one shape: {u.shape}, {v.shape}")
-    at_u, at_v = statistic(state_from_unitary(np.stack([u, v]), spec, m_sys), thermal_nu(spec))
+    # column 3 of the statistics is stat_T, column 4 stat_frakT
+    gammas = state_from_unitary(np.stack([u, v]), spec, m_sys)
+    at_u, at_v = spectral_statistics(gammas, thermal_nu(spec))[column]
     lhs = abs(at_u - at_v)
     # Frobenius norm per pair, summed in the order of np.linalg.norm
     diff = (u - v).reshape(*u.shape[:-2], -1)
@@ -232,7 +215,7 @@ def eigen_dispersion_lipschitz_pair(u: np.ndarray, v: np.ndarray, spec: Squeezin
     rhs is 4 sqrt(2m) |J|_inf^2 |u - v|_2 with the Frobenius norm.  The
     inequality lhs <= rhs is a proven bound and must hold for every pair.
     """
-    return _dispersion_pair(u, v, spec, m_sys, eigen_dispersion, 4.0, 1)
+    return _dispersion_pair(u, v, spec, m_sys, 3, 4.0, 1)
 
 
 def symplectic_dispersion_lipschitz_pair(
@@ -240,7 +223,7 @@ def symplectic_dispersion_lipschitz_pair(
 ):
     """(lhs, rhs) of the symplectic-dispersion Lipschitz inequality,
     with constant 10 sqrt(2m) |J|_inf^4; takes pairs as above."""
-    return _dispersion_pair(u, v, spec, m_sys, symplectic_dispersion, 10.0, 2)
+    return _dispersion_pair(u, v, spec, m_sys, 4, 10.0, 2)
 
 
 # Standard-normal quantile of a two-sided 95% interval.

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import parallel, sampling, stats
-from .errors import BadDimension, InvalidConfig, NumericalFailure
+from .errors import BadDimension, DimensionMismatch, InvalidConfig, NumericalFailure
 from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
@@ -56,8 +56,18 @@ def _ambient_spec(config: RandomStateConfig) -> SqueezingSpec:
     return draw_squeezing(config.profile, config.ambient_modes)
 
 
+def _check_length(spec: SqueezingSpec, config: RandomStateConfig) -> None:
+    """Refuse a squeezing vector that is not one z per ambient mode of
+    ``config``: every moment below assumes it is."""
+    if spec.n_modes != config.ambient_modes:
+        raise DimensionMismatch(
+            f"squeezing has {spec.n_modes} modes, ambient dimension is {config.ambient_modes}"
+        )
+
+
 def expected_tr_gamma(spec: SqueezingSpec, config: RandomStateConfig) -> float:
     """Haar mean of Tr[Gamma_m]: exactly 2 m nu_th at any dimension."""
+    _check_length(spec, config)
     return 2.0 * config.m_sys * stats.thermal_nu(spec)
 
 
@@ -66,6 +76,7 @@ def _second_moment_terms(
 ) -> tuple[float, float, float]:
     """(m, B term, A term): both second moments are +-m/2 (B term +- A term),
     with Tr[B^2] coefficient d m - 1 in the B term."""
+    _check_length(spec, config)
     d = float(config.ambient_modes)
     if d < 2:
         raise BadDimension("second moments need ambient dimension >= 2")

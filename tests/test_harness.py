@@ -108,9 +108,9 @@ class TestBlockKernel:
 
     def test_one_squeezing_vector_per_state(self):
         config = uniform_config()
-        gammas, specs = sampling.sample_block(config, 0, 4)
+        gammas, nu = sampling.sample_block(config, 0, 4)
         with pytest.raises(DimensionMismatch):
-            stats.evaluate_block(gammas, specs[:1], config, 0)
+            stats.evaluate_block(gammas, nu[:1], config, 0)
 
     def test_chunk_blocks_capped(self, monkeypatch):
         seen = []
@@ -156,9 +156,9 @@ class TestBlockKernel:
             drawn.append((lo, hi))
             return draw_block(configs, lo, hi, *chunk)
 
-        def evaluating(gammas, specs, config, first):
+        def evaluating(gammas, nu, config, first):
             stacks.append(gammas.size)
-            return evaluate_block(gammas, specs, config, first)
+            return evaluate_block(gammas, nu, config, first)
 
         monkeypatch.setattr(sampling, "_draw_block", drawing)
         monkeypatch.setattr(stats, "evaluate_block", evaluating)

@@ -34,8 +34,8 @@ def embedded_purification(gamma):
     identity on the original modes' rows, conjugating the two-copy matrix B
     of each mode's nu and two-mode-squeezed correlation +-sqrt(nu^2 - 1/4),
     in (q_orig, q_partner, p_orig, p_partner) ordering."""
-    res = ps.symplectic_eigenvalues(gamma, with_factor=True)
-    m, nus = len(res.nus), res.nus
+    nus, factor = ps.williamson(gamma)
+    m = len(nus)
     excess = nus * nus - 0.25
     excess[excess <= 1e-12] = 0.0
     big = np.zeros((4 * m, 4 * m))
@@ -45,7 +45,7 @@ def embedded_purification(gamma):
         big[a, a] = big[r, r] = nus
         big[a, r] = big[r, a] = c
     embed = np.eye(4 * m)
-    embed[np.ix_(np.r_[q_a, p_a], np.r_[q_a, p_a])] = res.symplectic_factor
+    embed[np.ix_(np.r_[q_a, p_a], np.r_[q_a, p_a])] = factor
     return embed @ big @ embed.T
 
 
@@ -119,12 +119,11 @@ class TestEnergy:
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
-        res = ps.symplectic_eigenvalues(np.eye(2) / 2)
-        assert res.nus == pytest.approx([0.5], abs=1e-14)
+        assert ps.symplectic_eigenvalues(np.eye(2) / 2) == pytest.approx([0.5], abs=1e-14)
 
     def test_single_mode_det_oracle(self):
         gamma = np.diag([2.0, 0.5])
-        assert ps.symplectic_eigenvalues(gamma).nus[0] == pytest.approx(
+        assert ps.symplectic_eigenvalues(gamma)[0] == pytest.approx(
             one_mode_nu(gamma), abs=1e-12
         )
 
@@ -134,12 +133,12 @@ class TestSymplecticEigenvalues:
         expected = sorted(
             (math.sqrt(2.0 * 0.5), math.sqrt(2.0 * 0.5)), reverse=True
         )
-        assert ps.symplectic_eigenvalues(gamma).nus == pytest.approx(expected, abs=1e-12)
+        assert ps.symplectic_eigenvalues(gamma) == pytest.approx(expected, abs=1e-12)
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            nus = ps.symplectic_eigenvalues(random_covariance(4, rng)).nus
+            nus = ps.symplectic_eigenvalues(random_covariance(4, rng))
             assert np.all(np.diff(nus) <= 0)
 
     def test_non_positive_definite(self):
@@ -157,23 +156,23 @@ class TestWilliamsonFactor:
         rng = np.random.default_rng(100 + n)
         for _ in range(20):
             gamma = random_covariance(n, rng)
-            res = ps.symplectic_eigenvalues(gamma, with_factor=True)
-            assert ps.williamson_reconstruction_error(gamma, res) <= 1e-8
-            assert ps.is_symplectic(res.symplectic_factor, 1e-9)
+            nus, factor = ps.williamson(gamma)
+            assert ps.williamson_reconstruction_error(gamma, nus, factor) <= 1e-8
+            assert ps.is_symplectic(factor, 1e-9)
 
     def test_degenerate_thermal(self):
         gamma = 1.3 * np.eye(6)
-        res = ps.symplectic_eigenvalues(gamma, with_factor=True)
-        assert res.nus == pytest.approx([1.3, 1.3, 1.3], abs=1e-12)
-        assert ps.williamson_reconstruction_error(gamma, res) <= 1e-10
+        nus, factor = ps.williamson(gamma)
+        assert nus == pytest.approx([1.3, 1.3, 1.3], abs=1e-12)
+        assert ps.williamson_reconstruction_error(gamma, nus, factor) <= 1e-10
 
     def test_non_uniform_diagonal(self):
         gamma = np.diag([1.0, 2.0, 3.0, 4.0])
-        res = ps.symplectic_eigenvalues(gamma, with_factor=True)
-        assert res.nus == pytest.approx(
+        nus, factor = ps.williamson(gamma)
+        assert nus == pytest.approx(
             sorted([math.sqrt(3.0), math.sqrt(8.0)], reverse=True), abs=1e-12
         )
-        assert ps.williamson_reconstruction_error(gamma, res) <= 1e-10
+        assert ps.williamson_reconstruction_error(gamma, nus, factor) <= 1e-10
 
 
 class TestHermitianFactor:
@@ -181,12 +180,12 @@ class TestHermitianFactor:
     pure states squeezed up to z = 100, and its phase gauge."""
 
     def assert_valid_factor(self, gamma):
-        res = ps.symplectic_eigenvalues(gamma, with_factor=True)
-        assert ps.is_symplectic(res.symplectic_factor, 1e-8)
-        assert ps.williamson_reconstruction_error(gamma, res) <= ps.RECONSTRUCTION_TOL
-        assert np.all(np.diff(res.nus) <= 0.0)
-        nus = ps.symplectic_eigenvalues(gamma).nus
-        assert np.all(np.abs(res.nus - nus) <= 1e-12 * np.maximum(1.0, nus))
+        factor_nus, factor = ps.williamson(gamma)
+        assert ps.is_symplectic(factor, 1e-8)
+        assert ps.williamson_reconstruction_error(gamma, factor_nus, factor) <= ps.RECONSTRUCTION_TOL
+        assert np.all(np.diff(factor_nus) <= 0.0)
+        nus = ps.symplectic_eigenvalues(gamma)
+        assert np.all(np.abs(factor_nus - nus) <= 1e-12 * np.maximum(1.0, nus))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_mixed(self, m):
@@ -203,8 +202,8 @@ class TestHermitianFactor:
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
     def test_one_mode_thermal_gives_identity(self, nu):
-        res = ps.symplectic_eigenvalues(nu * np.eye(2), with_factor=True)
-        assert np.allclose(res.symplectic_factor, np.eye(2), rtol=0.0, atol=1e-12)
+        _, factor = ps.williamson(nu * np.eye(2))
+        assert np.allclose(factor, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 class TestSymplecticTrace:
@@ -253,7 +252,7 @@ class TestExtractableWork:
             gamma = random_covariance(2, rng)
             work = ps.extractable_work(gamma)
             lam = np.linalg.eigvalsh(gamma)
-            nus = ps.symplectic_eigenvalues(gamma).nus
+            nus = ps.symplectic_eigenvalues(gamma)
             for c in (0.5, 0.9, 2.7):
                 alt = abs(0.5 * np.sum(lam - c) + np.sum(c - nus))
                 assert alt == pytest.approx(work, abs=1e-9)
@@ -321,7 +320,7 @@ class TestPurify:
                 gamma = random_covariance(m, rng)
                 pure = ps.purify(gamma)
                 assert np.max(np.abs(partial_trace(pure, m) - gamma)) <= 1e-10
-                nus = ps.symplectic_eigenvalues(pure).nus
+                nus = ps.symplectic_eigenvalues(pure)
                 assert np.max(np.abs(nus - 0.5)) <= 1e-8
                 assert np.trace(pure) <= 2.0 * np.trace(gamma) + 1e-9
 

@@ -35,32 +35,33 @@ class TestThermalNu:
             spec = SqueezingSpec(rng.uniform(1.0, 3.0, 5))
             assert st.thermal_nu(spec) >= 0.5
 
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            st.thermal_nu(SqueezingSpec(np.ones(3)), ambient_modes=4)
+
+def eigen_dispersion(gammas, nu):
+    """sum_k (lambda_k - nu_th)^2 from eigvalsh, the reference for stat_T."""
+    return np.sum((np.linalg.eigvalsh(gammas) - np.asarray(nu)[..., None]) ** 2, axis=-1)
 
 
 class TestDispersions:
+    # stat_T (column 3) and stat_frakT (column 4) of spectral_statistics
     def test_eigen_dispersion_at_thermal_point(self):
-        assert st.eigen_dispersion(0.75 * np.eye(4), 0.75) == 0.0
+        assert st.spectral_statistics(0.75 * np.eye(4), 0.75)[3] == 0.0
 
     def test_eigen_dispersion_arithmetic(self):
-        assert st.eigen_dispersion(np.diag([1.0, 0.5]), 0.75) == pytest.approx(
-            0.125, abs=1e-15
-        )
+        for gamma in (np.diag([1.0, 0.5]), np.diag([1.0, 0.5, 0.75, 0.75])):
+            assert st.spectral_statistics(gamma, 0.75)[3] == pytest.approx(0.125, abs=1e-15)
 
     def test_eigen_dispersion_vacuum_pipeline(self):
         config = RandomStateConfig(n_full=6, m_sys=2, profile=ZProfile("vacuum"), master_seed=1)
         for i in range(20):
             gamma = sm.sample_random_state(config, i)
-            assert st.eigen_dispersion(gamma, 0.5) <= 1e-12
+            assert st.spectral_statistics(gamma, 0.5)[3] <= 1e-12
 
     def test_symplectic_dispersion_thermal(self):
-        assert st.symplectic_dispersion(0.8 * np.eye(4), 0.8) <= 1e-14
+        assert st.spectral_statistics(0.8 * np.eye(4), 0.8)[4] <= 1e-14
 
     def test_symplectic_dispersion_arithmetic(self):
         gamma = np.diag([2.0, 0.5])  # nu = 1
-        assert st.symplectic_dispersion(gamma, 0.5) == pytest.approx(
+        assert st.spectral_statistics(gamma, 0.5)[4] == pytest.approx(
             2.0 * (1.0 - 0.25) ** 2, abs=1e-12
         )
 
@@ -70,19 +71,31 @@ class TestDispersions:
             master_seed=9, pipeline="direct",
         )
         gamma = sm.sample_random_state(config, 0)
-        assert st.symplectic_dispersion(gamma, 0.5) <= 1e-12
+        assert st.spectral_statistics(gamma, 0.5)[4] <= 1e-12
 
-    @pytest.mark.parametrize("dispersion", [st.eigen_dispersion, st.symplectic_dispersion])
-    def test_stacks_equal_per_matrix_calls(self, dispersion):
+    @pytest.mark.parametrize("column", [3, 4], ids=["eigen_dispersion", "symplectic_dispersion"])
+    def test_stacks_equal_per_matrix_calls(self, column):
+        # a nested stack against one matrix at a time, bit for bit, in
+        # closed form (m = 1) and from the spectra (m = 2); stat_T against
+        # the eigenvalues of eigvalsh, stat_frakT against the symplectic
+        # spectrum from eig(Omega Gamma)
         rng = np.random.default_rng(41)
-        gammas = np.array([[sm.random_covariance(2, rng) for _ in range(3)] for _ in range(2)])
         nus = np.array([[0.5, 0.7, 1.1], [0.9, 0.6, 2.0]])
-        shared, own = dispersion(gammas, 0.8), dispersion(gammas, nus)
-        assert shared.shape == own.shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                assert shared[i, j] == dispersion(gammas[i, j], 0.8)
-                assert own[i, j] == dispersion(gammas[i, j], nus[i, j])
+        for m in (1, 2):
+            gammas = np.array([[sm.random_covariance(m, rng) for _ in range(3)] for _ in range(2)])
+            shared = st.spectral_statistics(gammas, 0.8)[column]
+            own = st.spectral_statistics(gammas, nus)[column]
+            assert shared.shape == own.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    assert shared[i, j] == st.spectral_statistics(gammas[i, j], 0.8)[column]
+                    assert own[i, j] == st.spectral_statistics(gammas[i, j], nus[i, j])[column]
+            if column == 3:
+                reference = eigen_dispersion(gammas, nus)
+            else:
+                direct = np.array([[ps.symplectic_eigenvalues_direct(g) for g in row] for row in gammas])
+                reference = 2.0 * np.sum((direct ** 2 - nus[..., None] ** 2) ** 2, axis=-1)
+            assert np.allclose(own, reference, rtol=1e-9, atol=1e-14)
 
 
 class TestEvaluateRecord:
@@ -155,15 +168,15 @@ class TestEvaluateRecord:
         config = RandomStateConfig(
             n_full=3, m_sys=1, profile=ZProfile("uniform", 1.5), master_seed=2
         )
-        gammas, specs = sm.sample_block(config, 10, 14)
+        gammas, nu = sm.sample_block(config, 10, 14)
         gammas[2] *= 1e160  # the squared spectra overflow: delta is inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match=r"^non-finite statistics at sample 12: work="):
-                st.evaluate_block(gammas, specs, config, 10)
+                st.evaluate_block(gammas, nu, config, 10)
         gammas[1] *= 1e200
         with pytest.raises(NumericalFailure, match=r"^non-finite statistics at sample 11: "):
-            st.evaluate_block(gammas, specs, config, 10)
+            st.evaluate_block(gammas, nu, config, 10)
 
 
 class TestOneModeClosedForm:
@@ -176,8 +189,8 @@ class TestOneModeClosedForm:
         mpmath = pytest.importorskip("mpmath")
         config = RandomStateConfig(n_full=n_full, m_sys=1, profile=ZProfile("uniform", z0),
                                    master_seed=7)
-        gammas, specs = sm.sample_block(config, 0, 100)
-        records = st.evaluate_block(gammas, specs, config, 0)
+        gammas, nu = sm.sample_block(config, 0, 100)
+        records = st.evaluate_block(gammas, nu, config, 0)
         with mpmath.workdps(50):
             for gamma, record in zip(gammas, records):
                 g11, g22, g21 = (mpmath.mpf(float(v)) for v in (gamma[0, 0], gamma[1, 1], gamma[1, 0]))
@@ -188,9 +201,9 @@ class TestOneModeClosedForm:
 
     def test_vacuum_is_exact(self):
         config = RandomStateConfig(n_full=5, m_sys=1, profile=ZProfile("vacuum"), master_seed=2)
-        gammas, specs = sm.sample_block(config, 0, 50)
+        gammas, nu = sm.sample_block(config, 0, 50)
         assert np.array_equal(gammas, np.broadcast_to(np.eye(2) / 2, gammas.shape))
-        records = st.evaluate_block(gammas, specs, config, 0)
+        records = st.evaluate_block(gammas, nu, config, 0)
         assert np.all(records.work == 0.0) and np.all(records.stat_delta == 0.0)
 
     def test_matches_spectral_route(self):
@@ -198,22 +211,23 @@ class TestOneModeClosedForm:
         # every statistic
         config = RandomStateConfig(n_full=6, m_sys=1, profile=ZProfile("power", 0.5),
                                    master_seed=3)
-        gammas, specs = sm.sample_block(config, 0, 200)
-        nu = np.full(len(gammas), st.thermal_nu(specs[0]))
-        closed = st._one_mode_statistics(gammas, nu)
-        spectral = st._spectral_statistics(gammas, nu)
-        for got, want in zip(closed, spectral):
+        gammas, nu = sm.sample_block(config, 0, 200)
+        nus = ps.symplectic_eigenvalues(gammas)[:, 0]
+        energy = 0.5 * np.trace(gammas, axis1=-2, axis2=-1)
+        spectral = (energy, nus, energy - nus, eigen_dispersion(gammas, nu),
+                    2.0 * (nus ** 2 - nu ** 2) ** 2)
+        for got, want in zip(st.spectral_statistics(gammas, nu), spectral):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_lost_positive_definiteness_names_first_sample(self):
         config = RandomStateConfig(n_full=3, m_sys=1, profile=ZProfile("uniform", 1.5),
                                    master_seed=2)
-        gammas, specs = sm.sample_block(config, 10, 14)
+        gammas, nu = sm.sample_block(config, 10, 14)
         gammas[2] = [[1.0, 1.0], [1.0, 1.0]]  # eigenvalues 0 and 2
         gammas[3] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
         with pytest.raises(NumericalFailure, match=r"^sample 12: positive-definite: smallest "
                                                    r"eigenvalue 0\.000e\+00 <= 0$"):
-            st.evaluate_block(gammas, specs, config, 10)
+            st.evaluate_block(gammas, nu, config, 10)
 
 
 class TestLipschitzPairs:
@@ -374,16 +388,13 @@ class TestAnalyticDispersionMean:
         config = RandomStateConfig(
             n_full=n_full, m_sys=m_sys, profile=ZProfile("uniform", z0), master_seed=99
         )
-        spec = sm.draw_squeezing(config.profile, config.ambient_modes)
-        nu = st.thermal_nu(spec)
         d = config.ambient_modes
         a = (z0 * z0 - z0 ** -2.0) / 2.0
         exact = m_sys * (m_sys + 1) * a * a / (2.0 * (d + 1.0))
         n_draws = 3000
-        values = [
-            st.eigen_dispersion(sm.sample_random_state(config, i), nu)
-            for i in range(n_draws)
-        ]
+        gammas, nu = sm.sample_block(config, 0, n_draws)
+        values = st.spectral_statistics(gammas, nu)[3]
+        assert np.allclose(values, eigen_dispersion(gammas, nu), rtol=1e-10, atol=1e-14)
         mean = np.mean(values)
         se = np.std(values, ddof=1) / math.sqrt(n_draws)
         assert abs(mean - exact) <= 4.0 * se

@@ -21,7 +21,7 @@ BREAKS = {
         validate, "symplectic_eigenvalues_direct", lambda gamma: np.zeros(len(gamma) // 2),
     ),
     "williamson-reconstruction": (
-        validate, "williamson_reconstruction_error", lambda gamma, res: math.nan,
+        validate, "williamson_reconstruction_error", lambda gamma, nus, s: math.nan,
     ),
     "purification-roundtrip": (validate, "purify", _raise_numerical),
     "work-identity": (validate, "extractable_work", lambda gamma: 5.0),

@@ -7,7 +7,7 @@ from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import weingarten as wg
-from gausswork.errors import BadDimension, InvalidConfig
+from gausswork.errors import BadDimension, DimensionMismatch, InvalidConfig
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 
 
@@ -104,6 +104,21 @@ class TestWeingartenValues:
         assert abs(np.mean(c.imag)) <= 4.0 * se
 
 
+@pytest.mark.parametrize("length", [3, 7, 9, 100])
+def test_spec_of_wrong_length_refused(length):
+    # every expected moment assumes one z per ambient mode (d = 8 at
+    # n = 4 purified); a 3- or 100-mode vector gave 0.185 and 128.4
+    # for Tr[Gamma^2], against 0.998
+    config = uniform_config(4, 1, 1.5, 0)
+    assert wg.expected_tr_gamma_sq(ambient_spec(config), config) == pytest.approx(0.998, abs=1e-3)
+    spec = SqueezingSpec(np.full(length, 1.5))
+    for expected in (wg.expected_tr_gamma, wg.expected_tr_gamma_sq,
+                     wg.expected_tr_omega_gamma_sq):
+        with pytest.raises(DimensionMismatch, match=f"squeezing has {length} modes, "
+                                                    "ambient dimension is 8"):
+            expected(spec, config)
+
+
 class TestABDecomposition:
     def test_invariants(self):
         spec = SqueezingSpec(np.array([1.0, 1.5, 2.5]))
@@ -141,7 +156,7 @@ class TestFirstMoment:
         # equal to the last bit
         rng = np.random.default_rng(17)
         for n in range(2, 40):
-            config = uniform_config(n, 1, 1.0, 0)
+            config = uniform_config(n, 1, 1.0, 0, pipeline="direct")
             for _ in range(10):
                 spec = SqueezingSpec(rng.uniform(1.0, 3.0, n))
                 assert wg.expected_tr_gamma(spec, config) == 2.0 * st.thermal_nu(spec)
