@@ -25,11 +25,7 @@ from .sampling import (
     state_from_unitary,
     unitary_to_symplectic,
 )
-from .stats import (
-    RECORD_DTYPE,
-    tail_probability,
-    thermal_nu,
-)
+from .stats import RECORD_DTYPE, tail_probability
 from .weingarten import (
     MomentReport,
     expected_tr_gamma,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import parallel, sampling, stats
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NumericalFailure
 from .sampling import RandomStateConfig, ZProfile
 from .stats import tail_probability
 
@@ -237,13 +237,17 @@ def run_sweep(
                     "wilson_high": est.wilson_high,
                 }
             )
-        block = {
-            "n": n_full,
-            "samples": samples,
-            "work": _value_block(works),
-            "delta": _value_block(deltas),
-            "tails": tails,
-        }
+        try:
+            block = {
+                "n": n_full,
+                "samples": samples,
+                "work": _value_block(works),
+                "delta": _value_block(deltas),
+                "tails": tails,
+            }
+        except OverflowError as exc:
+            # finite records can still overflow the exact sum that fsum forms
+            raise NumericalFailure(f"sweep summary overflows at n = {n_full}: {exc}") from exc
         per_n.append(block)
         mean_deltas.append(block["delta"]["mean"])
 

@@ -17,7 +17,7 @@ import numbers
 import operator
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,9 +266,13 @@ class ZProfile:
 
 @dataclass(frozen=True, eq=False)
 class SqueezingSpec:
-    """Vector of per-mode squeezing values z_i >= 1."""
+    """Vector of per-mode squeezing values z_i >= 1, with its squeeze-layer
+    Gram diagonal ``gram`` = (z_1^2..z_n^2, z_1^-2..z_n^-2) and the thermal
+    value ``nu`` = sum(gram) / 4n, the mean energy per mode (1/2 at vacuum)."""
 
     z: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
+    nu: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
@@ -279,8 +283,12 @@ class SqueezingSpec:
         z_max = float(z.max())
         if not math.isfinite(z.size * z_max * z_max):  # bounds sum(z^2 + z^-2)
             raise InvalidProfile(f"squeezing too large: n * max(z)^2 overflows, max z is {z_max}")
-        z.flags.writeable = False
+        zsq = z * z
+        gram = np.concatenate([zsq, 1.0 / zsq])
+        z.flags.writeable = gram.flags.writeable = False
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "nu", float(np.sum(gram) / (2.0 * gram.size)))
 
     @property
     def n_modes(self) -> int:
@@ -364,18 +372,6 @@ def draw_squeezing(
     )
 
 
-def squeeze_gram_diagonal(spec: SqueezingSpec) -> np.ndarray:
-    """Diagonal (z_1^2..z_n^2, z_1^-2..z_n^-2) of the squeeze-layer Gram matrix."""
-    zsq = spec.z * spec.z
-    return np.concatenate([zsq, 1.0 / zsq])
-
-
-def _thermal_nu(gram: np.ndarray) -> np.ndarray:
-    """sum(G) / 4d, the mean energy per ambient mode, of a Gram diagonal G
-    of 2d entries, or of each row of a stack of them."""
-    return np.sum(gram, axis=-1) / (2.0 * gram.shape[-1])
-
-
 @dataclass(frozen=True)
 class RandomStateConfig:
     """Configuration of the random-state pipeline.
@@ -443,7 +439,7 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
         raise BadModeCount(f"m_sys={m_sys} out of range 1..{d}")
     rows = u[..., :m_sys, :]
     parts = np.stack([rows.real, rows.imag], axis=-3)
-    return _gamma_from_rows(parts, squeeze_gram_diagonal(spec))
+    return _gamma_from_rows(parts, spec.gram)
 
 
 # Largest number of complex Ginibre entries (samples x d x m) in one block
@@ -518,26 +514,30 @@ def _keep_freed_memory() -> None:
 
 
 def _draw_block(
-    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], grams
+    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], specs
 ) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
     """Per config of a grid, the covariance blocks of indices lo..hi-1,
-    from one draw of the next hi - lo of ``streams``, and the Gram
-    diagonals they were built with: ``grams`` holds per config a
-    deterministic profile's (1, 2d) diagonal, or is [None] for a random
-    profile's one config, whose (hi - lo, 2d) draw takes its place.  See
+    from one draw of the next hi - lo of ``streams``, and their thermal
+    values nu: ``specs`` holds per config a deterministic profile's
+    squeezing, or is [None] for a random profile's one config, whose
+    samples each draw their own from their stream first.  See
     :func:`iter_blocks`."""
     width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
     rows = np.empty((hi - lo, width))
-    if grams[0] is None:
+    if specs[0] is None:
         profile, d = configs[0].profile, configs[0].ambient_modes
-        grams = [np.empty((hi - lo, 2 * d))]
-        for row, gram, rng in zip(rows, grams[0], streams):
-            gram[:] = squeeze_gram_diagonal(draw_squeezing(profile, d, rng))
+        specs = []
+        for row, rng in zip(rows, streams):
+            specs.append(draw_squeezing(profile, d, rng))
             rng.standard_normal(out=row)
+        grams = [np.array([spec.gram for spec in specs])]
+        nus = [np.array([spec.nu for spec in specs])]
     else:
         for row, rng in zip(rows, streams):
             rng.standard_normal(out=row)
-    return _kernel(configs, rows, grams, lo), grams
+        grams = [spec.gram[None] for spec in specs]
+        nus = [np.full(hi - lo, spec.nu) for spec in specs]
+    return _kernel(configs, rows, grams, lo), nus
 
 
 def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -658,9 +658,9 @@ def iter_blocks(configs, lo: int, hi: int):
     indices lo..hi-1 at each config of a grid, deterministic in (seed,
     index): yields (grid position, first index, covariances, nu) per
     config and stack of at most ``BLOCK_ENTRIES`` covariance entries, each
-    config's stacks in index order; nu is a float array, one sum(G) / 4d
-    of the sample's Gram diagonal G per covariance.  The one path from seed
-    to covariances; one config is a grid of one.
+    config's stacks in index order; nu is a float array, the
+    :class:`SqueezingSpec` ``nu`` of each sample's squeezing.  The one
+    path from seed to covariances; one config is a grid of one.
 
     The configs share master seed, m and profile.  Every index has its own
     stream, all opened by one :func:`block_streams` call, and draws from it
@@ -670,8 +670,8 @@ def iter_blocks(configs, lo: int, hi: int):
     profile draws no vector, so its grid draws each index's 2 d_max m
     normals once, and a config of ambient dimension d reads the first
     2 d m, the normals it would draw alone
-    (``Generator.standard_normal(out=...)`` fills in sequence); its Gram
-    diagonal and nu are built once per config.  A random profile's
+    (``Generator.standard_normal(out=...)`` fills in sequence); its
+    squeezing is built once per config.  A random profile's
     vector has d entries, so each config of its grid is a grid of one.
 
     A draw spans at most ``DRAW_ENTRIES`` Ginibre entries of the largest
@@ -703,23 +703,17 @@ def iter_blocks(configs, lo: int, hi: int):
     step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
     streams = block_streams(configs[0].master_seed, lo, hi)
-    if profile.is_random:
-        grams = nus = [None]
-    else:
-        specs = [draw_squeezing(profile, d) for d in dims]
-        grams = [squeeze_gram_diagonal(spec)[None] for spec in specs]
-        nus = [_thermal_nu(gram)[0] for gram in grams]
+    specs = [None] if profile.is_random else [draw_squeezing(profile, d) for d in dims]
     for first in range(lo, hi, stack):
         last = min(first + stack, hi)
-        gammas, drawn = [[] for _ in configs], []
+        gammas, nus = [[] for _ in configs], [[] for _ in configs]
         for k in range(first, last, step):
-            blocks, block_grams = _draw_block(configs, k, min(k + step, last), streams, grams)
-            for g, block in enumerate(blocks):
+            blocks, block_nus = _draw_block(configs, k, min(k + step, last), streams, specs)
+            for g, (block, nu) in enumerate(zip(blocks, block_nus)):
                 gammas[g] += block
-            drawn += block_grams
-        for g, nu in enumerate(nus):
-            nu = np.full(last - first, nu) if nu is not None else _thermal_nu(np.concatenate(drawn))
-            yield g, first, np.concatenate(gammas[g]), nu
+                nus[g].append(nu)
+        for g in range(len(configs)):
+            yield g, first, np.concatenate(gammas[g]), np.concatenate(nus[g])
 
 
 def sample_block(config: RandomStateConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

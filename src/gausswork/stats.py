@@ -16,13 +16,7 @@ import numpy as np
 
 from . import phasespace
 from .errors import DimensionMismatch, EmptyInput, NonPositiveDefinite, NumericalFailure
-from .sampling import (
-    RandomStateConfig,
-    SqueezingSpec,
-    _thermal_nu,
-    squeeze_gram_diagonal,
-    state_from_unitary,
-)
+from .sampling import RandomStateConfig, SqueezingSpec, state_from_unitary
 
 WORK_BOUND_SLACK = 1e-9
 
@@ -62,15 +56,6 @@ def record_columns(records: np.ndarray, config: RandomStateConfig) -> list:
     fields = [records[name] for name in RECORD_DTYPE.names]
     constant = [config.profile.canonical(), config.master_seed]
     return fields[:_AFTER_BETA] + constant + fields[_AFTER_BETA:]
-
-
-def thermal_nu(spec: SqueezingSpec) -> float:
-    """Mean energy per mode of the ambient squeezed input, always >= 1/2.
-
-    Equals the trace of the squeeze Gram matrix over four times the ambient
-    mode count; 1/2 exactly for the vacuum profile.
-    """
-    return float(_thermal_nu(squeeze_gram_diagonal(spec)))
 
 
 def work_bound(m_sys: int, delta):
@@ -197,7 +182,7 @@ def _dispersion_pair(
         raise DimensionMismatch(f"need two unitaries or stacks of one shape: {u.shape}, {v.shape}")
     # column 3 of the statistics is stat_T, column 4 stat_frakT
     gammas = state_from_unitary(np.stack([u, v]), spec, m_sys)
-    at_u, at_v = spectral_statistics(gammas, thermal_nu(spec))[column]
+    at_u, at_v = spectral_statistics(gammas, spec.nu)[column]
     lhs = abs(at_u - at_v)
     # Frobenius norm per pair, summed in the order of np.linalg.norm
     diff = (u - v).reshape(*u.shape[:-2], -1)

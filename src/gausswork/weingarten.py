@@ -15,36 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import parallel, sampling, stats
+from . import parallel, sampling
 from .errors import BadDimension, DimensionMismatch, InvalidConfig, NumericalFailure
 from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
-
-
-@dataclass
-class ABDecomposition:
-    """Split of the ambient squeeze spectrum J = diag(z^2) into its odd and
-    even parts A = (J - J^-1)/2, B = (J + J^-1)/2, with cached traces.
-    A and B are diagonal; ``a`` and ``b`` hold their diagonals."""
-
-    a: np.ndarray
-    b: np.ndarray
-    trB: float
-    trB2: float
-    trA2: float
-
-    @classmethod
-    def from_squeezing(cls, spec: SqueezingSpec) -> "ABDecomposition":
-        j = spec.z * spec.z
-        a = (j - 1.0 / j) / 2.0
-        b = (j + 1.0 / j) / 2.0
-        return cls(
-            a, b,
-            trB=float(np.sum(b)),
-            trB2=float(np.sum(b * b)),
-            trA2=float(np.sum(a * a)),
-        )
 
 
 def _ambient_spec(config: RandomStateConfig) -> SqueezingSpec:
@@ -68,23 +43,25 @@ def _check_length(spec: SqueezingSpec, config: RandomStateConfig) -> None:
 def expected_tr_gamma(spec: SqueezingSpec, config: RandomStateConfig) -> float:
     """Haar mean of Tr[Gamma_m]: exactly 2 m nu_th at any dimension."""
     _check_length(spec, config)
-    return 2.0 * config.m_sys * stats.thermal_nu(spec)
+    return 2.0 * config.m_sys * spec.nu
 
 
 def _second_moment_terms(
     spec: SqueezingSpec, config: RandomStateConfig
 ) -> tuple[float, float, float]:
     """(m, B term, A term): both second moments are +-m/2 (B term +- A term),
-    with Tr[B^2] coefficient d m - 1 in the B term."""
+    with Tr[B^2] coefficient d m - 1 in the B term; A, B = (J -+ J^-1)/2
+    for the ambient squeeze spectrum J = diag(z^2), the Gram diagonal (J, J^-1)."""
     _check_length(spec, config)
     d = float(config.ambient_modes)
     if d < 2:
         raise BadDimension("second moments need ambient dimension >= 2")
     m = float(config.m_sys)
-    ab = ABDecomposition.from_squeezing(spec)
-    term_b1 = (d - m) * ab.trB ** 2 / (d * (d * d - 1.0))
-    term_b2 = (d * m - 1.0) * ab.trB2 / (d * (d * d - 1.0))
-    term_a = (m + 1.0) * ab.trA2 / (d * (d + 1.0))
+    j, j_inv = np.split(spec.gram, 2)
+    a, b = (j - j_inv) / 2.0, (j + j_inv) / 2.0
+    term_b1 = (d - m) * float(np.sum(b)) ** 2 / (d * (d * d - 1.0))
+    term_b2 = (d * m - 1.0) * float(np.sum(b * b)) / (d * (d * d - 1.0))
+    term_a = (m + 1.0) * float(np.sum(a * a)) / (d * (d + 1.0))
     return m, term_b1 + term_b2, term_a
 
 

@@ -173,7 +173,7 @@ def test_criterion_08_omega_moment_oracle():
                     profile=ZProfile("uniform", z0), master_seed=0,
                 )
                 spec = sm.draw_squeezing(config.profile, config.ambient_modes)
-                nu = st.thermal_nu(spec)
+                nu = spec.nu
                 analytic = wg.expected_tr_omega_gamma_sq(spec, config)
                 assert abs(analytic + 2.0 * m_sys * nu * nu) <= 10.0 * nu * nu * m_sys / n_full
     report(8, "Omega moment: brute-force run retains dm-1; MC and asymptotics agree")

@@ -210,6 +210,17 @@ class TestSweep:
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_summary(self, tmp_path):
+        # every record is finite, but the sum of the deltas that the
+        # summary's mean needs is not
+        out = tmp_path / "s.json"
+        result = run_cli("sweep", "--n-grid", "2,4", "--z-profile", "uniform:6e38",
+                         "--samples", "6", "--seed", "1", "--out", str(out))
+        assert result.returncode == 3
+        assert result.stderr.startswith("numerical failure: sweep summary overflows at n = 2")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
     def test_one_process_pool(self, tmp_path, monkeypatch, capsys):
         # two CPUs, so --threads 2 forks on any runner: one child, once for
         # the whole grid

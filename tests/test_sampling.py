@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import math
@@ -17,7 +18,6 @@ import pytest
 from gausswork import harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
-from gausswork import stats as st
 from gausswork.errors import (
     DimensionMismatch,
     EmptyConstraintSet,
@@ -387,19 +387,33 @@ class TestDrawSqueezing:
 class TestSqueezeGram:
     def test_vacuum_is_identity(self):
         spec = SqueezingSpec(np.ones(3))
-        assert np.array_equal(np.diag(sm.squeeze_gram_diagonal(spec)), np.eye(6))
+        assert np.array_equal(np.diag(spec.gram), np.eye(6))
 
     def test_single_mode(self):
         spec = SqueezingSpec(np.array([2.0]))
-        assert np.array_equal(np.diag(sm.squeeze_gram_diagonal(spec)), np.diag([4.0, 0.25]))
+        assert np.array_equal(np.diag(spec.gram), np.diag([4.0, 0.25]))
 
     def test_trace_gives_thermal_value(self):
         spec = SqueezingSpec(np.ones(2))
-        assert np.trace(np.diag(sm.squeeze_gram_diagonal(spec))) / (4 * 2) == 0.5
+        assert np.trace(np.diag(spec.gram)) / (4 * 2) == 0.5
 
     def test_infinity_norm(self):
         spec = SqueezingSpec(np.array([1.0, 3.0]))
-        assert np.max(sm.squeeze_gram_diagonal(spec)) == 9.0
+        assert np.max(spec.gram) == 9.0
+
+    def test_gram_is_read_only_and_derived(self):
+        # gram and nu follow from z alone: neither is a constructor
+        # argument, and neither can be reassigned or written into
+        z = np.array([1.0, 1.5, 2.5])
+        spec = SqueezingSpec(z)
+        assert same_bits(spec.gram, np.concatenate([z * z, 1.0 / (z * z)]))
+        with pytest.raises(ValueError):
+            spec.gram[0] = 2.0
+        for name, value in (("gram", np.ones(6)), ("nu", 0.5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+            with pytest.raises(TypeError):
+                SqueezingSpec(z, **{name: value})
 
 
 class TestRandomState:
@@ -439,7 +453,7 @@ class TestRandomState:
             n_full=8, m_sys=3, profile=ZProfile("power", 0.25), master_seed=2
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
-        cap = 0.5 * float(np.sum(sm.squeeze_gram_diagonal(spec)))
+        cap = 0.5 * float(np.sum(spec.gram))
         for i in range(20):
             gamma = sm.sample_random_state(config, i)
             assert ps.symplectic_eigenvalues(gamma)[-1] >= 0.5 - 1e-9
@@ -453,7 +467,7 @@ class TestRandomState:
         u = sm.haar_unitary(6, rng)
         fast = sm.state_from_unitary(u, spec, 2)
         o = sm.unitary_to_symplectic(u)
-        full = 0.5 * o @ np.diag(sm.squeeze_gram_diagonal(spec)) @ o.T
+        full = 0.5 * o @ np.diag(spec.gram) @ o.T
         idx = keep_indices(6, 2)
         assert np.max(np.abs(fast - full[np.ix_(idx, idx)])) <= 1e-13
 
@@ -481,7 +495,7 @@ class TestRandomState:
             n_full=64, m_sys=1, profile=ZProfile("uniform", 1.2), master_seed=31
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
-        nu = float(np.sum(sm.squeeze_gram_diagonal(spec))) / (4 * config.ambient_modes)
+        nu = float(np.sum(spec.gram)) / (4 * config.ambient_modes)
         traces = [np.trace(sm.sample_random_state(config, i)) for i in range(500)]
         assert np.mean(traces) == pytest.approx(2 * nu, abs=1e-10)
 
@@ -501,7 +515,7 @@ class TestRandomState:
         ((3,), "flat:8.0", "direct", 2),
     ])
     def test_nu_is_thermal_nu_of_the_vector(self, grid, profile, pipeline, m_sys):
-        # a nu per sample, bit for bit stats.thermal_nu of its squeezing
+        # a nu per sample, bit for bit the SqueezingSpec nu of its squeezing
         # vector: a deterministic profile's one vector per config, for a
         # grid and for each config alone; a flat profile's vector redrawn
         # from each index's stream; over several draws and three stacks
@@ -511,10 +525,10 @@ class TestRandomState:
         for config in configs:
             d = config.ambient_modes
             if config.profile.is_random:
-                expected = [st.thermal_nu(sm.draw_squeezing(config.profile, d, rng))
+                expected = [sm.draw_squeezing(config.profile, d, rng).nu
                             for rng in sm.block_streams(config.master_seed, lo, hi)]
             else:
-                expected = [st.thermal_nu(sm.draw_squeezing(config.profile, d))] * (hi - lo)
+                expected = [sm.draw_squeezing(config.profile, d).nu] * (hi - lo)
             expected = np.array(expected)
             nu = sm.sample_block(config, lo, hi)[1]
             assert nu.dtype == float and same_bits(nu, expected)
@@ -655,8 +669,8 @@ class TestKernelHelpers:
         rng = np.random.default_rng(43)
         d, n = 12, 5
         z = z0 * rng.uniform(1.0, 2.0, d)
-        gram = sm.squeeze_gram_diagonal(SqueezingSpec(z))
-        per_sample = np.stack([sm.squeeze_gram_diagonal(SqueezingSpec(z0 * rng.uniform(1.0, 2.0, d)))
+        gram = SqueezingSpec(z).gram
+        per_sample = np.stack([SqueezingSpec(z0 * rng.uniform(1.0, 2.0, d)).gram
                                for _ in range(n)])
         q = sm.haar_unitary(d, rng, (n,))[..., :m]
         block = np.stack([q.real, q.imag], axis=1)
@@ -715,7 +729,7 @@ class TestBlockScratch:
                 parts.append(rng.standard_normal((2, d, m_sys)))
             parts = np.array(parts)
             gammas = sm.sample_block(config, lo, hi)[0]
-            grams = [sm.squeeze_gram_diagonal(spec) for spec in specs]
+            grams = [spec.gram for spec in specs]
             if m_sys == 1:
                 assert_one_mode_forms(gammas, parts[..., 0], grams)
             else:
@@ -727,7 +741,7 @@ class TestBlockScratch:
         # 1/2 S(W) G S(W)^T of the given unitary's first m rows
         rng = np.random.default_rng(37)
         spec = SqueezingSpec(rng.uniform(1.0, 1.8, 6))
-        gram = sm.squeeze_gram_diagonal(spec)
+        gram = spec.gram
         for shape in ((), (4,), (2, 3)):
             u = np.asarray(sm.haar_unitary(6, rng, shape), order=order)
             for m in (1, 2, 6):
@@ -764,13 +778,17 @@ class TestPastBudgetMemory:
                              master_seed=3)
     # faults per sample of 8 samples, after one warm-up, in a fresh
     # interpreter whose allocator no other test has pinned; "unpinned" makes
-    # the pin a no-op
+    # the pin a no-op and holds glibc's mmap threshold at its 128 KiB
+    # default, which turns its dynamic threshold off: every array of a
+    # sample past it is mapped when allocated and unmapped when freed, in
+    # whatever order the sampler allocates its arrays
     FRESH_FAULTS = """
-import resource, sys
+import ctypes, resource, sys
 from gausswork import sampling as sm
 from gausswork.sampling import RandomStateConfig, ZProfile
 if sys.argv[3] == "unpinned":
     sm._keep_freed_memory = lambda: None
+    ctypes.CDLL(None).mallopt(sm._M_MMAP_THRESHOLD, 128 << 10)
 config = RandomStateConfig(n_full=int(sys.argv[1]), m_sys=int(sys.argv[2]),
                            profile=ZProfile("uniform", 1.5), master_seed=3)
 sm.sample_block(config, 0, 1)
@@ -796,10 +814,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
     @pytest.mark.parametrize("n_full, m_sys", [(8192, 1), (4096, 2), (4096, 4)])
     def test_budget_samples_stay_resident(self, n_full, m_sys):
         # d m = 2^14, two block budgets, on the closed-form m = 1 path and on
-        # the m >= 2 kernel, and 2^15, four budgets: unpinned, they fault
-        # about 140, 250 and 54 pages per sample; pinned after the first
-        # block is allocated, at most 0.5.  The unpinned run shows that the
-        # shape would catch a missing pin.
+        # the m >= 2 kernel, and 2^15, four budgets: unpinned at glibc's
+        # fixed default threshold, they fault about 420, 290 and 480 pages
+        # per sample; pinned after the first block is allocated, at most
+        # 0.5.  The unpinned run counts the pages of the arrays the pin has
+        # to keep mapped, which no order of allocation lowers, so it shows
+        # that the shape would catch a missing pin.
         faults = {}
         for pin in ("pinned", "unpinned"):
             result = subprocess.run([sys.executable, "-c", self.FRESH_FAULTS, str(n_full),
@@ -867,9 +887,9 @@ class TestKernel:
                 specs.append(sm.draw_squeezing(profile, configs[0].ambient_modes, rng))
             rows.append(rng.standard_normal(2 * d_max * m))
         if profile.is_random:
-            return np.array(rows), [np.array([sm.squeeze_gram_diagonal(s) for s in specs])]
+            return np.array(rows), [np.array([s.gram for s in specs])]
         specs = [sm.draw_squeezing(profile, c.ambient_modes) for c in configs]
-        return np.array(rows), [sm.squeeze_gram_diagonal(s)[None] for s in specs]
+        return np.array(rows), [s.gram[None] for s in specs]
 
     @pytest.mark.parametrize("grid, profile, pipeline", [
         ((16,), "uniform:1.3", "purified"), ((8, 32), "power:0.3", "direct"),
@@ -912,7 +932,7 @@ class TestEnergyScaling:
                 n_full=n_full, m_sys=1, profile=profile, master_seed=0
             )
             spec = sm.draw_squeezing(profile, config.ambient_modes)
-            input_energy = float(np.sum(sm.squeeze_gram_diagonal(spec))) / 4.0
+            input_energy = float(np.sum(spec.gram)) / 4.0
             ratios.append(input_energy / n_full ** (beta + 1.0))
         fit = math.exp(np.mean(np.log(ratios)))
         assert max(ratios) <= 2.0 * fit

@@ -14,11 +14,13 @@ from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 
 
 class TestThermalNu:
+    # SqueezingSpec.nu, sum(gram) / 4n
     def test_vacuum(self):
-        assert st.thermal_nu(SqueezingSpec(np.ones(4))) == 0.5
+        assert SqueezingSpec(np.ones(4)).nu == 0.5
+        assert SqueezingSpec(np.ones(7)).nu == 0.5
 
     def test_single_mode(self):
-        assert st.thermal_nu(SqueezingSpec(np.array([2.0]))) == pytest.approx(
+        assert SqueezingSpec(np.array([2.0])).nu == pytest.approx(
             (4.0 + 0.25) / 4.0, abs=1e-15
         )
 
@@ -27,13 +29,15 @@ class TestThermalNu:
         expected = (z0 * z0 + z0 ** -2.0) / 4.0
         for n in (1, 5, 64):
             spec = SqueezingSpec(np.full(n, z0))
-            assert st.thermal_nu(spec) == pytest.approx(expected, abs=1e-14)
+            assert spec.nu == pytest.approx(expected, abs=1e-14)
 
     def test_lower_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             spec = SqueezingSpec(rng.uniform(1.0, 3.0, 5))
-            assert st.thermal_nu(spec) >= 0.5
+            assert spec.nu >= 0.5
+            assert spec.nu == float(np.sum(spec.gram) / (2.0 * spec.gram.size))
+            assert type(spec.nu) is float
 
 
 def eigen_dispersion(gammas, nu):

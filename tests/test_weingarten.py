@@ -1,11 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
-from gausswork import stats as st
 from gausswork import weingarten as wg
 from gausswork.errors import BadDimension, DimensionMismatch, InvalidConfig
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
@@ -31,6 +31,46 @@ def weingarten_pair(dim, permutation):
     raise ValueError(f"permutation must be 'identity' or 'swap', got {permutation!r}")
 
 
+@dataclass
+class ABDecomposition:
+    """Split of the ambient squeeze spectrum J = diag(z^2) into its odd and
+    even parts A = (J - J^-1)/2, B = (J + J^-1)/2, with cached traces,
+    computed from z alone: the reference for the package's moments, which
+    read J and J^-1 off ``SqueezingSpec.gram``.  A and B are diagonal;
+    ``a`` and ``b`` hold their diagonals."""
+
+    a: np.ndarray
+    b: np.ndarray
+    trB: float
+    trB2: float
+    trA2: float
+
+    @classmethod
+    def from_squeezing(cls, spec):
+        j = spec.z * spec.z
+        a = (j - 1.0 / j) / 2.0
+        b = (j + 1.0 / j) / 2.0
+        return cls(
+            a, b,
+            trB=float(np.sum(b)),
+            trB2=float(np.sum(b * b)),
+            trA2=float(np.sum(a * a)),
+        )
+
+
+def reference_second_moments(spec, config):
+    """(E Tr[Gamma_m^2], E Tr[(Omega Gamma_m)^2]) from the traces of
+    :class:`ABDecomposition`: +-m/2 (B term +- A term), with Tr[B^2]
+    coefficient d m - 1 in the B term."""
+    d, m = float(config.ambient_modes), float(config.m_sys)
+    ab = ABDecomposition.from_squeezing(spec)
+    term_b1 = (d - m) * ab.trB ** 2 / (d * (d * d - 1.0))
+    term_b2 = (d * m - 1.0) * ab.trB2 / (d * (d * d - 1.0))
+    term_a = (m + 1.0) * ab.trA2 / (d * (d + 1.0))
+    term_b = term_b1 + term_b2
+    return 0.5 * m * (term_b + term_a), -0.5 * m * (term_b - term_a)
+
+
 def ambient_spec(config):
     return sm.draw_squeezing(config.profile, config.ambient_modes)
 
@@ -39,7 +79,7 @@ def rejected_omega_moment(spec, config):
     """Tr[(Omega Gamma_m)^2] mean under the rejected Tr[B^2] coefficient
     d m / 2 - 1 of the B term, in place of the retained d m - 1."""
     d, m = config.ambient_modes, config.m_sys
-    trb2 = wg.ABDecomposition.from_squeezing(spec).trB2
+    trb2 = ABDecomposition.from_squeezing(spec).trB2
     return wg.expected_tr_omega_gamma_sq(spec, config) + m * m * trb2 / (4.0 * (d * d - 1.0))
 
 
@@ -122,7 +162,7 @@ def test_spec_of_wrong_length_refused(length):
 class TestABDecomposition:
     def test_invariants(self):
         spec = SqueezingSpec(np.array([1.0, 1.5, 2.5]))
-        ab = wg.ABDecomposition.from_squeezing(spec)
+        ab = ABDecomposition.from_squeezing(spec)
         a_mat, b_mat = np.diag(ab.a), np.diag(ab.b)
         j = np.diag(spec.z ** 2)
         assert np.allclose(b_mat - a_mat, np.linalg.inv(j), atol=1e-14)
@@ -132,11 +172,31 @@ class TestABDecomposition:
 
     def test_trace_identities(self):
         spec = SqueezingSpec(np.array([1.2, 2.0]))
-        ab = wg.ABDecomposition.from_squeezing(spec)
+        ab = ABDecomposition.from_squeezing(spec)
         a_mat, b_mat = np.diag(ab.a), np.diag(ab.b)
         assert ab.trB == pytest.approx(np.trace(b_mat), abs=1e-14)
         assert ab.trB2 == pytest.approx(np.trace(b_mat @ b_mat), abs=1e-14)
         assert ab.trA2 == pytest.approx(np.trace(a_mat @ a_mat), abs=1e-14)
+
+
+    @pytest.mark.parametrize("pipeline", ["direct", "purified"])
+    @pytest.mark.parametrize("profile", ["vacuum", "uniform:1.3", "power:0.3", "file"])
+    @pytest.mark.parametrize("n_full, m_sys", [(2, 1), (5, 2), (64, 3)])
+    def test_moments_equal_reference(self, tmp_path, n_full, m_sys, profile, pipeline):
+        # both second moments, from the Gram diagonal, equal the
+        # decomposition's closed forms to the last bit
+        d = 2 * n_full if pipeline == "purified" else n_full
+        if profile == "file":
+            path = tmp_path / "z.txt"
+            z = np.random.default_rng(d).uniform(1.0, 2.5, d)
+            path.write_text("\n".join(map(repr, z.tolist())))
+            profile = f"file:{path}"
+        config = RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                   master_seed=0, pipeline=pipeline)
+        spec = ambient_spec(config)
+        expected = reference_second_moments(spec, config)
+        assert (wg.expected_tr_gamma_sq(spec, config),
+                wg.expected_tr_omega_gamma_sq(spec, config)) == expected
 
 
 class TestFirstMoment:
@@ -159,7 +219,7 @@ class TestFirstMoment:
             config = uniform_config(n, 1, 1.0, 0, pipeline="direct")
             for _ in range(10):
                 spec = SqueezingSpec(rng.uniform(1.0, 3.0, n))
-                assert wg.expected_tr_gamma(spec, config) == 2.0 * st.thermal_nu(spec)
+                assert wg.expected_tr_gamma(spec, config) == 2.0 * spec.nu
 
     def test_power_profile_mc(self):
         # non-uniform profile, so the trace genuinely fluctuates
