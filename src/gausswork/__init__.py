@@ -13,7 +13,6 @@ from .phasespace import (
     purify,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_trace,
 )
 from .sampling import (
     RandomStateConfig,
@@ -21,7 +20,7 @@ from .sampling import (
     ZProfile,
     draw_squeezing,
     haar_unitary,
-    sample_random_state,
+    sample_block,
     state_from_unitary,
     unitary_to_symplectic,
 )

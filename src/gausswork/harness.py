@@ -202,7 +202,7 @@ def run_sweep(
     order, summary dict ready for JSON serialization), and with
     ``return_csv`` the records' CSV text third, as :func:`compute_records`.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [sampling.config_int("n_grid", n) for n in n_grid]
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidConfig(f"n grid must be strictly increasing, got {n_grid}")
     epsilons = [float(e) for e in epsilons]
@@ -261,10 +261,10 @@ def run_sweep(
     summary = {
         "config": {
             "n_grid": n_grid,
-            "m": m_sys,
+            "m": configs[0].m_sys,
             "z_profile": profile.canonical(),
             "samples": samples,
-            "master_seed": master_seed,
+            "master_seed": configs[0].master_seed,
             "pipeline": pipeline,
             "epsilons": epsilons,
         },

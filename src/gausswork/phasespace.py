@@ -180,22 +180,6 @@ def williamson(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _williamson_factor(*_williamson_kernel(gamma, n), n)
 
 
-def symplectic_eigenvalues_direct(gamma: np.ndarray) -> np.ndarray:
-    """Cross-check spectrum from the imaginary parts of eig(Omega @ Gamma).
-
-    Independent of the symmetric-kernel route; used to validate it.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    evals = np.linalg.eigvals(symplectic_form(n) @ gamma)
-    return np.sort(np.abs(evals.imag))[::-1][0::2].copy()
-
-
-def symplectic_trace(gamma: np.ndarray) -> float:
-    """Sum of symplectic eigenvalues over the doubled spectrum, 2 * sum(nu)."""
-    return 2.0 * float(np.sum(symplectic_eigenvalues(gamma)))
-
-
 def extractable_work(gamma: np.ndarray) -> float:
     """Maximum mean-energy decrease under Gaussian unitaries.
 

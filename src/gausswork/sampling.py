@@ -372,6 +372,14 @@ def draw_squeezing(
     )
 
 
+def config_int(name: str, value) -> int:
+    """``value`` as a plain int; a bool or a non-integer raises :class:`InvalidConfig`."""
+    # a bool is an int, so index() alone would take it
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class RandomStateConfig:
     """Configuration of the random-state pipeline.
@@ -388,6 +396,8 @@ class RandomStateConfig:
     pipeline: str = "purified"
 
     def __post_init__(self) -> None:
+        for name in ("n_full", "m_sys", "master_seed"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
         if self.n_full < 1:
             raise InvalidConfig(f"n_full must be >= 1, got {self.n_full}")
         if not 1 <= self.m_sys <= self.n_full:
@@ -724,11 +734,6 @@ def sample_block(config: RandomStateConfig, lo: int, hi: int) -> tuple[np.ndarra
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
     _, _, gammas, nus = zip(*iter_blocks([config], lo, hi))
     return np.concatenate(gammas), np.concatenate(nus)
-
-
-def sample_random_state(config: RandomStateConfig, sample_index: int) -> np.ndarray:
-    """Covariance matrix of one random reduced Gaussian state."""
-    return sample_block(config, sample_index, sample_index + 1)[0][0]
 
 
 def random_symplectic(

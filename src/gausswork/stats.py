@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phasespace
-from .errors import DimensionMismatch, EmptyInput, NonPositiveDefinite, NumericalFailure
+from .errors import DimensionMismatch, EmptyInput, InvalidConfig, NonPositiveDefinite, NumericalFailure
 from .sampling import RandomStateConfig, SqueezingSpec, state_from_unitary
 
 WORK_BOUND_SLACK = 1e-9
@@ -244,7 +244,7 @@ def tail_probability(works, epsilon: float) -> TailEstimate:
     if not values.size:
         raise EmptyInput("tail_probability needs at least one record")
     if not epsilon >= 0.0:  # also rejects NaN
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        raise InvalidConfig(f"epsilon must be >= 0, got {epsilon}")
     hits = int(np.count_nonzero(values > epsilon))
     low, high = wilson_interval(hits, values.size)
     return TailEstimate(

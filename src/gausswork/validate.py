@@ -1,10 +1,10 @@
 """Self-check suite behind the ``validate`` CLI subcommand.
 
-Each check exercises one contract of the core modules on seeded random
-inputs and reports the first violated assertion by name, raised as a
-:class:`Violation` or as the error of a library function that enforces the
-contract itself.  The heavier statistical verifications live in the test
-suite; this runner is meant to finish in seconds.
+The suite checks the package's own factorizations and sampler on seeded
+random inputs.  Each check reports the first violated assertion by name,
+raised as a :class:`Violation` or as the error of a library function that
+enforces the contract itself.  The heavier statistical verifications live
+in the test suite; this runner is meant to finish in seconds.
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from .errors import GaussworkError, InvalidConfig
 from .phasespace import (
     RECONSTRUCTION_TOL,
     check_covariance,
-    extractable_work,
     is_symplectic,
     purify,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_direct,
-    symplectic_form,
-    symplectic_trace,
     williamson,
     williamson_reconstruction_error,
 )
@@ -35,8 +31,7 @@ from .sampling import (
     draw_squeezing,
     haar_unitary,
     random_covariance,
-    random_symplectic,
-    sample_random_state,
+    sample_block,
     unitary_to_symplectic,
 )
 
@@ -58,13 +53,6 @@ def _require(ok, detail: str) -> None:
         raise Violation(detail)
 
 
-def check_symplectic_form(sizes) -> None:
-    for n in sizes:
-        omega = symplectic_form(n)
-        _require(np.allclose(omega @ omega, -np.eye(2 * n), atol=0), f"Omega^2 != -I at n={n}")
-        _require(np.array_equal(omega.T, -omega), f"Omega^T != -Omega at n={n}")
-
-
 def check_embedding(sizes, per_size: int, rng) -> None:
     for n in sizes:
         eye = np.eye(2 * n)
@@ -74,24 +62,11 @@ def check_embedding(sizes, per_size: int, rng) -> None:
             _require(is_symplectic(o, 1e-10), f"O Omega O^T != Omega at n={n}")
 
 
-# per_size random covariances of each size, with their size, drawn lazily:
-# a check that draws from rng between covariances keeps its draw order
+# per_size random covariances of each size, with their size, drawn lazily
 def _covariances(sizes, per_size: int, rng):
     for n in sizes:
         for _ in range(per_size):
             yield n, random_covariance(n, rng)
-
-
-def check_eigensolver_crosscheck(sizes, per_size: int, rng) -> None:
-    for n, gamma in _covariances(sizes, per_size, rng):
-        nus = symplectic_eigenvalues(gamma)
-        ref = symplectic_eigenvalues_direct(gamma)
-        scale = max(1.0, float(np.linalg.norm(gamma, 2)))
-        _require(
-            np.max(np.abs(nus - ref)) <= 1e-9 * scale,
-            f"kernel and direct spectra disagree at n={n}",
-        )
-        check_covariance(gamma)
 
 
 def check_williamson_reconstruction(sizes, per_size: int, rng) -> None:
@@ -110,30 +85,6 @@ def check_purification(per_size: int, rng) -> None:
         _require(
             np.trace(purify(gamma)) <= 2.0 * np.trace(gamma) + 1e-9,
             f"purification energy bound violated at m={m}",
-        )
-
-
-def check_proof_chain(per_size: int, rng) -> None:
-    # The work equals |sum(lambda - c)/2 + sum(c - nu)| for any constant c;
-    # the constant cancels between the two sums.
-    for _, gamma in _covariances((1, 2, 4), per_size, rng):
-        work = extractable_work(gamma)
-        lam = np.linalg.eigvalsh(gamma)
-        nus = symplectic_eigenvalues(gamma)
-        for c in (0.5, 0.77, 1.3):
-            off = abs(abs(0.5 * np.sum(lam - c) + np.sum(c - nus)) - work)
-            _require(off <= 1e-9, f"constant-shift identity off by {off:.2e}")
-        _require(work >= -1e-9, f"negative work {work}")
-
-
-def check_symplectic_trace_invariance(per_size: int, rng) -> None:
-    for n, gamma in _covariances((1, 2, 3), per_size, rng):
-        s = random_symplectic(n, rng)
-        before = symplectic_trace(gamma)
-        after = symplectic_trace(s @ gamma @ s.T)
-        _require(
-            abs(before - after) <= 1e-8 * max(1.0, before),
-            f"STr changed under symplectic conjugation at n={n}",
         )
 
 
@@ -165,7 +116,7 @@ def check_sampler_basics(rng_seed: int) -> None:
     vac = RandomStateConfig(
         n_full=6, m_sys=2, profile=ZProfile("vacuum"), master_seed=rng_seed
     )
-    gamma = sample_random_state(vac, 0)
+    gamma = sample_block(vac, 0, 1)[0][0]
     _require(
         np.max(np.abs(gamma - 0.5 * np.eye(4))) <= 1e-12,
         "vacuum profile did not produce the vacuum state",
@@ -174,10 +125,10 @@ def check_sampler_basics(rng_seed: int) -> None:
         n_full=6, m_sys=6, profile=ZProfile("uniform", 1.3),
         master_seed=rng_seed, pipeline="direct",
     )
-    gamma = sample_random_state(cfg, 1)
+    gamma = sample_block(cfg, 1, 2)[0][0]
     nus = symplectic_eigenvalues(gamma)
     _require(np.max(np.abs(nus - 0.5)) <= 1e-8, "full-system state is not pure")
-    _require(np.array_equal(gamma, sample_random_state(cfg, 1)), "sampling is not deterministic")
+    _require(np.array_equal(gamma, sample_block(cfg, 1, 2)[0][0]), "sampling is not deterministic")
 
 
 def _run(name: str, check, *args) -> CheckResult:
@@ -199,13 +150,9 @@ def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) ->
     # checks are looked up by module-level name at call time, not kept in a
     # table, so a function replaced on the module (a tracer, a test) is run
     return [
-        _run("symplectic-form", check_symplectic_form, sizes),
         _run("orthogonal-symplectic-embedding", check_embedding, sizes, 25, rng),
-        _run("symplectic-eigenvalue-crosscheck", check_eigensolver_crosscheck, sizes, 20, rng),
         _run("williamson-reconstruction", check_williamson_reconstruction, sizes, 20, rng),
         _run("purification-roundtrip", check_purification, 20, rng),
-        _run("work-identity", check_proof_chain, 20, rng),
-        _run("symplectic-trace-invariance", check_symplectic_trace_invariance, 10, rng),
         _run("work-bound-chain", check_bound_chain, 300, seed),
         _run("lipschitz-witnesses", check_lipschitz, lipschitz_pairs, rng),
         _run("sampler-contracts", check_sampler_basics, seed),

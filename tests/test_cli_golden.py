@@ -157,7 +157,7 @@ GOLDEN = {
     'validate-cov-good': (0, '8302e31ee61d1d8b', 'e3b0c44298fc1c14', {}),
     'validate-cov-missing': (2, 'e3b0c44298fc1c14', 'b41e33f43f61cc66', {}),
     'validate-cov-unphysical': (1, 'e3b0c44298fc1c14', '68232820c6fb533b', {}),
-    'validate-suite': (0, '2beef1693650ae3f', 'e3b0c44298fc1c14', {}),
+    'validate-suite': (0, '52956bee3d634071', 'e3b0c44298fc1c14', {}),
 }
 
 

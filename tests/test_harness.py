@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -406,6 +407,17 @@ class TestSweep:
             harness.run_sweep([16, 8], 1, ZProfile("vacuum"), 10, 0)
         with pytest.raises(InvalidConfig):
             harness.run_sweep([8, 16], 1, ZProfile("vacuum"), 10, 0, epsilons=[0.0])
+
+    @pytest.mark.parametrize("n_grid", [[16.9], [8, 16.0], [True, 4], [np.float64(8)]])
+    def test_grid_refuses_bools_and_non_integers(self, n_grid):
+        with pytest.raises(InvalidConfig, match="n_grid"):
+            harness.run_sweep(n_grid, 1, ZProfile("vacuum"), 10, 0)
+
+    def test_numpy_integers_give_the_plain_summary(self):
+        plain = harness.run_sweep([2, 4], 1, ZProfile("uniform", 1.5), 10, 3)[1]
+        numpy_ints = harness.run_sweep(np.array([2, 4]), np.int64(1), ZProfile("uniform", 1.5),
+                                       10, np.uint32(3))[1]
+        assert json.dumps(numpy_ints) == json.dumps(plain)
 
     def test_beta_warnings(self):
         assert harness.beta_warnings(0.0) == []

@@ -12,7 +12,6 @@ from gausswork.errors import (
     NonPositiveDefinite,
 )
 from gausswork.sampling import random_covariance, random_symplectic
-from gausswork.validate import check_eigensolver_crosscheck, check_symplectic_trace_invariance
 
 
 def keep_indices(n_modes, keep):
@@ -20,6 +19,14 @@ def keep_indices(n_modes, keep):
     if not 1 <= keep <= n_modes:
         raise BadModeCount(f"keep={keep} out of range for {n_modes} modes")
     return np.concatenate([np.arange(keep), n_modes + np.arange(keep)])
+
+
+def symplectic_eigenvalues_direct(gamma):
+    """Reference spectrum from the imaginary parts of eig(Omega @ Gamma),
+    independent of the symmetric-kernel route of the package."""
+    gamma = np.asarray(gamma, dtype=float)
+    evals = np.linalg.eigvals(ps.symplectic_form(ps.mode_count(gamma)) @ gamma)
+    return np.sort(np.abs(evals.imag))[::-1][0::2].copy()
 
 
 def partial_trace(gamma, keep):
@@ -147,7 +154,14 @@ class TestSymplecticEigenvalues:
 
     def test_crosscheck_against_direct_eig(self):
         # 100 random physical matrices per size n = 1..8
-        check_eigensolver_crosscheck(range(1, 9), 100, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            for _ in range(100):
+                gamma = random_covariance(n, rng)
+                nus = ps.symplectic_eigenvalues(gamma)
+                scale = max(1.0, float(np.linalg.norm(gamma, 2)))
+                assert np.max(np.abs(nus - symplectic_eigenvalues_direct(gamma))) <= 1e-9 * scale
+                ps.check_covariance(gamma)
 
 
 class TestWilliamsonFactor:
@@ -207,17 +221,30 @@ class TestHermitianFactor:
 
 
 class TestSymplecticTrace:
+    """The symplectic trace 2 * sum(nu) and each nu it sums."""
+
+    def symplectic_trace(self, gamma):
+        return 2.0 * float(np.sum(ps.symplectic_eigenvalues(gamma)))
+
     def test_vacuum(self):
-        assert ps.symplectic_trace(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+        assert self.symplectic_trace(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_thermal_two_modes(self):
-        assert ps.symplectic_trace(1.5 * np.eye(4)) == pytest.approx(6.0, abs=1e-12)
+        assert self.symplectic_trace(1.5 * np.eye(4)) == pytest.approx(6.0, abs=1e-12)
 
     def test_squeezed(self):
-        assert ps.symplectic_trace(np.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-12)
+        assert self.symplectic_trace(np.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-12)
 
     def test_symplectic_invariance(self):
-        check_symplectic_trace_invariance(10, np.random.default_rng(8))
+        # each nu, not only their sum, is kept by a symplectic conjugation
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                gamma = random_covariance(n, rng)
+                s = random_symplectic(n, rng)
+                before = ps.symplectic_eigenvalues(gamma)
+                after = ps.symplectic_eigenvalues(s @ gamma @ s.T)
+                assert np.max(np.abs(before - after)) <= 1e-8 * max(1.0, before[0])
 
 
 class TestExtractableWork:

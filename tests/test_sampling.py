@@ -419,7 +419,7 @@ class TestSqueezeGram:
 class TestRandomState:
     def test_vacuum_gives_vacuum(self):
         config = RandomStateConfig(n_full=5, m_sys=2, profile=ZProfile("vacuum"), master_seed=3)
-        gamma = sm.sample_random_state(config, 0)
+        gamma = sm.sample_block(config, 0, 1)[0][0]
         assert np.max(np.abs(gamma - np.eye(4) / 2)) <= 1e-12
 
     @pytest.mark.parametrize("pipeline", ["direct", "purified"])
@@ -431,7 +431,7 @@ class TestRandomState:
         # purified keeps m of 2n ambient modes; m=n still leaves a mixed
         # state there, so purity of the kept block is only guaranteed in
         # the direct pipeline with no trace-out.
-        gamma = sm.sample_random_state(config, 0)
+        gamma = sm.sample_block(config, 0, 1)[0][0]
         nus = ps.symplectic_eigenvalues(gamma)
         if pipeline == "direct":
             assert np.max(np.abs(nus - 0.5)) <= 1e-8
@@ -442,11 +442,11 @@ class TestRandomState:
         config = RandomStateConfig(
             n_full=6, m_sys=2, profile=ZProfile("uniform", 1.2), master_seed=21
         )
-        first = sm.sample_random_state(config, 5)
+        first = sm.sample_block(config, 5, 6)[0][0]
         # drawing other indices first must not disturb index 5
-        sm.sample_random_state(config, 0)
-        sm.sample_random_state(config, 6)
-        assert np.array_equal(first, sm.sample_random_state(config, 5))
+        sm.sample_block(config, 0, 1)
+        sm.sample_block(config, 6, 7)
+        assert np.array_equal(first, sm.sample_block(config, 5, 6)[0][0])
 
     def test_physical_and_energy_capped(self):
         config = RandomStateConfig(
@@ -455,7 +455,7 @@ class TestRandomState:
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         cap = 0.5 * float(np.sum(spec.gram))
         for i in range(20):
-            gamma = sm.sample_random_state(config, i)
+            gamma = sm.sample_block(config, i, i + 1)[0][0]
             assert ps.symplectic_eigenvalues(gamma)[-1] >= 0.5 - 1e-9
             assert np.trace(gamma) <= cap
 
@@ -496,7 +496,7 @@ class TestRandomState:
         )
         spec = sm.draw_squeezing(config.profile, config.ambient_modes)
         nu = float(np.sum(spec.gram)) / (4 * config.ambient_modes)
-        traces = [np.trace(sm.sample_random_state(config, i)) for i in range(500)]
+        traces = [np.trace(sm.sample_block(config, i, i + 1)[0][0]) for i in range(500)]
         assert np.mean(traces) == pytest.approx(2 * nu, abs=1e-10)
 
     def test_flat_profile_redraws_z_per_sample(self):
@@ -543,6 +543,23 @@ class TestRandomState:
             RandomStateConfig(
                 n_full=2, m_sys=1, profile=ZProfile("vacuum"), master_seed=0, pipeline="fast"
             )
+
+    @pytest.mark.parametrize("field", ["n_full", "m_sys", "master_seed"])
+    @pytest.mark.parametrize("value", [True, np.True_, 4.0, 2.5, "4", None])
+    def test_integer_fields_refuse_bools_and_non_integers(self, field, value):
+        kwargs = dict(n_full=4, m_sys=1, profile=ZProfile("uniform", 1.5), master_seed=3)
+        kwargs[field] = value
+        with pytest.raises(InvalidConfig, match=field):
+            RandomStateConfig(**kwargs)
+
+    def test_integer_fields_stored_as_plain_ints(self):
+        config = RandomStateConfig(n_full=np.int64(4), m_sys=np.uint8(2),
+                                   profile=ZProfile("uniform", 1.5), master_seed=np.int32(3))
+        plain = RandomStateConfig(n_full=4, m_sys=2, profile=ZProfile("uniform", 1.5), master_seed=3)
+        assert config == plain
+        for name in ("n_full", "m_sys", "master_seed"):
+            assert type(getattr(config, name)) is int
+        assert np.array_equal(sm.sample_block(config, 0, 3)[0], sm.sample_block(plain, 0, 3)[0])
 
 
 def same_bits(a, b):

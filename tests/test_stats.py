@@ -9,8 +9,10 @@ from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import validate
-from gausswork.errors import DimensionMismatch, EmptyInput, NumericalFailure
+from gausswork.errors import DimensionMismatch, EmptyInput, GaussworkError, NumericalFailure
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
+
+from test_phasespace import symplectic_eigenvalues_direct
 
 
 class TestThermalNu:
@@ -57,7 +59,7 @@ class TestDispersions:
     def test_eigen_dispersion_vacuum_pipeline(self):
         config = RandomStateConfig(n_full=6, m_sys=2, profile=ZProfile("vacuum"), master_seed=1)
         for i in range(20):
-            gamma = sm.sample_random_state(config, i)
+            gamma = sm.sample_block(config, i, i + 1)[0][0]
             assert st.spectral_statistics(gamma, 0.5)[3] <= 1e-12
 
     def test_symplectic_dispersion_thermal(self):
@@ -74,7 +76,7 @@ class TestDispersions:
             n_full=4, m_sys=4, profile=ZProfile("uniform", 1.5),
             master_seed=9, pipeline="direct",
         )
-        gamma = sm.sample_random_state(config, 0)
+        gamma = sm.sample_block(config, 0, 1)[0][0]
         assert st.spectral_statistics(gamma, 0.5)[4] <= 1e-12
 
     @pytest.mark.parametrize("column", [3, 4], ids=["eigen_dispersion", "symplectic_dispersion"])
@@ -97,7 +99,7 @@ class TestDispersions:
             if column == 3:
                 reference = eigen_dispersion(gammas, nus)
             else:
-                direct = np.array([[ps.symplectic_eigenvalues_direct(g) for g in row] for row in gammas])
+                direct = np.array([[symplectic_eigenvalues_direct(g) for g in row] for row in gammas])
                 reference = 2.0 * np.sum((direct ** 2 - nus[..., None] ** 2) ** 2, axis=-1)
             assert np.allclose(own, reference, rtol=1e-9, atol=1e-14)
 
@@ -340,6 +342,9 @@ class TestTailProbability:
     def test_nan_epsilon_rejected(self):
         with pytest.raises(ValueError):
             st.tail_probability([0.1, 0.2], math.nan)
+        for epsilon in (math.nan, -0.1):
+            with pytest.raises(GaussworkError, match="epsilon"):
+                st.tail_probability([0.1, 0.2], epsilon)
 
     def test_all_zero_work(self):
         est = st.tail_probability([0.0] * 50, 0.01)

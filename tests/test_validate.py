@@ -13,25 +13,20 @@ def _raise_numerical(*args):
 
 # check name -> (module, function the check relies on, broken replacement)
 BREAKS = {
-    "symplectic-form": (validate, "symplectic_form", lambda n: np.eye(2 * n)),
     "orthogonal-symplectic-embedding": (
         validate, "unitary_to_symplectic", lambda u: 2.0 * np.eye(2 * len(u)),
-    ),
-    "symplectic-eigenvalue-crosscheck": (
-        validate, "symplectic_eigenvalues_direct", lambda gamma: np.zeros(len(gamma) // 2),
     ),
     "williamson-reconstruction": (
         validate, "williamson_reconstruction_error", lambda gamma, nus, s: math.nan,
     ),
     "purification-roundtrip": (validate, "purify", _raise_numerical),
-    "work-identity": (validate, "extractable_work", lambda gamma: 5.0),
-    "symplectic-trace-invariance": (validate, "symplectic_trace", lambda gamma: math.nan),
     "work-bound-chain": (stats, "work_bound", lambda m, delta: -1.0),
     "lipschitz-witnesses": (
         stats, "eigen_dispersion_lipschitz_pair", lambda u, v, spec, m: (1.0, 0.0),
     ),
     "sampler-contracts": (
-        validate, "sample_random_state", lambda config, i: np.eye(2 * config.m_sys),
+        validate, "sample_block",
+        lambda config, lo, hi: (np.eye(2 * config.m_sys)[None], np.full(1, 0.5)),
     ),
 }
 

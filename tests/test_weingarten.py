@@ -274,7 +274,7 @@ class TestOmegaSecondMoment:
         spec = ambient_spec(config)
         d = config.ambient_modes
         for i in range(5):
-            gamma = sm.sample_random_state(config, i)
+            gamma = sm.sample_block(config, i, i + 1)[0][0]
             assert wg.measure_tr_omega_gamma_sq(gamma) == pytest.approx(-d / 2.0, abs=1e-10)
         retained = wg.expected_tr_omega_gamma_sq(spec, config)
         alternate = rejected_omega_moment(spec, config)
