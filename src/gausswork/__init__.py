@@ -8,8 +8,6 @@ against exact Haar-moment formulas.
 
 from .phasespace import (
     check_covariance,
-    energy,
-    extractable_work,
     purify,
     symplectic_eigenvalues,
     symplectic_form,
@@ -24,7 +22,7 @@ from .sampling import (
     state_from_unitary,
     unitary_to_symplectic,
 )
-from .stats import RECORD_DTYPE, tail_probability
+from .stats import RECORD_DTYPE, extractable_work, tail_probability
 from .weingarten import (
     MomentReport,
     expected_tr_gamma,

@@ -90,8 +90,7 @@ def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarra
     config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
     with ``csv`` their :func:`records_csv` text.  The configs share one
     fan-out: a chunk of indices covers every config."""
-    if samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {samples}")
+    threads = sampling.config_int("threads", threads, 1)
     chunks = parallel.run_chunked(_chunk, (configs, csv), samples, threads)
     parts = [chunk[g] for g in range(len(configs)) for chunk in chunks]
     records = _join([records for records, _ in parts]).view(np.recarray)
@@ -105,6 +104,7 @@ def compute_records(
     :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
     (records, ``records_csv(records, config)``), the rows formatted by the
     workers."""
+    n_samples = sampling.config_int("samples", n_samples, 1)
     records, text = _records([config], n_samples, threads, return_csv)
     return (records, text) if return_csv else records
 
@@ -219,6 +219,7 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
+    samples = sampling.config_int("samples", samples, 1)
     # one fan-out for the whole grid: each process's chunk covers every point
     all_records, csv_text = _records(configs, samples, threads, return_csv)
     per_n = []

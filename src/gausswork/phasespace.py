@@ -69,9 +69,10 @@ def check_covariance(gamma: np.ndarray) -> int:
     return _checked_kernel(np.asarray(gamma, dtype=float))[0]
 
 
-def _checked_kernel(gamma: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _checked_kernel(gamma: np.ndarray) -> tuple:
     """:func:`check_covariance` on a float array, returning the mode count
-    with the square root and the kernel it decomposed, for reuse."""
+    with the square root and the eigenpairs of the Hermitian i * kernel
+    that it decomposed, for the factor to reuse."""
     n = mode_count(gamma)
     if not np.all(np.isfinite(gamma)):
         raise InvalidCovariance("finite: Gamma has a non-finite entry")
@@ -79,17 +80,11 @@ def _checked_kernel(gamma: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     if asym > SYMMETRY_TOL:
         raise InvalidCovariance(f"symmetry: max |Gamma - Gamma^T| = {asym:.3e} exceeds {SYMMETRY_TOL}")
     root, kernel = _williamson_kernel(gamma, n)
-    nus = _kernel_nus(kernel, n)
-    if nus[-1] < 0.5 - PHYSICAL_SLACK:
-        raise InvalidCovariance(f"uncertainty: smallest symplectic eigenvalue {nus[-1]:.12g} < 1/2")
-    return n, root, kernel
-
-
-def energy(gamma: np.ndarray) -> float:
-    """Mean energy Tr[Gamma]/2 of a zero-mean state."""
-    gamma = np.asarray(gamma, dtype=float)
-    mode_count(gamma)
-    return 0.5 * float(np.trace(gamma))
+    evals, vecs = _eig(np.linalg.eigh, 1j * kernel)
+    # evals[n] is the smallest nu of the spectrum {-nu..., nu...}
+    if evals[n] < 0.5 - PHYSICAL_SLACK:
+        raise InvalidCovariance(f"uncertainty: smallest symplectic eigenvalue {evals[n]:.12g} < 1/2")
+    return n, root, evals, vecs
 
 
 def check_positive(lowest) -> None:
@@ -103,40 +98,27 @@ def check_positive(lowest) -> None:
         )
 
 
-def _sqrt_spd(gamma: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix, or of
-    each matrix in a (..., k, k) stack."""
+def _eig(solve, matrix: np.ndarray):
+    """``solve(matrix)`` for a numpy eigensolver ``solve``, a LAPACK
+    breakdown raised as :class:`NumericalFailure`."""
     try:
-        evals, vecs = np.linalg.eigh(gamma)
+        return solve(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    check_positive(evals[..., 0])
-    return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def _williamson_kernel(gamma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G^{1/2}, G^{1/2} Omega G^{1/2}) of one matrix or of a stack."""
-    root = _sqrt_spd(gamma)
+    """(G^{1/2}, G^{1/2} Omega G^{1/2}) of one matrix or of a stack, the
+    square root symmetric, from the eigenpairs of G."""
+    evals, vecs = _eig(np.linalg.eigh, gamma)
+    check_positive(evals[..., 0])
+    root = (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return root, root @ symplectic_form(n) @ root
 
 
-def _kernel_nus(kernel: np.ndarray, n: int) -> np.ndarray:
-    """Descending symplectic spectra from the eigenvalues of i * kernel."""
-    try:
-        evals = np.linalg.eigvalsh(1j * kernel)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    # Hermitian spectrum is {-nu_n..-nu_1, nu_1..nu_n}; take the positive half.
-    return evals[..., n:][..., ::-1].copy()
-
-
-def _williamson_factor(root: np.ndarray, kernel: np.ndarray, n: int) -> tuple:
-    """Spectrum and factor S with Gamma = S D S^T from the eigenvectors of
+def _williamson_factor(root: np.ndarray, evals: np.ndarray, vecs: np.ndarray, n: int) -> tuple:
+    """Spectrum and factor S with Gamma = S D S^T from the eigenpairs of
     the Hermitian i * kernel of one matrix."""
-    try:
-        evals, vecs = np.linalg.eigh(1j * kernel)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     nus = evals[n:][::-1].copy()
     if np.any(nus <= 0.0):
         raise NumericalFailure("non-positive symplectic eigenvalue in Hermitian spectrum")
@@ -164,7 +146,9 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     # the first matrix of a stack stands for the shape of all of them
     n = mode_count(gamma[(0,) * (gamma.ndim - 2)])
-    return _kernel_nus(_williamson_kernel(gamma, n)[1], n)
+    evals = _eig(np.linalg.eigvalsh, 1j * _williamson_kernel(gamma, n)[1])
+    # Hermitian spectrum is {-nu_n..-nu_1, nu_1..nu_n}; take the positive half.
+    return evals[..., n:][..., ::-1].copy()
 
 
 def williamson(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,19 +161,8 @@ def williamson(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
-    return _williamson_factor(*_williamson_kernel(gamma, n), n)
-
-
-def extractable_work(gamma: np.ndarray) -> float:
-    """Maximum mean-energy decrease under Gaussian unitaries.
-
-    Equals Tr[Gamma]/2 - sum(nu_k), i.e. half the gap between the trace and
-    the symplectic trace.  Zero for thermal states.  Round-off can make the
-    result slightly negative; it is clamped only in reports, never here.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    nus = symplectic_eigenvalues(gamma)
-    return 0.5 * float(np.trace(gamma)) - float(np.sum(nus))
+    root, kernel = _williamson_kernel(gamma, n)
+    return _williamson_factor(root, *_eig(np.linalg.eigh, 1j * kernel), n)
 
 
 def purify(gamma_m: np.ndarray) -> np.ndarray:
@@ -203,9 +176,9 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
     checked before returning; a breach raises :class:`NumericalFailure`.
     """
     gamma_m = np.asarray(gamma_m, dtype=float)
-    # the uncertainty check and the factor share one decomposition
-    m, root, kernel = _checked_kernel(gamma_m)
-    nus, factor = _williamson_factor(root, kernel, m)
+    # the uncertainty check and the factor share one Hermitian eigensolve
+    m, root, evals, vecs = _checked_kernel(gamma_m)
+    nus, factor = _williamson_factor(root, evals, vecs, m)
     # The square root amplifies eigenvalue round-off near nu = 1/2 (an
     # excess of 1e-16 becomes a 1e-8 cross term); sub-noise excesses mean
     # the mode is pure and needs no partner.

@@ -372,12 +372,16 @@ def draw_squeezing(
     )
 
 
-def config_int(name: str, value) -> int:
-    """``value`` as a plain int; a bool or a non-integer raises :class:`InvalidConfig`."""
+def config_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int; a bool, a non-integer or a value below
+    ``minimum`` raises :class:`InvalidConfig`."""
     # a bool is an int, so index() alone would take it
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -167,48 +167,41 @@ def evaluate_block(
     return records.view(np.recarray)
 
 
-def _dispersion_pair(
-    u: np.ndarray,
-    v: np.ndarray,
-    spec: SqueezingSpec,
-    m_sys: int,
-    column: int,
-    constant: float,
-    power: int,
-):
+def extractable_work(gamma: np.ndarray):
+    """Maximum mean-energy decrease E - sum(nu_k) under Gaussian unitaries
+    of one covariance matrix (a float) or of a stack: the work column of
+    :func:`spectral_statistics`.  Round-off negatives are kept here."""
+    gamma = np.asarray(gamma, dtype=float)
+    # the first matrix of a stack stands for the shape of all of them
+    phasespace.mode_count(gamma[(0,) * (gamma.ndim - 2)])
+    work = spectral_statistics(gamma, 0.0)[2]
+    return float(work) if work.ndim == 0 else work
+
+
+def lipschitz_witnesses(u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int) -> tuple:
+    """(lhs, rhs) of the eigen-dispersion Lipschitz inequality, then of
+    the symplectic-dispersion one, for one pair of unitaries or pair by
+    pair for two (..., d, d) stacks, from one build of the pair's states.
+
+    lhs is the dispersion difference between the states of u and v; rhs is
+    c sqrt(2m) |J|_inf^k |u - v|_2 (Frobenius norm), c = 4, k = 2 for
+    stat_T and c = 10, k = 4 for stat_frakT.  Each lhs <= rhs is a proven
+    bound and must hold for every pair.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim < 2:
         raise DimensionMismatch(f"need two unitaries or stacks of one shape: {u.shape}, {v.shape}")
-    # column 3 of the statistics is stat_T, column 4 stat_frakT
     gammas = state_from_unitary(np.stack([u, v]), spec, m_sys)
-    at_u, at_v = spectral_statistics(gammas, spec.nu)[column]
-    lhs = abs(at_u - at_v)
+    _, _, _, stat_t, stat_frak = spectral_statistics(gammas, spec.nu)
     # Frobenius norm per pair, summed in the order of np.linalg.norm
     diff = (u - v).reshape(*u.shape[:-2], -1)
     norm = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
     j_max = float(np.max(spec.z)) ** 2
-    rhs = constant * math.sqrt(2.0 * m_sys) * j_max ** power * norm
-    return lhs, rhs
-
-
-def eigen_dispersion_lipschitz_pair(u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int):
-    """(lhs, rhs) of the eigen-dispersion Lipschitz inequality, for one
-    pair of unitaries or pair by pair for two (..., d, d) stacks.
-
-    lhs is the dispersion difference between the states built from u and v;
-    rhs is 4 sqrt(2m) |J|_inf^2 |u - v|_2 with the Frobenius norm.  The
-    inequality lhs <= rhs is a proven bound and must hold for every pair.
-    """
-    return _dispersion_pair(u, v, spec, m_sys, 3, 4.0, 1)
-
-
-def symplectic_dispersion_lipschitz_pair(
-    u: np.ndarray, v: np.ndarray, spec: SqueezingSpec, m_sys: int
-):
-    """(lhs, rhs) of the symplectic-dispersion Lipschitz inequality,
-    with constant 10 sqrt(2m) |J|_inf^4; takes pairs as above."""
-    return _dispersion_pair(u, v, spec, m_sys, 4, 10.0, 2)
+    root = math.sqrt(2.0 * m_sys)
+    eigen_rhs = 4.0 * root * j_max * norm
+    symplectic_rhs = 10.0 * root * j_max ** 2 * norm
+    return abs(stat_t[0] - stat_t[1]), eigen_rhs, abs(stat_frak[0] - stat_frak[1]), symplectic_rhs
 
 
 # Standard-normal quantile of a two-sided 95% interval.

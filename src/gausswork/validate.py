@@ -28,6 +28,7 @@ from .sampling import (
     BLOCK_ENTRIES,
     RandomStateConfig,
     ZProfile,
+    config_int,
     draw_squeezing,
     haar_unitary,
     random_covariance,
@@ -106,9 +107,10 @@ def check_lipschitz(n_pairs: int, rng) -> None:
     step = BLOCK_ENTRIES // (2 * d * d)
     for first in range(0, n_pairs, step):
         u, v = haar_unitary(d, rng, (min(step, n_pairs - first), 2)).swapaxes(0, 1)
-        for name, witness in (("eigen", stats.eigen_dispersion_lipschitz_pair),
-                              ("symplectic", stats.symplectic_dispersion_lipschitz_pair)):
-            for lhs, rhs in np.broadcast(*witness(u, v, spec, m_sys)):
+        eigen_lhs, eigen_rhs, sympl_lhs, sympl_rhs = stats.lipschitz_witnesses(u, v, spec, m_sys)
+        for name, lhs_block, rhs_block in (("eigen", eigen_lhs, eigen_rhs),
+                                           ("symplectic", sympl_lhs, sympl_rhs)):
+            for lhs, rhs in np.broadcast(lhs_block, rhs_block):
                 _require(lhs <= rhs, f"{name}-dispersion pair violated: {lhs} > {rhs}")
 
 
@@ -143,9 +145,12 @@ def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) ->
     """Run every check; returns results in execution order.  A check over
     no size or no Lipschitz pair would pass untested, so both are refused,
     as is a negative seed, which numpy cannot take."""
+    seed = config_int("seed", seed)
+    sizes = [config_int("sizes", n) for n in sizes]
+    lipschitz_pairs = config_int("lipschitz_pairs", lipschitz_pairs)
     if not sizes or min(sizes) < 1 or lipschitz_pairs < 1 or seed < 0:
         raise InvalidConfig(f"validate needs sizes >= 1, lipschitz_pairs >= 1 and seed >= 0, "
-                            f"got sizes={list(sizes)}, lipschitz_pairs={lipschitz_pairs}, seed={seed}")
+                            f"got sizes={sizes}, lipschitz_pairs={lipschitz_pairs}, seed={seed}")
     rng = np.random.default_rng(seed)
     # checks are looked up by module-level name at call time, not kept in a
     # table, so a function replaced on the module (a tracer, a test) is run

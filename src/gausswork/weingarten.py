@@ -160,11 +160,11 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     Deterministic under a fixed master seed for any thread count; the mean
     and standard error are accumulated with compensated summation.
     """
-    if n_samples < 2:
-        raise InvalidConfig(f"n_samples must be >= 2, got {n_samples}")
+    n_samples = sampling.config_int("n_samples", n_samples, 2)
     spec = _ambient_spec(config)
     try:
         analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
+        threads = sampling.config_int("threads", threads, 1)
         rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), n_samples, threads))
         reports = []
         for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T):

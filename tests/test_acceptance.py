@@ -63,7 +63,7 @@ def moment_config(n_full, m_sys, z0):
 def test_criterion_01_thermal_nullity():
     for nu in (0.5, 1.0, 3.7):
         for m in (1, 2, 5):
-            assert abs(ps.extractable_work(nu * np.eye(2 * m))) <= 1e-10
+            assert abs(st.extractable_work(nu * np.eye(2 * m))) <= 1e-10
     report(1, "extractable work of thermal states is zero within 1e-10")
 
 
@@ -73,7 +73,7 @@ def test_criterion_02_squeezed_vacuum_work():
         # independent oracle: single-mode nu = sqrt(det Gamma)
         oracle = 0.5 * np.trace(gamma) - math.sqrt(np.linalg.det(gamma))
         closed = (z - 1.0 / z) ** 2 / 4.0
-        work = ps.extractable_work(gamma)
+        work = st.extractable_work(gamma)
         assert abs(work - closed) <= 1e-9
         assert abs(work - oracle) <= 1e-9
     report(2, "squeezed-vacuum work matches (z - 1/z)^2/4 within 1e-9")
@@ -224,10 +224,8 @@ def test_criterion_12_lipschitz_witnesses():
         for _ in range(1000):
             u = sm.haar_unitary(d, rng)
             v = sm.haar_unitary(d, rng)
-            lhs, rhs = st.eigen_dispersion_lipschitz_pair(u, v, spec, m_sys)
-            violations += lhs > rhs
-            lhs, rhs = st.symplectic_dispersion_lipschitz_pair(u, v, spec, m_sys)
-            violations += lhs > rhs
+            eigen_lhs, eigen_rhs, sympl_lhs, sympl_rhs = st.lipschitz_witnesses(u, v, spec, m_sys)
+            violations += (eigen_lhs > eigen_rhs) + (sympl_lhs > sympl_rhs)
         assert violations == 0
     report(12, "both Lipschitz inequalities hold on 1000 pairs for z0 in {1, 1.5}")
 

@@ -38,6 +38,14 @@ class TestComputeRecords:
         with pytest.raises(InvalidConfig):
             harness.compute_records(uniform_config(), 0)
 
+    @pytest.mark.parametrize("n_samples, threads, name", [
+        (2.0, 1, "samples"), (True, 1, "samples"), (3, 2.5, "threads"), (3, True, "threads"),
+        (3, 0, "threads"),
+    ])
+    def test_counts_refuse_bools_and_non_integers(self, n_samples, threads, name):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+            harness.compute_records(uniform_config(), n_samples, threads)
+
     def test_concurrent_threads_keep_their_draws(self):
         # two threads draw blocks of one shape at once; each draw and block
         # gets fresh arrays, so neither overwrites the other's Gaussian parts
@@ -418,6 +426,23 @@ class TestSweep:
         numpy_ints = harness.run_sweep(np.array([2, 4]), np.int64(1), ZProfile("uniform", 1.5),
                                        10, np.uint32(3))[1]
         assert json.dumps(numpy_ints) == json.dumps(plain)
+
+    @pytest.mark.parametrize("name, value", [
+        ("samples", True), ("samples", 2.5), ("samples", np.float64(10)), ("samples", 0),
+        ("threads", 2.5), ("threads", np.True_), ("threads", 0),
+    ])
+    def test_counts_refuse_bools_non_integers_and_zero(self, name, value):
+        counts = {"samples": 10, "threads": 1, name: value}
+        with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+            harness.run_sweep([2, 4], 1, ZProfile("vacuum"), master_seed=0, **counts)
+
+    def test_numpy_counts_give_the_plain_summary(self):
+        plain = harness.run_sweep([2, 4], 1, ZProfile("uniform", 1.5), 10, 3)[1]
+        numpy_ints = harness.run_sweep([2, 4], 1, ZProfile("uniform", 1.5), np.int64(10), 3,
+                                       threads=np.int32(1))[1]
+        assert json.dumps(numpy_ints) == json.dumps(plain)
+        assert type(numpy_ints["config"]["samples"]) is int
+        assert all(type(block["samples"]) is int for block in numpy_ints["per_n"])
 
     def test_beta_warnings(self):
         assert harness.beta_warnings(0.0) == []

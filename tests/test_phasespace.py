@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gausswork import phasespace as ps
+from gausswork.stats import extractable_work, spectral_statistics
 from gausswork.errors import (
     BadModeCount,
     InvalidCovariance,
@@ -112,16 +113,23 @@ class TestSymplecticForm:
             omega[0, 0] = 1.0
 
 
+def energy(gamma):
+    """Mean energy Tr[Gamma]/2, the energy column of the statistics."""
+    return spectral_statistics(gamma, 0.5)[0]
+
+
 class TestEnergy:
     def test_vacuum(self):
-        assert ps.energy(np.eye(2) / 2) == 0.5
+        assert energy(np.eye(2) / 2) == 0.5
+        assert energy(np.eye(4) / 2) == 1.0
 
     def test_thermal(self):
         # mean photon number 1 per mode
-        assert ps.energy(1.5 * np.eye(2)) == 1.5
+        assert energy(1.5 * np.eye(2)) == 1.5
+        assert energy(1.5 * np.eye(6)) == 4.5
 
     def test_squeezed(self):
-        assert ps.energy(np.diag([4.0, 0.25]) / 2) == pytest.approx(1.0625, abs=1e-15)
+        assert energy(np.diag([4.0, 0.25]) / 2) == pytest.approx(1.0625, abs=1e-15)
 
 
 class TestSymplecticEigenvalues:
@@ -251,18 +259,18 @@ class TestExtractableWork:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 3.7])
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_thermal_nullity(self, nu, m):
-        assert abs(ps.extractable_work(nu * np.eye(2 * m))) <= 1e-10
+        assert abs(extractable_work(nu * np.eye(2 * m))) <= 1e-10
 
     @pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 5.0])
     def test_squeezed_vacuum(self, z):
         gamma = np.diag([z * z, z ** -2.0]) / 2
         # independent oracle: trace/2 minus the sqrt(det) eigenvalue
-        oracle = ps.energy(gamma) - one_mode_nu(gamma)
-        assert ps.extractable_work(gamma) == pytest.approx(oracle, abs=1e-12)
-        assert ps.extractable_work(gamma) == pytest.approx((z - 1.0 / z) ** 2 / 4, abs=1e-9)
+        oracle = 0.5 * np.trace(gamma) - one_mode_nu(gamma)
+        assert extractable_work(gamma) == pytest.approx(oracle, abs=1e-12)
+        assert extractable_work(gamma) == pytest.approx((z - 1.0 / z) ** 2 / 4, abs=1e-9)
 
     def test_two_mode_example(self):
-        assert ps.extractable_work(np.diag([2.0, 2.0, 0.5, 0.5])) == pytest.approx(
+        assert extractable_work(np.diag([2.0, 2.0, 0.5, 0.5])) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -270,14 +278,14 @@ class TestExtractableWork:
         rng = np.random.default_rng(23)
         for _ in range(50):
             gamma = random_covariance(3, rng)
-            assert ps.extractable_work(gamma) >= -1e-9
+            assert extractable_work(gamma) >= -1e-9
 
     def test_constant_shift_identity(self):
         # the thermal-shift terms cancel for any constant
         rng = np.random.default_rng(29)
         for _ in range(20):
             gamma = random_covariance(2, rng)
-            work = ps.extractable_work(gamma)
+            work = extractable_work(gamma)
             lam = np.linalg.eigvalsh(gamma)
             nus = ps.symplectic_eigenvalues(gamma)
             for c in (0.5, 0.9, 2.7):
@@ -350,6 +358,24 @@ class TestPurify:
                 nus = ps.symplectic_eigenvalues(pure)
                 assert np.max(np.abs(nus - 0.5)) <= 1e-8
                 assert np.trace(pure) <= 2.0 * np.trace(gamma) + 1e-9
+
+    def test_four_eigensolves(self, monkeypatch):
+        # one eigh of the input for its square root, one Hermitian eigh
+        # shared by the uncertainty check and the factor, and the purity
+        # check's square root and spectrum of the 6-mode result
+        calls = []
+
+        def counting(name, solve):
+            def counted(matrix, *args, **kwargs):
+                calls.append((name, matrix.shape))
+                return solve(matrix, *args, **kwargs)
+            return counted
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        ps.purify(random_covariance(3, np.random.default_rng(47)))
+        assert calls == [("eigh", (6, 6)), ("eigh", (6, 6)), ("eigh", (12, 12)),
+                         ("eigvalsh", (12, 12))]
 
 
 class TestSqueezer:

@@ -552,6 +552,14 @@ class TestRandomState:
         with pytest.raises(InvalidConfig, match=field):
             RandomStateConfig(**kwargs)
 
+    def test_config_int_minimum(self):
+        value = sm.config_int("samples", np.int64(2), 2)
+        assert value == 2 and type(value) is int
+        with pytest.raises(InvalidConfig, match=r"^samples must be >= 2, got 1$"):
+            sm.config_int("samples", np.int64(1), 2)
+        with pytest.raises(InvalidConfig, match=r"^samples must be an integer, got True$"):
+            sm.config_int("samples", True, 0)
+
     def test_integer_fields_stored_as_plain_ints(self):
         config = RandomStateConfig(n_full=np.int64(4), m_sys=np.uint8(2),
                                    profile=ZProfile("uniform", 1.5), master_seed=np.int32(3))

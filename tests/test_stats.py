@@ -9,7 +9,13 @@ from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork import stats as st
 from gausswork import validate
-from gausswork.errors import DimensionMismatch, EmptyInput, GaussworkError, NumericalFailure
+from gausswork.errors import (
+    BadModeCount,
+    DimensionMismatch,
+    EmptyInput,
+    GaussworkError,
+    NumericalFailure,
+)
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
 
 from test_phasespace import symplectic_eigenvalues_direct
@@ -236,6 +242,78 @@ class TestOneModeClosedForm:
             st.evaluate_block(gammas, nu, config, 10)
 
 
+def spectral_work(gamma):
+    """E - sum(nu) of one matrix from its symplectic spectrum, as the
+    package computed the work of one covariance before it read the
+    statistics' work column."""
+    return 0.5 * float(np.trace(gamma)) - float(np.sum(ps.symplectic_eigenvalues(gamma)))
+
+
+class TestExtractableWork:
+    @pytest.mark.parametrize("z0", [1.001, 1.01, 1.5])
+    def test_one_mode_against_mpmath(self, z0):
+        # on the same Gamma, 50 digits: E - nu with nu = sqrt(det Gamma);
+        # on these draws E - nu from the spectrum was off by up to 7.7e-7
+        mpmath = pytest.importorskip("mpmath")
+        config = RandomStateConfig(n_full=16, m_sys=1, profile=ZProfile("uniform", z0),
+                                   master_seed=5)
+        gammas, _ = sm.sample_block(config, 0, 50)
+        with mpmath.workdps(50):
+            for gamma in gammas:
+                g11, g22, g21 = (mpmath.mpf(float(v)) for v in (gamma[0, 0], gamma[1, 1], gamma[1, 0]))
+                work = (g11 + g22) / 2 - mpmath.sqrt(g11 * g22 - g21 * g21)
+                got = st.extractable_work(gamma)
+                assert type(got) is float
+                assert abs(got - work) <= 1e-15 * work
+
+    @pytest.mark.parametrize("m_sys", [1, 2])
+    def test_stack_is_the_statistics_work_column(self, m_sys):
+        config = RandomStateConfig(n_full=8, m_sys=m_sys, profile=ZProfile("uniform", 1.4),
+                                   master_seed=6)
+        gammas, nu = sm.sample_block(config, 0, 40)
+        column = st.spectral_statistics(gammas, nu)[2]
+        assert np.array_equal(st.extractable_work(gammas), column)
+        assert [st.extractable_work(gamma) for gamma in gammas] == column.tolist()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_spectral_bits_at_two_modes_and_more(self, m):
+        rng = np.random.default_rng(53 + m)
+        for _ in range(25):
+            gamma = sm.random_covariance(m, rng)
+            assert st.extractable_work(gamma) == spectral_work(gamma)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4), ()])
+    def test_bad_shape(self, shape):
+        with pytest.raises(BadModeCount):
+            st.extractable_work(np.ones(shape))
+
+
+def per_witness_pair(u, v, spec, m_sys, column, constant, power):
+    """One inequality's (lhs, rhs) from its own build of the pair's states,
+    as each witness was computed before the two shared one build: column 3
+    of the statistics is stat_T, column 4 stat_frakT."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    gammas = sm.state_from_unitary(np.stack([u, v]), spec, m_sys)
+    at_u, at_v = st.spectral_statistics(gammas, spec.nu)[column]
+    lhs = abs(at_u - at_v)
+    diff = (u - v).reshape(*u.shape[:-2], -1)
+    norm = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+    j_max = float(np.max(spec.z)) ** 2
+    rhs = constant * math.sqrt(2.0 * m_sys) * j_max ** power * norm
+    return lhs, rhs
+
+
+def eigen_dispersion_lipschitz_pair(u, v, spec, m_sys):
+    """The eigen-dispersion (lhs, rhs) of :func:`stats.lipschitz_witnesses`."""
+    return st.lipschitz_witnesses(u, v, spec, m_sys)[:2]
+
+
+def symplectic_dispersion_lipschitz_pair(u, v, spec, m_sys):
+    """The symplectic-dispersion (lhs, rhs) of :func:`stats.lipschitz_witnesses`."""
+    return st.lipschitz_witnesses(u, v, spec, m_sys)[2:]
+
+
 class TestLipschitzPairs:
     def setup_method(self):
         self.config = RandomStateConfig(
@@ -247,9 +325,9 @@ class TestLipschitzPairs:
     def test_equal_unitaries(self):
         rng = np.random.default_rng(5)
         u = sm.haar_unitary(self.d, rng)
-        lhs, rhs = st.eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
+        lhs, rhs = eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
         assert lhs == 0.0 and rhs == 0.0
-        lhs, rhs = st.symplectic_dispersion_lipschitz_pair(u, u, self.spec, 1)
+        lhs, rhs = symplectic_dispersion_lipschitz_pair(u, u, self.spec, 1)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_vacuum_profile_has_zero_lhs(self):
@@ -257,18 +335,18 @@ class TestLipschitzPairs:
         vac = sm.draw_squeezing(ZProfile("vacuum"), self.d)
         for _ in range(5):
             u, v = sm.haar_unitary(self.d, rng), sm.haar_unitary(self.d, rng)
-            lhs, _ = st.eigen_dispersion_lipschitz_pair(u, v, vac, 1)
+            lhs, _ = eigen_dispersion_lipschitz_pair(u, v, vac, 1)
             assert lhs <= 1e-12
-            lhs, _ = st.symplectic_dispersion_lipschitz_pair(u, v, vac, 1)
+            lhs, _ = symplectic_dispersion_lipschitz_pair(u, v, vac, 1)
             assert lhs <= 1e-12
 
     def test_random_pairs_hold(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             u, v = sm.haar_unitary(self.d, rng), sm.haar_unitary(self.d, rng)
-            lhs, rhs = st.eigen_dispersion_lipschitz_pair(u, v, self.spec, 1)
+            lhs, rhs = eigen_dispersion_lipschitz_pair(u, v, self.spec, 1)
             assert lhs <= rhs
-            lhs, rhs = st.symplectic_dispersion_lipschitz_pair(u, v, self.spec, 1)
+            lhs, rhs = symplectic_dispersion_lipschitz_pair(u, v, self.spec, 1)
             assert lhs <= rhs
 
     def test_dimension_mismatch(self):
@@ -276,9 +354,9 @@ class TestLipschitzPairs:
         u = sm.haar_unitary(4, rng)
         v = sm.haar_unitary(8, rng)
         with pytest.raises(DimensionMismatch):
-            st.eigen_dispersion_lipschitz_pair(u, v, self.spec, 1)
+            eigen_dispersion_lipschitz_pair(u, v, self.spec, 1)
         with pytest.raises(DimensionMismatch):
-            st.eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
+            eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
 
     def _stacks(self, seed, k):
         rng = np.random.default_rng(seed)
@@ -286,8 +364,8 @@ class TestLipschitzPairs:
         v = np.array([sm.haar_unitary(self.d, rng) for _ in range(k)])
         return u, v
 
-    @pytest.mark.parametrize("witness", [st.eigen_dispersion_lipschitz_pair,
-                                         st.symplectic_dispersion_lipschitz_pair])
+    @pytest.mark.parametrize("witness", [eigen_dispersion_lipschitz_pair,
+                                         symplectic_dispersion_lipschitz_pair])
     def test_stacks_equal_per_pair_calls(self, witness):
         u, v = self._stacks(17, 6)
         v[2] = u[2]
@@ -301,8 +379,8 @@ class TestLipschitzPairs:
         assert np.array_equal(nested_lhs.ravel(), lhs)
         assert np.array_equal(nested_rhs.ravel(), rhs)
 
-    @pytest.mark.parametrize("witness", [st.eigen_dispersion_lipschitz_pair,
-                                         st.symplectic_dispersion_lipschitz_pair])
+    @pytest.mark.parametrize("witness", [eigen_dispersion_lipschitz_pair,
+                                         symplectic_dispersion_lipschitz_pair])
     def test_stack_shapes_must_match(self, witness):
         u, v = self._stacks(19, 3)
         assert witness(u, v, self.spec, 1)[0].shape == (3,)
@@ -311,33 +389,54 @@ class TestLipschitzPairs:
                 witness(u, other, self.spec, 1)
 
     def test_validate_checks_pairs_in_bounded_blocks(self, monkeypatch):
-        calls = {"eigen": [], "symplectic": []}
+        blocks = []
 
-        def recording(name, witness):
-            def record(u, v, spec, m_sys):
-                calls[name].append((u.copy(), v.copy()))
-                return witness(u, v, spec, m_sys)
-            return record
+        def recording(u, v, spec, m_sys):
+            blocks.append((u.copy(), v.copy()))
+            return witnesses(u, v, spec, m_sys)
 
-        monkeypatch.setattr(st, "eigen_dispersion_lipschitz_pair",
-                            recording("eigen", st.eigen_dispersion_lipschitz_pair))
-        monkeypatch.setattr(st, "symplectic_dispersion_lipschitz_pair",
-                            recording("symplectic", st.symplectic_dispersion_lipschitz_pair))
+        witnesses = st.lipschitz_witnesses
+        monkeypatch.setattr(st, "lipschitz_witnesses", recording)
         validate.check_lipschitz(1000, np.random.default_rng(23))
-        d = calls["eigen"][0][0].shape[-1]
+        d = blocks[0][0].shape[-1]
         step = sm.BLOCK_ENTRIES // (2 * d * d)
         # the pairs are those drawn one by one, u before v, from the same stream
         rng = np.random.default_rng(23)
         pairs = [(sm.haar_unitary(d, rng), sm.haar_unitary(d, rng)) for _ in range(1000)]
-        for blocks in calls.values():
-            assert len(blocks) == math.ceil(1000 / step)
-            assert all(len(u) <= step for u, _ in blocks)
-            u = np.concatenate([u for u, _ in blocks])
-            v = np.concatenate([v for _, v in blocks])
-            assert np.array_equal(u, [p[0] for p in pairs])
-            assert np.array_equal(v, [p[1] for p in pairs])
+        assert len(blocks) == math.ceil(1000 / step)
+        assert all(len(u) <= step for u, _ in blocks)
+        u = np.concatenate([u for u, _ in blocks])
+        v = np.concatenate([v for _, v in blocks])
+        assert np.array_equal(u, [p[0] for p in pairs])
+        assert np.array_equal(v, [p[1] for p in pairs])
 
+    @pytest.mark.parametrize("m_sys", [1, 2, 3])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["pair", "stack"])
+    def test_one_build_equals_per_witness_formula(self, m_sys, stacked, monkeypatch):
+        # one state build for both inequalities, bit for bit the values of
+        # one build per inequality
+        u, v = self._stacks(29 + m_sys, 6)
+        if not stacked:
+            u, v = u[0], v[0]
+        calls = []
 
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        for name in ("state_from_unitary", "spectral_statistics"):
+            monkeypatch.setattr(st, name, counting(name, getattr(st, name)))
+        got = st.lipschitz_witnesses(u, v, self.spec, m_sys)
+        assert calls == ["state_from_unitary", "spectral_statistics"]
+        monkeypatch.undo()
+        expected = (*per_witness_pair(u, v, self.spec, m_sys, 3, 4.0, 1),
+                    *per_witness_pair(u, v, self.spec, m_sys, 4, 10.0, 2))
+        assert len(got) == 4
+        for value, reference in zip(got, expected):
+            assert np.shape(value) == np.shape(reference)
+            assert np.array_equal(value, reference)
 class TestTailProbability:
     def test_nan_epsilon_rejected(self):
         with pytest.raises(ValueError):

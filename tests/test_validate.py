@@ -22,7 +22,7 @@ BREAKS = {
     "purification-roundtrip": (validate, "purify", _raise_numerical),
     "work-bound-chain": (stats, "work_bound", lambda m, delta: -1.0),
     "lipschitz-witnesses": (
-        stats, "eigen_dispersion_lipschitz_pair", lambda u, v, spec, m: (1.0, 0.0),
+        stats, "lipschitz_witnesses", lambda u, v, spec, m: (1.0, 0.0, 0.0, 0.0),
     ),
     "sampler-contracts": (
         validate, "sample_block",
@@ -40,6 +40,22 @@ def test_each_check_can_fail(name, monkeypatch):
     failed = [r for r in results if not r.ok]
     assert [r.name for r in failed] == [name]
     assert failed[0].detail
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": True}, {"seed": 7.0}, {"lipschitz_pairs": 2.5}, {"lipschitz_pairs": np.True_},
+    {"sizes": (2.5,)}, {"sizes": (2, True)},
+])
+def test_non_integer_arguments_refused(kwargs):
+    with pytest.raises(InvalidConfig, match=f"^{next(iter(kwargs))} must be an integer"):
+        validate.run_suite(**kwargs)
+
+
+def test_numpy_integer_arguments_run_the_same_suite():
+    plain = validate.run_suite(seed=7, sizes=(2,), lipschitz_pairs=5)
+    numpy_ints = validate.run_suite(seed=np.int64(7), sizes=np.array([2]), lipschitz_pairs=np.int32(5))
+    assert numpy_ints == plain
+    assert all(r.ok for r in plain)
 
 
 @pytest.mark.parametrize("kwargs", [{"sizes": ()}, {"sizes": (0, 2)}, {"lipschitz_pairs": 0}])

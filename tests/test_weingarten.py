@@ -325,6 +325,20 @@ class TestAsymptoticLimits:
 
 
 class TestMcMoment:
+    @pytest.mark.parametrize("n_samples, threads, name", [
+        (3.5, 1, "n_samples"), (True, 1, "n_samples"), (1, 1, "n_samples"),
+        (4, 2.5, "threads"), (4, np.True_, "threads"), (4, 0, "threads"),
+    ])
+    def test_counts_refused(self, n_samples, threads, name):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+            wg.mc_moments(uniform_config(4, 1, 1.5, 1), n_samples, threads)
+
+    def test_numpy_counts_stored_as_plain_ints(self):
+        config = uniform_config(4, 1, 1.5, 1)
+        reports = wg.mc_moments(config, np.int64(50), np.int32(1))
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in wg.mc_moments(config, 50)]
+        assert all(type(r.n_samples) is int for r in reports)
+
     def test_vacuum_exact(self):
         config = RandomStateConfig(n_full=4, m_sys=2, profile=ZProfile("vacuum"), master_seed=7)
         tr, tr_sq, _ = wg.mc_moments(config, 200)
