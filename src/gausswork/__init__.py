@@ -24,7 +24,6 @@ from .sampling import (
 )
 from .stats import RECORD_DTYPE, extractable_work, tail_probability
 from .weingarten import (
-    MomentReport,
     expected_tr_gamma,
     expected_tr_gamma_sq,
     expected_tr_omega_gamma_sq,

@@ -203,7 +203,7 @@ def cmd_sweep(opts: dict) -> int:
 def cmd_moments(opts: dict) -> int:
     config = _state_config(opts)
     reports = weingarten.mc_moments(config, opts["samples"], opts["threads"])
-    _write_output(opts["out"], _json_text([r.to_dict() for r in reports]))
+    _write_output(opts["out"], _json_text(reports))
     return 0
 
 

@@ -205,6 +205,9 @@ def run_sweep(
     n_grid = [sampling.config_int("n_grid", n) for n in n_grid]
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidConfig(f"n grid must be strictly increasing, got {n_grid}")
+    epsilons = list(epsilons)
+    if any(isinstance(e, (bool, np.bool_)) for e in epsilons):
+        raise InvalidConfig(f"epsilon values must be numbers, not bools, got {epsilons}")
     epsilons = [float(e) for e in epsilons]
     if not all(0.0 < e < math.inf for e in epsilons):  # also rejects NaN
         raise InvalidConfig(f"epsilon values must be finite and > 0, got {epsilons}")
@@ -227,24 +230,13 @@ def run_sweep(
     for g, n_full in enumerate(n_grid):
         records = all_records[g * samples:(g + 1) * samples]
         works, deltas = records.work, records.stat_delta
-        tails = []
-        for eps in epsilons:
-            est = tail_probability(works, eps)
-            tails.append(
-                {
-                    "epsilon": eps,
-                    "fraction": est.fraction,
-                    "wilson_low": est.wilson_low,
-                    "wilson_high": est.wilson_high,
-                }
-            )
         try:
             block = {
                 "n": n_full,
                 "samples": samples,
                 "work": _value_block(works),
                 "delta": _value_block(deltas),
-                "tails": tails,
+                "tails": [tail_probability(works, eps) for eps in epsilons],
             }
         except OverflowError as exc:
             # finite records can still overflow the exact sum that fsum forms

@@ -57,6 +57,12 @@ def mode_count(matrix: np.ndarray) -> int:
     return matrix.shape[0] // 2
 
 
+def stack_mode_count(stack: np.ndarray) -> int:
+    """Mode count of every matrix of a (..., 2n, 2n) stack, read from its
+    last two axes, so that an empty stack has one too."""
+    return mode_count(np.broadcast_to(0.0, stack.shape[-2:]))
+
+
 def check_covariance(gamma: np.ndarray) -> int:
     """Validate the covariance-matrix invariants and return the mode count.
 
@@ -144,8 +150,7 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     numerically robust route.
     """
     gamma = np.asarray(gamma, dtype=float)
-    # the first matrix of a stack stands for the shape of all of them
-    n = mode_count(gamma[(0,) * (gamma.ndim - 2)])
+    n = stack_mode_count(gamma)
     evals = _eig(np.linalg.eigvalsh, 1j * _williamson_kernel(gamma, n)[1])
     # Hermitian spectrum is {-nu_n..-nu_1, nu_1..nu_n}; take the positive half.
     return evals[..., n:][..., ::-1].copy()

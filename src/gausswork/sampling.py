@@ -133,11 +133,8 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
     so any partitioning of indices across blocks or workers yields
     bit-identical draws.
     """
-    master_seed, lo, hi = map(operator.index, (master_seed, lo, hi))
-    if master_seed < 0:
-        raise InvalidConfig(f"master_seed must be >= 0, got {master_seed}")
-    if lo < 0:
-        raise InvalidConfig(f"sample_index must be >= 0, got {lo}")
+    master_seed = config_int("master_seed", master_seed, 0)
+    lo, hi = config_int("sample_index", lo, 0), config_int("hi", hi)
     seeds = _GivenStates(_pcg64_seeds(master_seed, lo, hi))
     return (np.random.Generator(np.random.PCG64(seeds)) for _ in range(lo, hi))
 
@@ -400,16 +397,13 @@ class RandomStateConfig:
     pipeline: str = "purified"
 
     def __post_init__(self) -> None:
-        for name in ("n_full", "m_sys", "master_seed"):
-            object.__setattr__(self, name, config_int(name, getattr(self, name)))
-        if self.n_full < 1:
-            raise InvalidConfig(f"n_full must be >= 1, got {self.n_full}")
+        for name, minimum in (("n_full", 1), ("m_sys", None)):
+            object.__setattr__(self, name, config_int(name, getattr(self, name), minimum))
         if not 1 <= self.m_sys <= self.n_full:
             raise InvalidConfig(f"m_sys={self.m_sys} out of range 1..{self.n_full}")
         if self.pipeline not in ("direct", "purified"):
             raise InvalidConfig(f"pipeline must be 'direct' or 'purified', got {self.pipeline!r}")
-        if self.master_seed < 0:
-            raise InvalidConfig(f"master_seed must be >= 0, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", config_int("master_seed", self.master_seed, 0))
 
     @property
     def ambient_modes(self) -> int:

@@ -10,7 +10,7 @@ the columns of one :data:`RECORD_DTYPE` record per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -172,8 +172,7 @@ def extractable_work(gamma: np.ndarray):
     of one covariance matrix (a float) or of a stack: the work column of
     :func:`spectral_statistics`.  Round-off negatives are kept here."""
     gamma = np.asarray(gamma, dtype=float)
-    # the first matrix of a stack stands for the shape of all of them
-    phasespace.mode_count(gamma[(0,) * (gamma.ndim - 2)])
+    phasespace.stack_mode_count(gamma)
     work = spectral_statistics(gamma, 0.0)[2]
     return float(work) if work.ndim == 0 else work
 
@@ -220,19 +219,14 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-@dataclass
-class TailEstimate:
-    epsilon: float
-    fraction: float
-    wilson_low: float
-    wilson_high: float
-    n_samples: int
-
-
-def tail_probability(works, epsilon: float) -> TailEstimate:
-    """Empirical fraction of work values exceeding epsilon, with Wilson CI;
-    ``works`` is a sequence or array of work values, such as a record
-    array's ``work`` column."""
+def tail_probability(works, epsilon: float) -> dict:
+    """A sweep's ``tails`` entry: the fraction of work values exceeding
+    epsilon with its Wilson interval, as ``{epsilon, fraction, wilson_low,
+    wilson_high}``; ``works`` is a sequence or array of work values, such
+    as a record array's ``work`` column.  A bool or a non-real epsilon
+    raises :class:`InvalidConfig`."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise InvalidConfig(f"epsilon must be a real number, got {epsilon!r}")
     values = np.asarray(works, dtype=float)
     if not values.size:
         raise EmptyInput("tail_probability needs at least one record")
@@ -240,10 +234,5 @@ def tail_probability(works, epsilon: float) -> TailEstimate:
         raise InvalidConfig(f"epsilon must be >= 0, got {epsilon}")
     hits = int(np.count_nonzero(values > epsilon))
     low, high = wilson_interval(hits, values.size)
-    return TailEstimate(
-        epsilon=epsilon,
-        fraction=hits / values.size,
-        wilson_low=low,
-        wilson_high=high,
-        n_samples=values.size,
-    )
+    return {"epsilon": float(epsilon), "fraction": hits / values.size,
+            "wilson_low": low, "wilson_high": high}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,15 +19,6 @@ from .errors import BadDimension, DimensionMismatch, InvalidConfig, NumericalFai
 from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
-
-
-def _ambient_spec(config: RandomStateConfig) -> SqueezingSpec:
-    if config.profile.is_random:
-        raise InvalidConfig(
-            "analytic moments need a deterministic profile; the flat measure "
-            "would require averaging over squeezing vectors as well"
-        )
-    return draw_squeezing(config.profile, config.ambient_modes)
 
 
 def _check_length(spec: SqueezingSpec, config: RandomStateConfig) -> None:
@@ -111,26 +101,6 @@ _ANALYTIC = {
 QUANTITIES = tuple(_MEASURES)
 
 
-@dataclass
-class MomentReport:
-    """Analytic expectation next to its Monte Carlo estimate.
-
-    ``z_ratio`` is |analytic - estimate| / std_error, reported as exactly 0
-    when the difference is below the deterministic noise floor (relevant
-    for the vacuum profile, where every draw gives the same value).
-    """
-
-    quantity: str
-    analytic: float
-    estimate: float
-    std_error: float
-    n_samples: int
-    z_ratio: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _moment_chunk(config: RandomStateConfig, lo: int, hi: int) -> np.ndarray:
     """One draw per sample index, measured for every quantity: an
     (hi - lo, len(QUANTITIES)) array."""
@@ -152,16 +122,27 @@ def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> list[MomentReport]:
-    """Monte Carlo estimates of the moments next to their analytic values,
-    one report per entry of ``QUANTITIES``, in that order.
+def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> list[dict]:
+    """Monte Carlo estimates of the moments next to their analytic values:
+    the ``moments`` command's entries ``{quantity, analytic, estimate,
+    std_error, n_samples, z_ratio}``, one per entry of ``QUANTITIES``, in
+    that order.
+
+    ``z_ratio`` is |analytic - estimate| / std_error, reported as exactly 0
+    when the difference is below the deterministic noise floor (relevant
+    for the vacuum profile, where every draw gives the same value).
 
     Every sample is drawn once and measured for all quantities.
     Deterministic under a fixed master seed for any thread count; the mean
     and standard error are accumulated with compensated summation.
     """
     n_samples = sampling.config_int("n_samples", n_samples, 2)
-    spec = _ambient_spec(config)
+    if config.profile.is_random:
+        raise InvalidConfig(
+            "analytic moments need a deterministic profile; the flat measure "
+            "would require averaging over squeezing vectors as well"
+        )
+    spec = draw_squeezing(config.profile, config.ambient_modes)
     try:
         analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
         threads = sampling.config_int("threads", threads, 1)
@@ -178,16 +159,9 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
                 raise OverflowError(
                     f"analytic={analytic!r}, estimate={mean!r}, std_error={std_error!r}"
                 )
-            reports.append(
-                MomentReport(
-                    quantity=quantity,
-                    analytic=analytic,
-                    estimate=mean,
-                    std_error=std_error,
-                    n_samples=n_samples,
-                    z_ratio=_z_ratio(analytic, mean, std_error),
-                )
-            )
+            reports.append({"quantity": quantity, "analytic": analytic, "estimate": mean,
+                            "std_error": std_error, "n_samples": n_samples,
+                            "z_ratio": _z_ratio(analytic, mean, std_error)})
     except OverflowError as exc:
         # squeezing that SqueezingSpec accepts can still overflow the squares
         # of the moments: Python floats raise, numpy turns them into inf

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gausswork import cli, harness, parallel, sampling
+from gausswork import cli, harness, parallel, sampling, weingarten
 from gausswork import phasespace as ps
 from gausswork.errors import WorkerFailure
 from gausswork.sampling import RandomStateConfig, ZProfile
@@ -559,6 +559,18 @@ class TestMoments:
                 "quantity", "analytic", "estimate", "std_error", "n_samples", "z_ratio",
             ]
             assert report["n_samples"] == 200
+
+    @pytest.mark.parametrize("n, m, profile, seed", [
+        (8, 1, "uniform:1.2", 1), (16, 2, "uniform:1.3", 12), (4, 2, "vacuum", 3),
+    ])
+    def test_out_bytes_are_mc_moments(self, tmp_path, n, m, profile, seed):
+        out = tmp_path / "moments.json"
+        assert cli.main(["moments", "--n", str(n), "--m", str(m), "--z-profile", profile,
+                         "--samples", "300", "--seed", str(seed), "--out", str(out)]) == 0
+        config = RandomStateConfig(n_full=n, m_sys=m, profile=ZProfile.parse(profile),
+                                   master_seed=seed)
+        expected = json.dumps(weingarten.mc_moments(config, 300), indent=2) + "\n"
+        assert out.read_bytes() == expected.encode()
 
     def test_vacuum_zero_z_ratio(self):
         result = run_cli("moments", "--n", "4", "--z-profile", "vacuum",

@@ -386,6 +386,27 @@ class TestSweep:
                 refraction = sum(1 for w in works if w > tail["epsilon"]) / len(works)
                 assert tail["fraction"] == refraction
 
+    def test_tails_are_tail_probability_entries(self):
+        records, summary = harness.run_sweep(
+            n_grid=[2, 4], m_sys=1, profile=ZProfile("uniform", 1.5),
+            samples=60, master_seed=7, epsilons=[0.01, 0.05],
+        )
+        for g, block in enumerate(summary["per_n"]):
+            works = records.work[g * 60:(g + 1) * 60]
+            expected = [stats.tail_probability(works, eps) for eps in (0.01, 0.05)]
+            assert block["tails"] == expected
+            assert [list(tail) for tail in block["tails"]] == [list(e) for e in expected]
+            assert list(block["tails"][0]) == ["epsilon", "fraction", "wilson_low", "wilson_high"]
+
+    @pytest.mark.parametrize("epsilon", [True, np.False_])
+    def test_bool_epsilon_refused_before_sampling(self, monkeypatch, epsilon):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing the epsilon list")
+
+        monkeypatch.setattr(harness, "_records", no_sampling)
+        with pytest.raises(InvalidConfig, match="^epsilon values must be numbers, not bools"):
+            harness.run_sweep([2], 1, ZProfile("uniform", 1.5), 3, 1, epsilons=[0.1, epsilon])
+
     def test_quantiles_monotone(self):
         _, summary = harness.run_sweep(
             n_grid=[8], m_sys=1, profile=ZProfile("uniform", 1.8),
@@ -461,15 +482,15 @@ class TestSweep:
 class TestMoments:
     def test_all_quantities_reported(self):
         reports = weingarten.mc_moments(uniform_config(n_full=4), 300)
-        assert [r.quantity for r in reports] == list(
+        assert [r["quantity"] for r in reports] == list(
             ("tr_gamma", "tr_gamma_sq", "tr_omega_gamma_sq")
         )
         for r in reports:
-            assert r.n_samples == 300
+            assert r["n_samples"] == 300
 
     def test_one_draw_per_sample(self, monkeypatch):
         config = uniform_config(n_full=4)
-        unpatched = [r.to_dict() for r in weingarten.mc_moments(config, 40)]
+        unpatched = weingarten.mc_moments(config, 40)
         calls = []
         open_streams = sampling.block_streams
 
@@ -480,4 +501,4 @@ class TestMoments:
         monkeypatch.setattr(sampling, "block_streams", counting)
         reports = weingarten.mc_moments(config, 40)
         assert calls == list(range(40))
-        assert [r.to_dict() for r in reports] == unpatched
+        assert reports == unpatched

@@ -160,6 +160,16 @@ class TestSymplecticEigenvalues:
         with pytest.raises(NonPositiveDefinite):
             ps.symplectic_eigenvalues(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("shape, expected", [((0, 2, 2), (0, 1)), ((0, 4, 4), (0, 2)),
+                                                 ((2, 0, 6, 6), (2, 0, 3))])
+    def test_empty_stack(self, shape, expected):
+        assert ps.symplectic_eigenvalues(np.empty(shape)).shape == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 4, 2), (0,), (0, 0, 0)])
+    def test_empty_stack_of_a_bad_shape(self, shape):
+        with pytest.raises(BadModeCount):
+            ps.symplectic_eigenvalues(np.empty(shape))
+
     def test_crosscheck_against_direct_eig(self):
         # 100 random physical matrices per size n = 1..8
         rng = np.random.default_rng(17)

@@ -111,6 +111,23 @@ class TestStreams:
             sm.block_streams(seed, lo, lo + 1)
 
 
+    @pytest.mark.parametrize("seed, lo, message", [
+        (-1, 0, r"^master_seed must be >= 0, got -1$"),
+        (3, -1, r"^sample_index must be >= 0, got -1$"),
+    ])
+    def test_range_messages(self, seed, lo, message):
+        with pytest.raises(InvalidConfig, match=message):
+            sm.block_streams(seed, lo, lo + 2)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_bools_and_non_integers_refused(self, position, value):
+        args = [3, 4, 6]
+        args[position] = value
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            sm.block_streams(*args)
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(1)
@@ -543,6 +560,16 @@ class TestRandomState:
             RandomStateConfig(
                 n_full=2, m_sys=1, profile=ZProfile("vacuum"), master_seed=0, pipeline="fast"
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_full", 0, r"^n_full must be >= 1, got 0$"),
+        ("master_seed", -1, r"^master_seed must be >= 0, got -1$"),
+    ])
+    def test_range_messages(self, field, value, message):
+        kwargs = dict(n_full=4, m_sys=1, profile=ZProfile("uniform", 1.5), master_seed=3)
+        kwargs[field] = value
+        with pytest.raises(InvalidConfig, match=message):
+            RandomStateConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["n_full", "m_sys", "master_seed"])
     @pytest.mark.parametrize("value", [True, np.True_, 4.0, 2.5, "4", None])

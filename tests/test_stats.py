@@ -14,6 +14,7 @@ from gausswork.errors import (
     DimensionMismatch,
     EmptyInput,
     GaussworkError,
+    InvalidConfig,
     NumericalFailure,
 )
 from gausswork.sampling import RandomStateConfig, SqueezingSpec, ZProfile
@@ -287,6 +288,17 @@ class TestExtractableWork:
         with pytest.raises(BadModeCount):
             st.extractable_work(np.ones(shape))
 
+    @pytest.mark.parametrize("shape, expected", [((0, 2, 2), (0,)), ((0, 4, 4), (0,)),
+                                                 ((3, 0, 6, 6), (3, 0))])
+    def test_empty_stack(self, shape, expected):
+        work = st.extractable_work(np.empty(shape))
+        assert isinstance(work, np.ndarray) and work.shape == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 4, 2), (0,), (2, 0, 0, 0)])
+    def test_empty_stack_of_a_bad_shape(self, shape):
+        with pytest.raises(BadModeCount):
+            st.extractable_work(np.empty(shape))
+
 
 def per_witness_pair(u, v, spec, m_sys, column, constant, power):
     """One inequality's (lhs, rhs) from its own build of the pair's states,
@@ -442,23 +454,33 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             st.tail_probability([0.1, 0.2], math.nan)
         for epsilon in (math.nan, -0.1):
-            with pytest.raises(GaussworkError, match="epsilon"):
+            with pytest.raises(GaussworkError, match=rf"^epsilon must be >= 0, got {epsilon}$"):
                 st.tail_probability([0.1, 0.2], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [True, np.True_, "0.1", None, 0.1j])
+    def test_bool_or_non_real_epsilon_refused(self, epsilon):
+        with pytest.raises(InvalidConfig, match=r"^epsilon must be a real number, got "):
+            st.tail_probability([0.5, 2.0], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1, np.int64(1), np.float32(0.25), 0.5])
+    def test_epsilon_stored_as_float(self, epsilon):
+        est = st.tail_probability([0.5, 2.0], epsilon)
+        assert type(est["epsilon"]) is float and est["epsilon"] == float(epsilon)
+        assert list(est) == ["epsilon", "fraction", "wilson_low", "wilson_high"]
 
     def test_all_zero_work(self):
         est = st.tail_probability([0.0] * 50, 0.01)
-        assert est.fraction == 0.0
-        assert est.wilson_low == 0.0
-        assert est.n_samples == 50
+        assert est["fraction"] == 0.0
+        assert est["wilson_low"] == 0.0
 
     def test_epsilon_zero_counts_strictly_positive(self):
         est = st.tail_probability([0.0, 0.1, 0.2, 0.0], 0.0)
-        assert est.fraction == 0.5
+        assert est["fraction"] == 0.5
 
     def test_accepts_records(self):
         config = RandomStateConfig(n_full=4, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
         records = harness.compute_records(config, 3)
-        assert st.tail_probability(records.work, 0.01).fraction == 0.0
+        assert st.tail_probability(records.work, 0.01)["fraction"] == 0.0
 
     def test_wilson_interval_bounds(self):
         for k, n in ((0, 10), (5, 10), (10, 10), (1, 1000)):

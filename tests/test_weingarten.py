@@ -91,8 +91,8 @@ def omega_probe_scores(n_samples, threads=1):
     report = wg.mc_moments(config, n_samples, threads)[2]
     rejected = rejected_omega_moment(ambient_spec(config), config)
     return {
-        name: wg._z_ratio(value, report.estimate, report.std_error)
-        for name, value in (("retained", report.analytic), ("rejected", rejected))
+        name: wg._z_ratio(value, report["estimate"], report["std_error"])
+        for name, value in (("retained", report["analytic"]), ("rejected", rejected))
     }
 
 
@@ -227,7 +227,7 @@ class TestFirstMoment:
             n_full=8, m_sys=1, profile=ZProfile("power", 0.5), master_seed=14
         )
         report = wg.mc_moments(config, 20000)[0]
-        assert report.z_ratio <= 4.0
+        assert report["z_ratio"] <= 4.0
 
 
 class TestSecondMoment:
@@ -243,14 +243,14 @@ class TestSecondMoment:
     def test_uniform_mc(self):
         config = uniform_config(8, 1, 1.3, 21)
         report = wg.mc_moments(config, 20000)[1]
-        assert report.z_ratio <= 4.0
+        assert report["z_ratio"] <= 4.0
 
     def test_direct_pipeline_mc(self):
         # the closed forms hold for the direct pipeline too, with the
         # ambient dimension equal to n_full
         config = uniform_config(6, 2, 1.4, 22, pipeline="direct")
         report = wg.mc_moments(config, 20000)[1]
-        assert report.z_ratio <= 4.0
+        assert report["z_ratio"] <= 4.0
 
 
 class TestOmegaSecondMoment:
@@ -336,26 +336,26 @@ class TestMcMoment:
     def test_numpy_counts_stored_as_plain_ints(self):
         config = uniform_config(4, 1, 1.5, 1)
         reports = wg.mc_moments(config, np.int64(50), np.int32(1))
-        assert [r.to_dict() for r in reports] == [r.to_dict() for r in wg.mc_moments(config, 50)]
-        assert all(type(r.n_samples) is int for r in reports)
+        assert reports == wg.mc_moments(config, 50)
+        assert all(type(r["n_samples"]) is int for r in reports)
 
     def test_vacuum_exact(self):
         config = RandomStateConfig(n_full=4, m_sys=2, profile=ZProfile("vacuum"), master_seed=7)
         tr, tr_sq, _ = wg.mc_moments(config, 200)
-        assert tr.estimate == pytest.approx(2.0, abs=1e-12)
-        assert tr.std_error <= 1e-13
-        assert tr.z_ratio == 0.0
-        assert tr_sq.estimate == pytest.approx(1.0, abs=1e-12)
-        assert tr_sq.z_ratio == 0.0
+        assert tr["estimate"] == pytest.approx(2.0, abs=1e-12)
+        assert tr["std_error"] <= 1e-13
+        assert tr["z_ratio"] == 0.0
+        assert tr_sq["estimate"] == pytest.approx(1.0, abs=1e-12)
+        assert tr_sq["z_ratio"] == 0.0
 
     def test_report_fields(self):
         config = uniform_config(4, 1, 1.2, 3)
         report = wg.mc_moments(config, 500)[1]
-        assert report.n_samples == 500
-        assert report.std_error > 0.0
-        assert set(report.to_dict()) == {
+        assert report["n_samples"] == 500
+        assert report["std_error"] > 0.0
+        assert list(report) == [
             "quantity", "analytic", "estimate", "std_error", "n_samples", "z_ratio",
-        }
+        ]
 
     def test_deterministic_across_threads(self):
         config = uniform_config(4, 1, 1.3, 11)
@@ -373,8 +373,8 @@ class TestMcMoment:
         rows = np.array([[v] * len(wg.QUANTITIES) for v in values])
         monkeypatch.setattr(wg.parallel, "run_chunked", lambda *args: [rows])
         reports = wg.mc_moments(uniform_config(4, 1, 1.2, 0), 3)
-        assert [r.std_error for r in reports] == [expected] * len(wg.QUANTITIES)
-        assert [r.estimate for r in reports] == [mean] * len(wg.QUANTITIES)
+        assert [r["std_error"] for r in reports] == [expected] * len(wg.QUANTITIES)
+        assert [r["estimate"] for r in reports] == [mean] * len(wg.QUANTITIES)
 
     def test_rejects_bad_input(self):
         config = uniform_config(4, 1, 1.2, 0)
