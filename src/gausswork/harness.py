@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from . import parallel, sampling, stats
-from .errors import InvalidConfig, NumericalFailure
+from .errors import InvalidConfig, NumericalFailure, config_int
 from .sampling import RandomStateConfig, ZProfile
-from .stats import tail_probability
 
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.2)
 
@@ -40,9 +39,9 @@ def _record_chunk(configs, lo: int, hi: int) -> list[np.ndarray]:
     return [_join(records) for records in stacks]
 
 
-# Rows formatted from one template, the records of one covariance stack of
-# 2x2 states: the template and its value list do not grow with a chunk.
-_CSV_SLICE = sampling.BLOCK_ENTRIES // 4
+# Rows formatted from one template, so that the template and its value
+# list do not grow with a chunk
+_CSV_SLICE = 2048
 
 
 def _csv_rows(records: np.ndarray, config: RandomStateConfig) -> str:
@@ -90,7 +89,6 @@ def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarra
     config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
     with ``csv`` their :func:`records_csv` text.  The configs share one
     fan-out: a chunk of indices covers every config."""
-    threads = sampling.config_int("threads", threads, 1)
     chunks = parallel.run_chunked(_chunk, (configs, csv), samples, threads)
     parts = [chunk[g] for g in range(len(configs)) for chunk in chunks]
     records = _join([records for records, _ in parts]).view(np.recarray)
@@ -104,7 +102,7 @@ def compute_records(
     :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
     (records, ``records_csv(records, config)``), the rows formatted by the
     workers."""
-    n_samples = sampling.config_int("samples", n_samples, 1)
+    n_samples = config_int("samples", n_samples, 1)
     records, text = _records([config], n_samples, threads, return_csv)
     return (records, text) if return_csv else records
 
@@ -202,13 +200,10 @@ def run_sweep(
     order, summary dict ready for JSON serialization), and with
     ``return_csv`` the records' CSV text third, as :func:`compute_records`.
     """
-    n_grid = [sampling.config_int("n_grid", n) for n in n_grid]
+    n_grid = [config_int("n_grid", n, 1) for n in n_grid]
     if len(n_grid) < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidConfig(f"n grid must be strictly increasing, got {n_grid}")
-    epsilons = list(epsilons)
-    if any(isinstance(e, (bool, np.bool_)) for e in epsilons):
-        raise InvalidConfig(f"epsilon values must be numbers, not bools, got {epsilons}")
-    epsilons = [float(e) for e in epsilons]
+    epsilons = [stats.tail_threshold(e) for e in epsilons]
     if not all(0.0 < e < math.inf for e in epsilons):  # also rejects NaN
         raise InvalidConfig(f"epsilon values must be finite and > 0, got {epsilons}")
 
@@ -222,7 +217,7 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
-    samples = sampling.config_int("samples", samples, 1)
+    samples = config_int("samples", samples, 1)
     # one fan-out for the whole grid: each process's chunk covers every point
     all_records, csv_text = _records(configs, samples, threads, return_csv)
     per_n = []
@@ -236,7 +231,7 @@ def run_sweep(
                 "samples": samples,
                 "work": _value_block(works),
                 "delta": _value_block(deltas),
-                "tails": [tail_probability(works, eps) for eps in epsilons],
+                "tails": [stats.tail_probability(works, eps) for eps in epsilons],
             }
         except OverflowError as exc:
             # finite records can still overflow the exact sum that fsum forms

@@ -12,7 +12,7 @@ import pickle
 import signal
 from typing import Callable, Sequence
 
-from .errors import WorkerFailure
+from .errors import WorkerFailure, config_int
 
 
 def split_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -26,12 +26,13 @@ def run_chunked(worker: Callable, args: Sequence, n_items: int, threads: int) ->
     """Apply ``worker(*args, lo, hi)`` over contiguous index chunks of
     range(n_items) and return its results in index order.
 
-    ``threads``, at least 1 (its callers check it), caps the processes, the
-    calling one included: it is capped by the CPU count, and cuts the range
-    in one chunk per process.  With one chunk, or where the platform has no
-    ``os.fork``, the work runs inline; otherwise :func:`_fork_chunks` runs
-    it.
+    ``threads``, an integer of at least 1 (:func:`config_int`), caps the
+    processes, the calling one included: it is capped by the CPU count, and
+    cuts the range in one chunk per process.  With one chunk, or where the
+    platform has no ``os.fork``, the work runs inline; otherwise
+    :func:`_fork_chunks` runs it.
     """
+    threads = config_int("threads", threads, 1)
     processes = min(threads, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     ranges = split_ranges(n_items, processes)
     if len(ranges) <= 1:

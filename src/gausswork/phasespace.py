@@ -23,6 +23,7 @@ from .errors import (
     MalformedFile,
     NonPositiveDefinite,
     NumericalFailure,
+    config_int,
 )
 
 # Tolerances, sized for double precision at dimensions up to 2n ~ 1024.
@@ -34,11 +35,12 @@ ROUNDTRIP_TOL = 1e-10
 PURITY_TOL = 1e-8
 
 
-@functools.lru_cache(maxsize=16)
+# typed, so that 2.0 or True is refused, not served the array of 2 or 1
+@functools.lru_cache(maxsize=16, typed=True)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form [[0, I], [-I, 0]], read-only:
     one array per n is shared by every caller."""
-    if n_modes < 1:
+    if config_int("n_modes", n_modes) < 1:
         raise BadModeCount(f"n_modes must be >= 1, got {n_modes}")
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))

@@ -14,7 +14,6 @@ import functools
 import glob
 import math
 import numbers
-import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
     RejectionTimeout,
+    config_int,
 )
 
 UNITARY_TOL = 1e-10
@@ -145,7 +145,7 @@ def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()
     the QR of complex standard-Gaussian entries (re + i im) / sqrt(2), each
     column's phase fixed by R's diagonal (Mezzadri 2007; the raw QR alone
     is not Haar)."""
-    if dim < 1:
+    if config_int("dim", dim) < 1:
         raise BadModeCount(f"invalid unitary size {dim}")
     parts = rng.standard_normal((*shape, 2, dim, dim))
     z = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / math.sqrt(2.0)
@@ -325,7 +325,7 @@ def draw_squeezing(
     samples: each z_i uniform on [1, z_max], accepted iff the vector lies
     in the energy ball, so accepted vectors satisfy the bound exactly.
     """
-    if n_modes < 1:
+    if config_int("n_modes", n_modes) < 1:
         raise BadModeCount(f"n_modes must be >= 1, got {n_modes}")
     if profile.kind == "vacuum":
         return SqueezingSpec(np.ones(n_modes))
@@ -367,18 +367,6 @@ def draw_squeezing(
         f"no acceptance in {_REJECTION_MAX_DRAWS} draws (rate < 1e-6); "
         "use a deterministic profile (uniform/power) instead"
     )
-
-
-def config_int(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as a plain int; a bool, a non-integer or a value below
-    ``minimum`` raises :class:`InvalidConfig`."""
-    # a bool is an int, so index() alone would take it
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
-    if minimum is not None and value < minimum:
-        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -443,7 +431,7 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
     d = _check_unitary(u)
     if d != spec.n_modes:
         raise DimensionMismatch(f"unitary is {d}-dimensional, squeezing has {spec.n_modes} modes")
-    if not 1 <= m_sys <= d:
+    if not 1 <= config_int("m_sys", m_sys) <= d:
         raise BadModeCount(f"m_sys={m_sys} out of range 1..{d}")
     rows = u[..., :m_sys, :]
     parts = np.stack([rows.real, rows.imag], axis=-3)
@@ -738,6 +726,7 @@ def random_symplectic(
     n_modes: int, rng: np.random.Generator, max_squeeze: float = 1.5
 ) -> np.ndarray:
     """Generic symplectic matrix: interferometer, squeeze layer, interferometer."""
+    n_modes = config_int("n_modes", n_modes)
     o_left, o_right = unitary_to_symplectic(haar_unitary(n_modes, rng, (2,)))
     z = rng.uniform(1.0, max_squeeze, n_modes)
     diag = np.concatenate([z, 1.0 / z])

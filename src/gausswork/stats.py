@@ -219,14 +219,20 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def tail_threshold(epsilon) -> float:
+    """A tail threshold as a float; a bool or a non-real raises :class:`InvalidConfig`."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise InvalidConfig(f"epsilon must be a real number, got {epsilon!r}")
+    return float(epsilon)
+
+
 def tail_probability(works, epsilon: float) -> dict:
     """A sweep's ``tails`` entry: the fraction of work values exceeding
     epsilon with its Wilson interval, as ``{epsilon, fraction, wilson_low,
     wilson_high}``; ``works`` is a sequence or array of work values, such
-    as a record array's ``work`` column.  A bool or a non-real epsilon
-    raises :class:`InvalidConfig`."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise InvalidConfig(f"epsilon must be a real number, got {epsilon!r}")
+    as a record array's ``work`` column.  epsilon is read through
+    :func:`tail_threshold`."""
+    epsilon = tail_threshold(epsilon)
     values = np.asarray(works, dtype=float)
     if not values.size:
         raise EmptyInput("tail_probability needs at least one record")
@@ -234,5 +240,5 @@ def tail_probability(works, epsilon: float) -> dict:
         raise InvalidConfig(f"epsilon must be >= 0, got {epsilon}")
     hits = int(np.count_nonzero(values > epsilon))
     low, high = wilson_interval(hits, values.size)
-    return {"epsilon": float(epsilon), "fraction": hits / values.size,
+    return {"epsilon": epsilon, "fraction": hits / values.size,
             "wilson_low": low, "wilson_high": high}

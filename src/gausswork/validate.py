@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness, stats
-from .errors import GaussworkError, InvalidConfig
+from .errors import GaussworkError, InvalidConfig, config_int
 from .phasespace import (
     RECONSTRUCTION_TOL,
     check_covariance,
@@ -25,10 +25,8 @@ from .phasespace import (
     williamson_reconstruction_error,
 )
 from .sampling import (
-    BLOCK_ENTRIES,
     RandomStateConfig,
     ZProfile,
-    config_int,
     draw_squeezing,
     haar_unitary,
     random_covariance,
@@ -98,15 +96,19 @@ def check_bound_chain(n_samples: int, rng_seed: int) -> None:
     harness.compute_records(config, n_samples)
 
 
+# Lipschitz pairs per stacked draw: 64 pairs of 8 x 8 unitaries (8192
+# complex entries) bound the check's memory whatever its pair count
+_LIPSCHITZ_BLOCK = 64
+
+
 def check_lipschitz(n_pairs: int, rng) -> None:
     # one kept mode of a 4-mode system purified into d = 8 ambient modes;
     # each block is one stacked draw of its pairs, u then v, equal to
     # pair-by-pair haar_unitary calls
     m_sys, d = 1, 8
     spec = draw_squeezing(ZProfile("uniform", 1.5), d)
-    step = BLOCK_ENTRIES // (2 * d * d)
-    for first in range(0, n_pairs, step):
-        u, v = haar_unitary(d, rng, (min(step, n_pairs - first), 2)).swapaxes(0, 1)
+    for first in range(0, n_pairs, _LIPSCHITZ_BLOCK):
+        u, v = haar_unitary(d, rng, (min(_LIPSCHITZ_BLOCK, n_pairs - first), 2)).swapaxes(0, 1)
         eigen_lhs, eigen_rhs, sympl_lhs, sympl_rhs = stats.lipschitz_witnesses(u, v, spec, m_sys)
         for name, lhs_block, rhs_block in (("eigen", eigen_lhs, eigen_rhs),
                                            ("symplectic", sympl_lhs, sympl_rhs)):
@@ -145,12 +147,11 @@ def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) ->
     """Run every check; returns results in execution order.  A check over
     no size or no Lipschitz pair would pass untested, so both are refused,
     as is a negative seed, which numpy cannot take."""
-    seed = config_int("seed", seed)
-    sizes = [config_int("sizes", n) for n in sizes]
-    lipschitz_pairs = config_int("lipschitz_pairs", lipschitz_pairs)
-    if not sizes or min(sizes) < 1 or lipschitz_pairs < 1 or seed < 0:
-        raise InvalidConfig(f"validate needs sizes >= 1, lipschitz_pairs >= 1 and seed >= 0, "
-                            f"got sizes={sizes}, lipschitz_pairs={lipschitz_pairs}, seed={seed}")
+    seed = config_int("seed", seed, 0)
+    sizes = [config_int("sizes", n, 1) for n in sizes]
+    lipschitz_pairs = config_int("lipschitz_pairs", lipschitz_pairs, 1)
+    if not sizes:
+        raise InvalidConfig("validate needs at least one size")
     rng = np.random.default_rng(seed)
     # checks are looked up by module-level name at call time, not kept in a
     # table, so a function replaced on the module (a tracer, a test) is run

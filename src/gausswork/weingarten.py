@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import parallel, sampling
-from .errors import BadDimension, DimensionMismatch, InvalidConfig, NumericalFailure
+from .errors import BadDimension, DimensionMismatch, InvalidConfig, NumericalFailure, config_int
 from .sampling import RandomStateConfig, SqueezingSpec, draw_squeezing
 
 _Z_RATIO_NOISE = 1e-12
@@ -136,7 +136,7 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     Deterministic under a fixed master seed for any thread count; the mean
     and standard error are accumulated with compensated summation.
     """
-    n_samples = sampling.config_int("n_samples", n_samples, 2)
+    n_samples = config_int("n_samples", n_samples, 2)
     if config.profile.is_random:
         raise InvalidConfig(
             "analytic moments need a deterministic profile; the flat measure "
@@ -145,7 +145,6 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     spec = draw_squeezing(config.profile, config.ambient_modes)
     try:
         analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
-        threads = sampling.config_int("threads", threads, 1)
         rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), n_samples, threads))
         reports = []
         for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T):

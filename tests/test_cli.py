@@ -13,7 +13,7 @@ import pytest
 
 from gausswork import cli, harness, parallel, sampling, weingarten
 from gausswork import phasespace as ps
-from gausswork.errors import WorkerFailure
+from gausswork.errors import InvalidConfig, WorkerFailure
 from gausswork.sampling import RandomStateConfig, ZProfile
 
 
@@ -492,6 +492,13 @@ class TestForks:
         for fd in pipes:
             with pytest.raises(OSError):
                 os.fstat(fd)
+
+    @pytest.mark.parametrize("threads", [0, True, 2.5])
+    def test_threads_read_as_a_count(self, threads):
+        # 0 and True once ran inline as one process; 2.5 failed in split_ranges
+        with pytest.raises(InvalidConfig, match="^threads must be "):
+            parallel.run_chunked(index_sum, (1,), 10, threads)
+        assert_no_children()
 
     def test_lowest_failing_chunk_wins(self):
         with pytest.raises(ValueError, match="^chunk from 2$"):

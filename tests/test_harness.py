@@ -305,6 +305,22 @@ class TestCsvRows:
         records = np.concatenate([harness.compute_records(config, 10) for config in configs])
         assert harness._csv_rows(records, configs[0]) == reference_csv_rows(records, configs[0])
 
+    def test_slices_ignore_the_sampler_budget(self, monkeypatch):
+        config = uniform_config()
+        records = harness.compute_records(config, 5000)
+        text = harness._csv_rows(records, config)
+        slices, record_columns = [], stats.record_columns
+
+        def recording(rows, config):
+            slices.append(len(rows))
+            return record_columns(rows, config)
+
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 64)
+        monkeypatch.setattr(stats, "record_columns", recording)
+        assert harness._csv_rows(records, config) == text
+        size = harness._CSV_SLICE
+        assert slices == [size, size, 5000 - 2 * size]
+
     def test_flat_profile(self):
         config = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile.parse("flat:3.0"),
                                    master_seed=9)
@@ -398,13 +414,15 @@ class TestSweep:
             assert [list(tail) for tail in block["tails"]] == [list(e) for e in expected]
             assert list(block["tails"][0]) == ["epsilon", "fraction", "wilson_low", "wilson_high"]
 
-    @pytest.mark.parametrize("epsilon", [True, np.False_])
-    def test_bool_epsilon_refused_before_sampling(self, monkeypatch, epsilon):
+    @pytest.mark.parametrize("epsilon", [True, np.False_, "0.1", b"0.2", None])
+    def test_bool_or_non_real_epsilon_refused_before_sampling(self, monkeypatch, epsilon):
+        # the type rule of stats.tail_probability, applied to every entry;
+        # float() once took the string and the bytes
         def no_sampling(*args):
             raise AssertionError("sampled before refusing the epsilon list")
 
         monkeypatch.setattr(harness, "_records", no_sampling)
-        with pytest.raises(InvalidConfig, match="^epsilon values must be numbers, not bools"):
+        with pytest.raises(InvalidConfig, match="^epsilon must be a real number, got "):
             harness.run_sweep([2], 1, ZProfile("uniform", 1.5), 3, 1, epsilons=[0.1, epsilon])
 
     def test_quantiles_monotone(self):
@@ -437,7 +455,8 @@ class TestSweep:
         with pytest.raises(InvalidConfig):
             harness.run_sweep([8, 16], 1, ZProfile("vacuum"), 10, 0, epsilons=[0.0])
 
-    @pytest.mark.parametrize("n_grid", [[16.9], [8, 16.0], [True, 4], [np.float64(8)]])
+    # and 0, below the grid's minimum, named as a grid entry, not as n_full
+    @pytest.mark.parametrize("n_grid", [[16.9], [8, 16.0], [True, 4], [np.float64(8)], [0, 4]])
     def test_grid_refuses_bools_and_non_integers(self, n_grid):
         with pytest.raises(InvalidConfig, match="n_grid"):
             harness.run_sweep(n_grid, 1, ZProfile("vacuum"), 10, 0)

@@ -8,6 +8,7 @@ from gausswork import phasespace as ps
 from gausswork.stats import extractable_work, spectral_statistics
 from gausswork.errors import (
     BadModeCount,
+    InvalidConfig,
     InvalidCovariance,
     MalformedFile,
     NonPositiveDefinite,
@@ -105,6 +106,14 @@ class TestSymplecticForm:
     def test_bad_mode_count(self):
         with pytest.raises(BadModeCount):
             ps.symplectic_form(0)
+
+    @pytest.mark.parametrize("n_modes", [True, np.True_, 2.0, "2"])
+    def test_bools_and_non_integers_refused(self, n_modes):
+        # the forms of 1 and 2 modes are cached first: a cache that keys
+        # True as 1 and 2.0 as 2 would hand them out
+        ps.symplectic_form(1), ps.symplectic_form(2)
+        with pytest.raises(InvalidConfig, match="^n_modes must be an integer"):
+            ps.symplectic_form(n_modes)
 
     def test_cached_read_only(self):
         omega = ps.symplectic_form(4)

@@ -135,6 +135,21 @@ class TestHaarUnitary:
             u = sm.haar_unitary(d, rng)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [True, np.True_, 2.0, "2"])
+    def test_dim_refuses_bools_and_non_integers(self, dim):
+        with pytest.raises(InvalidConfig, match="^dim must be an integer"):
+            sm.haar_unitary(dim, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_modes", [True, 2.0, "2"])
+    def test_random_symplectic_refuses_bools_and_non_integers(self, n_modes):
+        with pytest.raises(InvalidConfig, match="^n_modes must be an integer"):
+            sm.random_symplectic(n_modes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_modes", [True, 2.0, "2"])
+    def test_random_covariance_refuses_bools_and_non_integers(self, n_modes):
+        with pytest.raises(InvalidConfig, match="^n_modes must be an integer"):
+            sm.random_covariance(n_modes, np.random.default_rng(0))
+
     def test_dim_one_is_a_phase(self):
         rng = np.random.default_rng(2)
         phases = np.array([sm.haar_unitary(1, rng)[0, 0] for _ in range(4000)])
@@ -297,6 +312,11 @@ class TestZProfile:
 
 
 class TestDrawSqueezing:
+    @pytest.mark.parametrize("n_modes", [True, 2.0, "2"])
+    def test_n_modes_refuses_bools_and_non_integers(self, n_modes):
+        with pytest.raises(InvalidConfig, match="^n_modes must be an integer"):
+            sm.draw_squeezing(ZProfile("uniform", 1.3), n_modes)
+
     def test_vacuum(self):
         assert np.array_equal(sm.draw_squeezing(ZProfile("vacuum"), 4).z, np.ones(4))
 
@@ -497,6 +517,12 @@ class TestRandomState:
         for i in range(2):
             for j in range(3):
                 assert np.array_equal(gammas[i, j], sm.state_from_unitary(stack[i, j], spec, 2))
+
+    @pytest.mark.parametrize("m_sys", [True, np.True_, 1.0, "1"])
+    def test_state_from_unitary_m_refuses_bools_and_non_integers(self, m_sys):
+        # True once ran as m = 1
+        with pytest.raises(InvalidConfig, match="^m_sys must be an integer"):
+            sm.state_from_unitary(np.eye(3), SqueezingSpec(np.full(3, 1.2)), m_sys)
 
     def test_state_from_unitary_rejects_nan(self):
         spec = SqueezingSpec(np.full(3, 1.2))

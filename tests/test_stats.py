@@ -370,6 +370,13 @@ class TestLipschitzPairs:
         with pytest.raises(DimensionMismatch):
             eigen_dispersion_lipschitz_pair(u, u, self.spec, 1)
 
+    @pytest.mark.parametrize("m_sys", [True, np.True_, 1.0, "1"])
+    def test_m_refuses_bools_and_non_integers(self, m_sys):
+        # True once ran as m = 1
+        u, v = self._stacks(3, 2)
+        with pytest.raises(InvalidConfig, match="^m_sys must be an integer"):
+            st.lipschitz_witnesses(u, v, self.spec, m_sys)
+
     def _stacks(self, seed, k):
         rng = np.random.default_rng(seed)
         u = np.array([sm.haar_unitary(self.d, rng) for _ in range(k)])
@@ -401,6 +408,8 @@ class TestLipschitzPairs:
                 witness(u, other, self.spec, 1)
 
     def test_validate_checks_pairs_in_bounded_blocks(self, monkeypatch):
+        # validate owns its block size: the sampler's budget does not move it
+        monkeypatch.setattr(sm, "BLOCK_ENTRIES", 256)
         blocks = []
 
         def recording(u, v, spec, m_sys):
@@ -410,8 +419,7 @@ class TestLipschitzPairs:
         witnesses = st.lipschitz_witnesses
         monkeypatch.setattr(st, "lipschitz_witnesses", recording)
         validate.check_lipschitz(1000, np.random.default_rng(23))
-        d = blocks[0][0].shape[-1]
-        step = sm.BLOCK_ENTRIES // (2 * d * d)
+        d, step = blocks[0][0].shape[-1], validate._LIPSCHITZ_BLOCK
         # the pairs are those drawn one by one, u before v, from the same stream
         rng = np.random.default_rng(23)
         pairs = [(sm.haar_unitary(d, rng), sm.haar_unitary(d, rng)) for _ in range(1000)]

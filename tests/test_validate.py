@@ -62,3 +62,11 @@ def test_numpy_integer_arguments_run_the_same_suite():
 def test_nothing_to_check_rejected(kwargs):
     with pytest.raises(InvalidConfig):
         validate.run_suite(**kwargs)
+
+
+@pytest.mark.parametrize("name, value, minimum", [
+    ("seed", -1, 0), ("sizes", (2, 0), 1), ("lipschitz_pairs", 0, 1),
+])
+def test_counts_below_their_minimum_named(name, value, minimum):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be >= {minimum}, got "):
+        validate.run_suite(**{name: value})
