@@ -4,10 +4,11 @@ Subcommands: sample, sweep, moments, validate, purify.  Exit codes:
 0 success, 1 validation failure (``validate`` only), 2 invalid input or
 configuration, 3 numerical failure or a dead worker process.  Exit code 2
 covers unreadable or malformed input files (covariance, config and
-``file:`` profile files), non-finite inputs, negative seeds, empty lists,
-``--lipschitz-pairs`` or ``--threads`` below 1, a ``sweep --out`` path
-ending in ``.csv`` (the records go to that path with a .csv suffix) and
-output paths that cannot be written; ``validate --cov`` reports a
+``file:`` profile files), non-finite inputs, mode counts whose arrays
+numpy cannot shape, negative seeds, empty lists, ``--lipschitz-pairs``
+or ``--threads`` below 1, a ``sweep --out`` path ending in ``.csv`` (the
+records go to that path with a .csv suffix) and output paths that cannot
+be written; ``validate --cov`` reports a
 covariance matrix that breaks an invariant, non-finite entries included,
 with exit code 1.  New or plain regular output files are written to
 temporary files and renamed into place once all are complete,

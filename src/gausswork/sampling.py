@@ -34,6 +34,9 @@ from .errors import (
 
 UNITARY_TOL = 1e-10
 
+# float64 entries of the largest array numpy can shape: its size in bytes must fit np.intp
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 _REJECTION_BATCH = 256
 _REJECTION_MAX_DRAWS = 2_000_000
 
@@ -226,7 +229,9 @@ class ZProfile:
         # a bool is an int, so a number type alone would take it
         if value is not None and (isinstance(value, bool) or not isinstance(value, kind_type)):
             raise InvalidProfile(f"{self.kind} profile parameter must be {type_name}, got {value!r}")
-        if kind_type is not str and value is not None and not math.isfinite(value):
+        # compared, not converted (math.isfinite would raise OverflowError):
+        # an int or a Fraction past the largest float is not finite either
+        if kind_type is not str and value is not None and not abs(value) <= float(np.finfo(float).max):
             raise InvalidProfile(f"{self.kind} profile parameter must be finite, got {value}")
         if value is None or not valid(value):
             raise InvalidProfile(f"{self.kind} profile needs {needs.format(value)}")
@@ -237,13 +242,14 @@ class ZProfile:
         head, sep, tail = text.strip().partition(":")
         if head not in _PROFILE_PARAMETERS:
             raise InvalidProfile(f"unknown profile {text!r}")
-        rule = _PROFILE_PARAMETERS[head]
-        try:
-            if rule is None:
-                return cls(head, tail if sep else None)
-            return cls(head, tail if rule[0] is str else float(tail))
-        except ValueError as exc:
-            raise InvalidProfile(f"bad profile parameter in {text!r}") from exc
+        rule, param = _PROFILE_PARAMETERS[head], tail if sep else None
+        if rule is not None and rule[0] is not str:
+            try:
+                param = float(tail)
+            except ValueError as exc:
+                raise InvalidProfile(f"bad profile parameter in {text!r}") from exc
+        # the constructor refuses a parameter that converts but breaks the kind's rule
+        return cls(head, param)
 
     def canonical(self) -> str:
         if self.param is None:
@@ -307,7 +313,7 @@ def _profile_file_values(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             values = np.array([float(line) for line in fh if line.strip()])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
         raise InvalidProfile(f"cannot read profile file {path}: {exc}") from exc
     except ValueError as exc:
         raise InvalidProfile(f"profile file {path} has a non-numeric line: {exc}") from exc
@@ -392,6 +398,8 @@ class RandomStateConfig:
         if self.pipeline not in ("direct", "purified"):
             raise InvalidConfig(f"pipeline must be 'direct' or 'purified', got {self.pipeline!r}")
         object.__setattr__(self, "master_seed", config_int("master_seed", self.master_seed, 0))
+        if 2 * self.ambient_modes * self.m_sys > MAX_ENTRIES:  # a sample's row of Ginibre normals
+            raise InvalidConfig(f"n_full={self.n_full}, m_sys={self.m_sys} exceed numpy's array size")
 
     @property
     def ambient_modes(self) -> int:

@@ -220,10 +220,13 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 
 
 def tail_threshold(epsilon) -> float:
-    """A tail threshold as a float; a bool or a non-real raises :class:`InvalidConfig`."""
+    """A tail threshold as a float; a bool, a non-real or an overflow raises :class:`InvalidConfig`."""
     if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise InvalidConfig(f"epsilon must be a real number, got {epsilon!r}")
-    return float(epsilon)
+    try:
+        return float(epsilon)
+    except OverflowError as exc:  # an int or a Fraction past the largest float
+        raise InvalidConfig(f"epsilon is beyond the float range, got {epsilon}") from exc
 
 
 def tail_probability(works, epsilon: float) -> dict:

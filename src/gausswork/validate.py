@@ -25,6 +25,7 @@ from .phasespace import (
     williamson_reconstruction_error,
 )
 from .sampling import (
+    MAX_ENTRIES,
     RandomStateConfig,
     ZProfile,
     draw_squeezing,
@@ -152,6 +153,9 @@ def run_suite(seed: int = 2024, sizes=(2, 4, 8), lipschitz_pairs: int = 1000) ->
     lipschitz_pairs = config_int("lipschitz_pairs", lipschitz_pairs, 1)
     if not sizes:
         raise InvalidConfig("validate needs at least one size")
+    # check_embedding's 2n x 2n identity is a size's largest array
+    if 4 * max(sizes) ** 2 > MAX_ENTRIES:
+        raise InvalidConfig(f"sizes: {max(sizes)} modes exceed numpy's array size")
     rng = np.random.default_rng(seed)
     # checks are looked up by module-level name at call time, not kept in a
     # table, so a function replaced on the module (a tracer, a test) is run

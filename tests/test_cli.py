@@ -122,7 +122,36 @@ class TestSample:
         result = run_cli(command, "--n", "4", "--z-profile", profile, "--samples", "2")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert profile in result.stderr
+        # ZProfile's finiteness rule, naming the kind and the value
+        kind, value = profile.split(":")
+        assert result.stderr == f"invalid input: {kind} profile parameter must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("profile, message", [
+        ("uniform:0.5", "uniform profile needs z0 >= 1, got 0.5"),
+        ("power:-1", "power profile needs beta >= 0, got -1.0"),
+        ("flat:0", "flat profile needs a positive energy bound, got 0.0"),
+        ("vacuum:3", "vacuum takes no parameter, got '3'"),
+        ("file:", "file profile needs a path"),
+    ])
+    def test_profile_names_the_rule_it_broke(self, profile, message):
+        # ZProfile's own refusal reaches stderr; test_non_finite_profile has uniform:nan
+        result = run_cli("sample", "--n", "4", "--z-profile", profile, "--samples", "1")
+        assert result.returncode == 2
+        assert result.stderr == f"invalid input: {message}\n"
+        assert result.stdout == ""
+
+    def test_parameter_that_is_not_a_number(self):
+        result = run_cli("sample", "--n", "4", "--z-profile", "uniform:abc", "--samples", "1")
+        assert result.returncode == 2
+        assert result.stderr == "invalid input: bad profile parameter in 'uniform:abc'\n"
+
+    def test_non_utf8_profile_file(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        result = run_cli("sample", "--n", "1", "--z-profile", f"file:{path}", "--samples", "1")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"invalid input: cannot read profile file {path}: ")
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("content", [None, "1.0\n1.2\nbig\n1.0\n"])
     def test_bad_profile_file(self, tmp_path, content):
@@ -179,6 +208,21 @@ class TestSample:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "cannot write" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("sample", "--n", str(10 ** 20), "--z-profile", "uniform:1.5", "--samples", "1"),
+    ("sweep", "--n-grid", f"4,{10 ** 20}", "--z-profile", "uniform:1.5", "--samples", "2"),
+    ("validate", "--sizes", str(10 ** 20), "--lipschitz-pairs", "1"),
+])
+def test_mode_count_numpy_cannot_shape_exits_2(args):
+    # refused where the count enters, before any array of that size is asked for
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.startswith("invalid input: ")
+    assert result.stderr.endswith(" exceed numpy's array size\n")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
 
 
 class TestSweep:

@@ -425,6 +425,14 @@ class TestSweep:
         with pytest.raises(InvalidConfig, match="^epsilon must be a real number, got "):
             harness.run_sweep([2], 1, ZProfile("uniform", 1.5), 3, 1, epsilons=[0.1, epsilon])
 
+    def test_epsilon_past_the_float_range_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing the epsilon list")
+
+        monkeypatch.setattr(harness, "_records", no_sampling)
+        with pytest.raises(InvalidConfig, match="^epsilon is beyond the float range, got "):
+            harness.run_sweep([2], 1, ZProfile("uniform", 1.5), 3, 1, epsilons=[10 ** 400])
+
     def test_quantiles_monotone(self):
         _, summary = harness.run_sweep(
             n_grid=[8], m_sys=1, profile=ZProfile("uniform", 1.8),

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 try:
     import resource
@@ -282,6 +283,12 @@ class TestZProfile:
         ("uniform", None, "needs z0"),
         ("flat", math.inf, "must be finite"),
         ("power", -1.0, "needs beta"),
+        # reals past the largest float, which no float conversion takes
+        pytest.param("uniform", 10 ** 400, "must be finite", id="uniform-int-past-floats"),
+        pytest.param("power", 10 ** 400, "must be finite", id="power-int-past-floats"),
+        pytest.param("flat", 10 ** 400, "must be finite", id="flat-int-past-floats"),
+        pytest.param("power", -(10 ** 400), "must be finite", id="power-negative-int-past-floats"),
+        pytest.param("flat", Fraction(10 ** 400), "must be finite", id="flat-fraction-past-floats"),
     ])
     def test_constructor_rejects(self, kind, param, message):
         with pytest.raises(InvalidProfile, match=message):
@@ -301,6 +308,7 @@ class TestZProfile:
         assert ZProfile("uniform", 2).canonical() == "uniform:2"
         assert ZProfile.parse(ZProfile("uniform", 2).canonical()) == ZProfile("uniform", 2)
         assert ZProfile("power", np.float64(0.3)) == ZProfile.parse("power:0.3")
+        assert ZProfile("power", sys.float_info.max).param == sys.float_info.max
 
     def test_stray_parameter_rejected(self):
         with pytest.raises(InvalidProfile, match="vacuum takes no parameter"):
@@ -375,6 +383,13 @@ class TestDrawSqueezing:
             path.write_text(f"1.0\n{bad}\n2.0\n")
             with pytest.raises(InvalidProfile, match="non-finite"):
                 sm.draw_squeezing(ZProfile("file", str(path)), 3)
+
+    def test_file_profile_not_utf8_cannot_be_read(self, tmp_path):
+        # a decode error is a ValueError, but the file is unreadable, not non-numeric
+        path = tmp_path / "z.txt"
+        path.write_bytes(b"1.0\n\xff\n2.0\n")
+        with pytest.raises(InvalidProfile, match=f"^cannot read profile file {path}: 'utf-8' codec"):
+            sm.draw_squeezing(ZProfile("file", str(path)), 3)
 
     def test_file_profile_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "z.txt"
@@ -453,7 +468,31 @@ class TestSqueezeGram:
                 SqueezingSpec(z, **{name: value})
 
 
+# float64 entries of the largest array numpy can shape
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
 class TestRandomState:
+    @pytest.mark.parametrize("n_full, m_sys, pipeline", [
+        (10 ** 20, 1, "purified"),  # a dimension past np.intp
+        (10 ** 18, 1, "purified"),  # a byte size past np.intp
+        (MAX_ENTRIES // 2 + 1, 1, "direct"),
+        (2 ** 31, 2 ** 30, "direct"),
+    ])
+    def test_count_numpy_cannot_shape_refused(self, n_full, m_sys, pipeline):
+        message = f"^n_full={n_full}, m_sys={m_sys} exceed numpy's array size$"
+        with pytest.raises(InvalidConfig, match=message):
+            RandomStateConfig(n_full=n_full, m_sys=m_sys, profile=ZProfile("vacuum"),
+                              master_seed=0, pipeline=pipeline)
+
+    @pytest.mark.parametrize("n_full, pipeline", [(MAX_ENTRIES // 4, "purified"),
+                                                  (MAX_ENTRIES // 2, "direct")])
+    def test_largest_count_numpy_can_shape_kept(self, n_full, pipeline):
+        # building the config allocates nothing
+        config = RandomStateConfig(n_full=n_full, m_sys=1, profile=ZProfile("vacuum"),
+                                   master_seed=0, pipeline=pipeline)
+        assert config.n_full == n_full
+
     def test_vacuum_gives_vacuum(self):
         config = RandomStateConfig(n_full=5, m_sys=2, profile=ZProfile("vacuum"), master_seed=3)
         gamma = sm.sample_block(config, 0, 1)[0][0]

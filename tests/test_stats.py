@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,6 +470,12 @@ class TestTailProbability:
     def test_bool_or_non_real_epsilon_refused(self, epsilon):
         with pytest.raises(InvalidConfig, match=r"^epsilon must be a real number, got "):
             st.tail_probability([0.5, 2.0], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [10 ** 400, -(10 ** 400), Fraction(10 ** 400)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_epsilon_past_the_float_range_refused(self, epsilon):
+        with pytest.raises(InvalidConfig, match=r"^epsilon is beyond the float range, got "):
+            st.tail_probability([0.5], epsilon)
 
     @pytest.mark.parametrize("epsilon", [1, np.int64(1), np.float32(0.25), 0.5])
     def test_epsilon_stored_as_float(self, epsilon):

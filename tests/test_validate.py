@@ -70,3 +70,10 @@ def test_nothing_to_check_rejected(kwargs):
 def test_counts_below_their_minimum_named(name, value, minimum):
     with pytest.raises(InvalidConfig, match=f"^{name} must be >= {minimum}, got "):
         validate.run_suite(**{name: value})
+
+
+@pytest.mark.parametrize("size", [10 ** 20, 2 ** 29])
+def test_size_numpy_cannot_shape_refused(size):
+    # check_embedding's 2n x 2n identity: 4n^2 float64 entries, more bytes than np.intp holds
+    with pytest.raises(InvalidConfig, match=f"^sizes: {size} modes exceed numpy's array size$"):
+        validate.run_suite(sizes=(2, size), lipschitz_pairs=1)
