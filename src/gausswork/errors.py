@@ -89,13 +89,15 @@ class MalformedFile(GaussworkError, ValueError):
     """An input file does not parse as the expected text format."""
 
 
-def config_int(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as a plain int; a bool, a non-integer or a value below
-    ``minimum`` raises :class:`InvalidConfig`."""
+def config_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as a plain int; a bool, a non-integer, or a value below
+    ``minimum`` or above ``maximum`` raises :class:`InvalidConfig`."""
     # a bool is an int, so index() alone would take it
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
     if minimum is not None and value < minimum:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidConfig(f"{name} must be <= {maximum}, got {value}")
     return value

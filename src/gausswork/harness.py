@@ -88,7 +88,10 @@ def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarra
     """Records of sample indices 0..samples-1 of every config, in
     config-then-index order, as one :data:`stats.RECORD_DTYPE` array, and
     with ``csv`` their :func:`records_csv` text.  The configs share one
-    fan-out: a chunk of indices covers every config."""
+    fan-out: a chunk of indices covers every config.  ``samples`` runs
+    from 1 to the most records of every config that one array can hold."""
+    most = np.iinfo(np.intp).max // (len(configs) * stats.RECORD_DTYPE.itemsize)
+    samples = config_int("samples", samples, 1, most)
     chunks = parallel.run_chunked(_chunk, (configs, csv), samples, threads)
     parts = [chunk[g] for g in range(len(configs)) for chunk in chunks]
     records = _join([records for records, _ in parts]).view(np.recarray)
@@ -102,7 +105,6 @@ def compute_records(
     :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
     (records, ``records_csv(records, config)``), the rows formatted by the
     workers."""
-    n_samples = config_int("samples", n_samples, 1)
     records, text = _records([config], n_samples, threads, return_csv)
     return (records, text) if return_csv else records
 
@@ -217,9 +219,9 @@ def run_sweep(
         )
         for n_full in n_grid
     ]
-    samples = config_int("samples", samples, 1)
     # one fan-out for the whole grid: each process's chunk covers every point
     all_records, csv_text = _records(configs, samples, threads, return_csv)
+    samples = len(all_records) // len(configs)  # the plain int _records read
     per_n = []
     mean_deltas = []
     for g, n_full in enumerate(n_grid):

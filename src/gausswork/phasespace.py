@@ -210,10 +210,12 @@ def purify(gamma_m: np.ndarray) -> np.ndarray:
 
     roundtrip = float(np.max(np.abs(kept - gamma_m)))
     if roundtrip > ROUNDTRIP_TOL:
-        raise NumericalFailure(f"purification round trip error {roundtrip:.3e} exceeds 1e-10")
+        raise NumericalFailure(
+            f"purification round trip error {roundtrip:.3e} exceeds {ROUNDTRIP_TOL:g}"
+        )
     purity = float(np.max(np.abs(symplectic_eigenvalues(pure) - 0.5)))
     if purity > PURITY_TOL:
-        raise NumericalFailure(f"purification impurity {purity:.3e} exceeds 1e-8")
+        raise NumericalFailure(f"purification impurity {purity:.3e} exceeds {PURITY_TOL:g}")
     return pure
 
 

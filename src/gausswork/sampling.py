@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import numbers
 import os
@@ -116,10 +117,10 @@ def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 class _GivenStates(np.random.bit_generator.ISeedSequence):
-    """Seed sequence of a range's precomputed PCG64 seed words: each PCG64
-    seeded from it takes the next index's words."""
+    """Seed sequence of precomputed PCG64 seed words, an iterable of one
+    row per index: each PCG64 seeded from it takes the next index's row."""
 
-    def __init__(self, seeds: np.ndarray):
+    def __init__(self, seeds):
         self.rows = iter(seeds)
 
     def generate_state(self, n_words, dtype=np.uint32):
@@ -132,13 +133,16 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
 
     The stream of index i is ``default_rng(SeedSequence(master_seed,
     spawn_key=(i,)))`` bit for bit, with the SeedSequence hash computed
-    for the whole range at once.  Streams are keyed by (master_seed, i),
-    so any partitioning of indices across blocks or workers yields
-    bit-identical draws.
+    for ``BLOCK_ENTRIES`` indices at once, when the iterator reaches
+    them, so a range of any length holds one block's seed words.
+    Streams are keyed by (master_seed, i), so any partitioning of indices
+    across blocks or workers yields bit-identical draws.
     """
     master_seed = config_int("master_seed", master_seed, 0)
     lo, hi = config_int("sample_index", lo, 0), config_int("hi", hi)
-    seeds = _GivenStates(_pcg64_seeds(master_seed, lo, hi))
+    blocks = (_pcg64_seeds(master_seed, k, min(k + BLOCK_ENTRIES, hi))
+              for k in range(lo, hi, BLOCK_ENTRIES))
+    seeds = _GivenStates(itertools.chain.from_iterable(blocks))
     return (np.random.Generator(np.random.PCG64(seeds)) for _ in range(lo, hi))
 
 
@@ -447,11 +451,12 @@ def state_from_unitary(u: np.ndarray, spec: SqueezingSpec, m_sys: int) -> np.nda
 
 
 # Largest number of complex Ginibre entries (samples x d x m) in one block
-# of the m >= 2 Gamma kernel, and of covariance entries (samples x 2m x 2m,
-# 64 KB) in one stack.  Blocks of 2^13 to 2^15 entries gave the same
-# per-sample time on a sweep; 2^15 raised the peak memory of a moment grid
-# by about 3 MB, 2^13 by about 1 MB.  A sample larger than the budget
-# (d = 4096, m = 8) is a block of its own.
+# of the m >= 2 Gamma kernel, of covariance entries (samples x 2m x 2m,
+# 64 KB) in one stack, and of indices whose seed words block_streams
+# hashes at once (about 1.8 MB transient).  Blocks of 2^13 to 2^15
+# entries gave the same per-sample time on a sweep; 2^15 raised the peak
+# memory of a moment grid by about 3 MB, 2^13 by about 1 MB.  A sample
+# larger than the budget (d = 4096, m = 8) is a block of its own.
 BLOCK_ENTRIES = 1 << 13
 # Largest number of complex entries (samples x d_max x m) of one draw that
 # a grid's configs share: 2^18 normals, 2 MiB, 16 bytes per entry; a single
@@ -726,6 +731,8 @@ def sample_block(config: RandomStateConfig, lo: int, hi: int) -> tuple[np.ndarra
     joined."""
     if hi <= lo:
         raise InvalidConfig(f"empty sample range [{lo}, {hi})")
+    if (hi - lo) * 4 * config.m_sys ** 2 > MAX_ENTRIES:  # the joined covariances
+        raise InvalidConfig(f"sample range [{lo}, {hi}) exceeds numpy's array size")
     _, _, gammas, nus = zip(*iter_blocks([config], lo, hi))
     return np.concatenate(gammas), np.concatenate(nus)
 

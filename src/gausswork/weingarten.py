@@ -136,7 +136,8 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     Deterministic under a fixed master seed for any thread count; the mean
     and standard error are accumulated with compensated summation.
     """
-    n_samples = config_int("n_samples", n_samples, 2)
+    # the moment rows: one float per quantity and sample
+    n_samples = config_int("n_samples", n_samples, 2, sampling.MAX_ENTRIES // len(QUANTITIES))
     if config.profile.is_random:
         raise InvalidConfig(
             "analytic moments need a deterministic profile; the flat measure "

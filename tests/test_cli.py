@@ -225,6 +225,21 @@ def test_mode_count_numpy_cannot_shape_exits_2(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("sample", "--n", "4", "--z-profile", "vacuum"),
+    ("sweep", "--n-grid", "4,8", "--z-profile", "uniform:1.5"),
+    ("moments", "--n", "4", "--z-profile", "uniform:1.5"),
+], ids=["sample", "sweep", "moments"])
+def test_sample_count_numpy_cannot_shape_exits_2(monkeypatch, capsys, args):
+    # refused where the count enters, before any stream is hashed
+    hashed = []
+    monkeypatch.setattr(sampling, "_pcg64_seeds", lambda *range_args: hashed.append(range_args))
+    assert cli.main([*args, "--samples", str(10 ** 20)]) == 2
+    out, err = capsys.readouterr()
+    assert re.fullmatch(rf"invalid input: (n_)?samples must be <= \d+, got {10 ** 20}\n", err)
+    assert out == "" and hashed == []
+
+
 class TestSweep:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         base = ("sweep", "--n-grid", "6,12", "--m", "1", "--z-profile", "uniform:1.5",
@@ -631,6 +646,13 @@ class TestMoments:
         assert by_name["tr_gamma"]["z_ratio"] == 0.0
         assert by_name["tr_gamma_sq"]["z_ratio"] == 0.0
 
+    def test_ambient_dimension_below_two_exits_2(self, capsys):
+        assert cli.main(["moments", "--n", "1", "--pipeline", "direct",
+                         "--z-profile", "uniform:1.5", "--samples", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "invalid input: second moments need ambient dimension >= 2\n"
+        assert out == ""
+
     def test_flat_profile_rejected(self):
         result = run_cli("moments", "--n", "4", "--z-profile", "flat:10",
                          "--samples", "50")
@@ -748,6 +770,26 @@ class TestPurify:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("purify", str(tmp_path / "nope.txt"), "o.txt").returncode == 2
+
+    @pytest.mark.parametrize("squeeze, seed, message", [
+        (1000.0, 751, r"purification round trip error \S+ exceeds 1e-10"),
+        (100.0, 33, r"purification impurity \S+ exceeds 1e-08"),
+    ], ids=["round-trip", "impurity"])
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, squeeze, seed, message):
+        # mixed states built as the benchmark's purify inputs are, from seeds
+        # found by search: seed 751's round trip error is about 35 times its
+        # tolerance; seed 33's impurity about 8 times its own, with a round
+        # trip error 14 times below the round trip's
+        rng = np.random.default_rng(seed)
+        sym = sampling.random_symplectic(3, rng, max_squeeze=squeeze)
+        nus = rng.uniform(0.5, 2.0, 3)
+        gamma = (sym * np.concatenate([nus, nus])) @ sym.T
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        write_covariance(src, 0.5 * (gamma + gamma.T))
+        assert cli.main(["purify", str(src), str(dst)]) == 3
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"numerical failure: {message}\n", err)
+        assert out == "" and not dst.exists()
 
     def test_unwritable_output(self, tmp_path):
         src = tmp_path / "in.txt"

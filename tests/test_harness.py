@@ -46,6 +46,24 @@ class TestComputeRecords:
         with pytest.raises(InvalidConfig, match=f"^{name} must be"):
             harness.compute_records(uniform_config(), n_samples, threads)
 
+    @pytest.mark.parametrize("run, n_configs", [
+        (lambda samples: harness.compute_records(uniform_config(), samples), 1),
+        (lambda samples: harness.run_sweep([4, 8], 1, ZProfile("uniform", 1.4), samples, 5), 2),
+    ], ids=["compute_records", "run_sweep"])
+    def test_largest_count_numpy_can_shape_kept(self, monkeypatch, run, n_configs):
+        # the one record array of every config bounds the count, read before
+        # any sample is drawn
+        most = np.iinfo(np.intp).max // (n_configs * stats.RECORD_DTYPE.itemsize)
+
+        def no_draws(*args):
+            raise AssertionError("reached the fan-out")
+
+        monkeypatch.setattr(harness.parallel, "run_chunked", no_draws)
+        with pytest.raises(InvalidConfig, match=f"^samples must be <= {most}, got {most + 1}$"):
+            run(most + 1)
+        with pytest.raises(AssertionError, match="reached the fan-out"):
+            run(most)
+
     def test_concurrent_threads_keep_their_draws(self):
         # two threads draw blocks of one shape at once; each draw and block
         # gets fresh arrays, so neither overwrites the other's Gaussian parts

@@ -461,3 +461,8 @@ class TestTextFormat:
     def test_malformed(self, text):
         with pytest.raises(MalformedFile):
             ps.read_covariance_text(io.StringIO(text))
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_mode_count_below_one(self, count):
+        with pytest.raises(MalformedFile, match=f"^mode count must be >= 1, got {count}$"):
+            ps.read_covariance_text(io.StringIO(f"{count}\n"))

@@ -5,6 +5,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from gausswork import harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork.errors import (
+    BadModeCount,
     DimensionMismatch,
     EmptyConstraintSet,
     InvalidConfig,
@@ -127,6 +129,39 @@ class TestStreams:
         args[position] = value
         with pytest.raises(InvalidConfig, match="must be an integer"):
             sm.block_streams(*args)
+
+
+class TestStreamBlocks:
+    # block_streams hashes the seed words of BLOCK_ENTRIES indices at a time
+
+    def test_first_stream_holds_one_block(self):
+        next(sm.block_streams(7, 0, 10))  # fills the seed's cached pool
+        tracemalloc.start()
+        try:
+            next(sm.block_streams(7, 0, 10 ** 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_hash_calls_span_one_block(self, monkeypatch):
+        lo, hi = 5, 20_005
+        calls = []
+        pcg64_seeds = sm._pcg64_seeds
+
+        def counting(master_seed, first, last):
+            calls.append((first, last))
+            return pcg64_seeds(master_seed, first, last)
+
+        monkeypatch.setattr(sm, "_pcg64_seeds", counting)
+        streams = sm.block_streams(7, lo, hi)
+        assert calls == []  # nothing is hashed before the first stream
+        for index, stream in zip(range(lo, hi), streams):
+            oracle = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(index,)))
+            assert np.array_equal(stream.random(2), oracle.random(2))
+        assert next(streams, None) is None
+        assert calls == [(k, min(k + sm.BLOCK_ENTRIES, hi))
+                         for k in range(lo, hi, sm.BLOCK_ENTRIES)]
 
 
 class TestHaarUnitary:
@@ -1054,3 +1089,50 @@ class TestEnergyScaling:
         fit = math.exp(np.mean(np.log(ratios)))
         assert max(ratios) <= 2.0 * fit
         assert min(ratios) >= 0.5 * fit
+
+
+VACUUM_CONFIG = RandomStateConfig(n_full=2, m_sys=1, profile=ZProfile("vacuum"), master_seed=0)
+
+
+class TestRefusals:
+    # each refusal's exception type and whole message, in sampling.py's order
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: sm.haar_unitary(0, np.random.default_rng(0)),
+         BadModeCount, r"invalid unitary size 0"),
+        (lambda: sm._check_unitary(np.eye(3)[:2]),
+         NotUnitary, r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: sm._check_unitary(np.ones(3)),
+         NotUnitary, r"expected a square matrix, got shape \(3,\)"),
+        (lambda: ZProfile("gauss"), InvalidProfile, r"unknown profile kind 'gauss'"),
+        (lambda: SqueezingSpec(np.array([])),
+         InvalidProfile, r"squeezing vector must be a nonempty 1-D array"),
+        (lambda: SqueezingSpec(np.ones((2, 2))),
+         InvalidProfile, r"squeezing vector must be a nonempty 1-D array"),
+        (lambda: sm.flat_z_max(0.25), EmptyConstraintSet, r"energy bound 0.25 admits no z >= 1"),
+        (lambda: sm.flat_z_max(1e300),
+         InvalidProfile, r"energy bound 1e\+300 too large: z_max overflows"),
+        (lambda: sm.draw_squeezing(ZProfile("vacuum"), 0),
+         BadModeCount, r"n_modes must be >= 1, got 0"),
+        (lambda: sm.state_from_unitary(np.eye(2), SqueezingSpec(np.ones(2)), 0),
+         BadModeCount, r"m_sys=0 out of range 1\.\.2"),
+        (lambda: sm.state_from_unitary(np.eye(2), SqueezingSpec(np.ones(2)), 3),
+         BadModeCount, r"m_sys=3 out of range 1\.\.2"),
+        (lambda: sm.sample_block(VACUUM_CONFIG, 5, 5), InvalidConfig, r"empty sample range \[5, 5\)"),
+        (lambda: sm.sample_block(VACUUM_CONFIG, 9, 3), InvalidConfig, r"empty sample range \[9, 3\)"),
+    ], ids=["unitary-size", "unitary-not-square", "unitary-1d", "profile-kind", "spec-empty",
+            "spec-2d", "flat-energy-below-half", "flat-energy-overflow", "draw-no-modes",
+            "m-sys-zero", "m-sys-past-d", "range-empty", "range-reversed"])
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize("m_sys", [1, 2])
+    def test_joined_range_numpy_cannot_shape_refused(self, m_sys):
+        # the joined (hi - lo, 2m, 2m) covariances bound the range; refused
+        # before any stream is hashed
+        config = dataclasses.replace(VACUUM_CONFIG, m_sys=m_sys)
+        most = MAX_ENTRIES // (4 * m_sys * m_sys)
+        for lo, hi in [(0, most + 1), (3, 10 ** 20)]:
+            with pytest.raises(InvalidConfig,
+                               match=rf"^sample range \[{lo}, {hi}\) exceeds numpy's array size$"):
+                sm.sample_block(config, lo, hi)

@@ -333,6 +333,32 @@ class TestMcMoment:
         with pytest.raises(InvalidConfig, match=f"^{name} must be"):
             wg.mc_moments(uniform_config(4, 1, 1.5, 1), n_samples, threads)
 
+    def test_largest_count_numpy_can_shape_kept(self, monkeypatch):
+        # one row of QUANTITIES floats per sample; the count is read before
+        # any sample is drawn
+        most = sm.MAX_ENTRIES // len(wg.QUANTITIES)
+
+        def no_draws(*args):
+            raise AssertionError("reached the fan-out")
+
+        monkeypatch.setattr(wg.parallel, "run_chunked", no_draws)
+        config = uniform_config(4, 1, 1.5, 1)
+        with pytest.raises(InvalidConfig, match=f"^n_samples must be <= {most}, got {most + 1}$"):
+            wg.mc_moments(config, most + 1)
+        with pytest.raises(AssertionError, match="reached the fan-out"):
+            wg.mc_moments(config, most)
+
+    @pytest.mark.parametrize("quantity", ["tr_gamma_sq", "tr_omega_gamma_sq"])
+    def test_ambient_dimension_below_two_refused(self, quantity):
+        config = uniform_config(1, 1, 1.5, 1, pipeline="direct")
+        with pytest.raises(BadDimension, match="^second moments need ambient dimension >= 2$"):
+            wg._ANALYTIC[quantity](SqueezingSpec(np.full(1, 1.5)), config)
+
+    def test_z_ratio_of_exact_samples_off_the_analytic_value_is_inf(self):
+        # samples that agree exactly (std_error 0) on a value past the noise floor
+        assert wg._z_ratio(1.0, 1.0 + 1e-6, 0.0) == math.inf
+        assert wg._z_ratio(1.0, 1.0 + 1e-13, 0.0) == 0.0
+
     def test_numpy_counts_stored_as_plain_ints(self):
         config = uniform_config(4, 1, 1.5, 1)
         reports = wg.mc_moments(config, np.int64(50), np.int32(1))
