@@ -486,9 +486,9 @@ def _bundled_blas() -> list[str]:
 def _pin_blas_threads() -> None:
     """Set OpenBLAS to one thread, looked up by name: in numpy's bundled
     library, then in the process's global symbols.  OpenBLAS may split a
-    long reduction across its threads (a QR of a wide sample, d m = 2^15,
-    rounded differently at 1 and 2 threads); at one thread no sample's
-    bytes depend on ``OPENBLAS_NUM_THREADS``, and forked chunks do not
+    product across its threads (a direct d = m = 64 sample rounded
+    differently at 1 and 2 threads); at one thread no sample's bytes
+    depend on ``OPENBLAS_NUM_THREADS``, and forked chunks do not
     multiply into processes x BLAS threads.  A no-op where no setter is
     found."""
     for path in (*_bundled_blas(), None):
@@ -520,33 +520,6 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-
-
-def _draw_block(
-    configs, lo: int, hi: int, streams: Iterator[np.random.Generator], specs
-) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
-    """Per config of a grid, the covariance blocks of indices lo..hi-1,
-    from one draw of the next hi - lo of ``streams``, and their thermal
-    values nu: ``specs`` holds per config a deterministic profile's
-    squeezing, or is [None] for a random profile's one config, whose
-    samples each draw their own from their stream first.  See
-    :func:`iter_blocks`."""
-    width = 2 * max(config.ambient_modes for config in configs) * configs[0].m_sys
-    rows = np.empty((hi - lo, width))
-    if specs[0] is None:
-        profile, d = configs[0].profile, configs[0].ambient_modes
-        specs = []
-        for row, rng in zip(rows, streams):
-            specs.append(draw_squeezing(profile, d, rng))
-            rng.standard_normal(out=row)
-        grams = [np.array([spec.gram for spec in specs])]
-        nus = [np.array([spec.nu for spec in specs])]
-    else:
-        for row, rng in zip(rows, streams):
-            rng.standard_normal(out=row)
-        grams = [spec.gram[None] for spec in specs]
-        nus = [np.full(hi - lo, spec.nu) for spec in specs]
-    return _kernel(configs, rows, grams, lo), nus
 
 
 def _one_mode_gammas(parts: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -629,100 +602,93 @@ def _phase_fixed_transform(parts: np.ndarray, first: int) -> np.ndarray:
     return transform.reshape(n, 2 * m, 2 * m)
 
 
-def _kernel(configs, rows: np.ndarray, grams, first: int) -> list[list[np.ndarray]]:
-    """Per config of a grid, the covariance blocks of the samples whose
-    Gaussian parts are ``rows``, one row of 2 d_max m normals per sample, of
-    which a config of ambient dimension d reads the first 2 d m; ``grams``
-    holds per config the Gram diagonal, (1, 2d) when the samples share it
-    and (rows, 2d) with one per sample; ``first`` is the index of the
-    first row's sample, which an error names.
+def _kernel(config: RandomStateConfig, rows: np.ndarray, gram: np.ndarray,
+            first: int) -> list[np.ndarray]:
+    """The covariance blocks at ``config`` of the samples whose Gaussian
+    parts are ``rows``, one row per sample, of which the config's ambient
+    dimension d reads the first 2 d m; ``gram`` is the Gram diagonal,
+    (1, 2d) when the samples share it and (rows, 2d) with one per sample;
+    ``first`` is the index of the first row's sample, which an error names.
 
     One kept mode takes the closed form of :func:`_one_mode_gammas`, one
-    block per config.  More take, on blocks of at most ``BLOCK_ENTRIES``
-    Ginibre entries, S(Q^T) = S(T) S(X^T) (S is a homomorphism):
+    block.  More take, on blocks of at most ``BLOCK_ENTRIES`` Ginibre
+    entries, S(Q^T) = S(T) S(X^T) (S is a homomorphism):
     Gamma = S(T) Gamma_X S(T)^T, with Gamma_X the Gamma build of
     :func:`_gamma_from_rows` on the raw block's rows X^T and S(T) from
     :func:`_phase_fixed_transform`; exact in exact arithmetic, within
     about eps kappa(X)^2 |Gamma| in floating point.  Scaling X scales T
     inversely, so the Ginibre 1/sqrt(2) is left out."""
-    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
+    m, d = config.m_sys, config.ambient_modes
     if m == 1:
-        return [[_one_mode_gammas(rows[:, : 2 * d], gram)] for d, gram in zip(dims, grams)]
-    blocks = []
-    for d, gram in zip(dims, grams):
-        step = max(1, BLOCK_ENTRIES // (d * m))
-        gammas = []
-        for k in range(0, len(rows), step):
-            parts = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
-            transform = _phase_fixed_transform(parts, first + k)
-            gamma_x = _gamma_from_rows(parts.swapaxes(-1, -2),
-                                       gram if len(gram) == 1 else gram[k:k + step])
-            gammas.append(transform @ gamma_x @ transform.mT)
-        blocks.append(gammas)
-    return blocks
+        return [_one_mode_gammas(rows[:, : 2 * d], gram)]
+    step, gammas = max(1, BLOCK_ENTRIES // (d * m)), []
+    for k in range(0, len(rows), step):
+        parts = rows[k:k + step, : 2 * d * m].reshape(-1, 2, d, m)
+        transform = _phase_fixed_transform(parts, first + k)
+        gamma_x = _gamma_from_rows(parts.swapaxes(-1, -2),
+                                   gram if len(gram) == 1 else gram[k:k + step])
+        gammas.append(transform @ gamma_x @ transform.mT)
+    return gammas
 
 
 def iter_blocks(configs, lo: int, hi: int):
     """Covariances (2m x 2m) and thermal values nu of the samples with
-    indices lo..hi-1 at each config of a grid, deterministic in (seed,
-    index): yields (grid position, first index, covariances, nu) per
-    config and stack of at most ``BLOCK_ENTRIES`` covariance entries, each
-    config's stacks in index order; nu is a float array, the
-    :class:`SqueezingSpec` ``nu`` of each sample's squeezing.  The one
-    path from seed to covariances; one config is a grid of one.
+    indices lo..hi-1 at each config of a grid: yields (grid position,
+    first index, covariances, nu) per config and stack of at most
+    ``BLOCK_ENTRIES`` covariance entries, each config's stacks in index
+    order; nu is a float array, the :class:`SqueezingSpec` ``nu`` of each
+    sample's squeezing.  The one path from seed to covariances; one
+    config is a grid of one, and the configs share master seed, m and
+    profile.
 
-    The configs share master seed, m and profile.  Every index has its own
-    stream, all opened by one :func:`block_streams` call, and draws from it
-    in a fixed order: a random profile's squeezing vector, then the real
-    and the imaginary part of a d x m Ginibre block, in one call.  So a
-    sample does not depend on its block, stack or grid.  A deterministic
-    profile draws no vector, so its grid draws each index's 2 d_max m
-    normals once, and a config of ambient dimension d reads the first
-    2 d m, the normals it would draw alone
-    (``Generator.standard_normal(out=...)`` fills in sequence); its
-    squeezing is built once per config.  A random profile's
-    vector has d entries, so each config of its grid is a grid of one.
+    Deterministic in (seed, index): index i draws from its own
+    :func:`block_streams` stream, in a fixed order, a random profile's
+    squeezing vector, then 2 d m normals, the real and the imaginary part
+    of its d x m Ginibre block.  A deterministic profile's grid draws the
+    2 d_max m normals once and a config of dimension d reads the first
+    2 d m (``standard_normal(out=...)`` fills in sequence); a random
+    profile's vector has d entries, so each of its configs draws alone.
+    So a sample does not depend on its draw, stack or grid.
 
     A draw spans at most ``DRAW_ENTRIES`` Ginibre entries of the largest
-    config and ``BLOCK_ENTRIES`` of the smallest (at least one sample).
-    At m = 1 each config's covariances of a draw come from four quadratic
-    forms of its normals (:func:`_one_mode_gammas`), with no BLAS call.
-    At m >= 2 they come per config, on blocks of at most ``BLOCK_ENTRIES``
-    entries of a draw (at least one sample), from two Gram matrices of
-    the normals and the Cholesky factor of one of them (:func:`_kernel`).
-    They stand for the kept m rows of the ambient Haar unitary, whose
-    marginal distribution is exact: O(d m^2) per sample, not O(d^3).
-    Each draw and each block get fresh arrays; glibc's thresholds and
-    OpenBLAS's thread count are pinned once per process, before the
-    first draw (:func:`_keep_freed_memory`), so freed blocks stay mapped
-    and a sample's bytes do not depend on ``OPENBLAS_NUM_THREADS``.  A
-    stack gathers the many small blocks of a large d, since its
-    statistics cost about 0.2 ms per call whatever its size.
+    config and ``BLOCK_ENTRIES`` of the smallest, a kernel block
+    (:func:`_kernel`) at most ``BLOCK_ENTRIES``, each at least one sample;
+    each draw gets fresh arrays.  glibc's thresholds and OpenBLAS's thread
+    count are pinned before the first draw (:func:`_keep_freed_memory`).
     """
     _keep_freed_memory()
     if len({(c.master_seed, c.m_sys, c.profile) for c in configs}) != 1:
         raise InvalidConfig("the configs of a grid must share master seed, m and profile")
-    profile = configs[0].profile
-    if profile.is_random and len(configs) > 1:
-        for g, config in enumerate(configs):
-            for _, first, gammas, nu in iter_blocks([config], lo, hi):
-                yield g, first, gammas, nu
-        return
-    m, dims = configs[0].m_sys, [config.ambient_modes for config in configs]
-    step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
+    profile, m = configs[0].profile, configs[0].m_sys
+    # a stack gathers the many small blocks of a large d: its statistics
+    # cost about 0.2 ms per call whatever its size
     stack = max(1, BLOCK_ENTRIES // (4 * m * m))
-    streams = block_streams(configs[0].master_seed, lo, hi)
-    specs = [None] if profile.is_random else [draw_squeezing(profile, d) for d in dims]
-    for first in range(lo, hi, stack):
-        last = min(first + stack, hi)
-        gammas, nus = [[] for _ in configs], [[] for _ in configs]
-        for k in range(first, last, step):
-            blocks, block_nus = _draw_block(configs, k, min(k + step, last), streams, specs)
-            for g, (block, nu) in enumerate(zip(blocks, block_nus)):
-                gammas[g] += block
-                nus[g].append(nu)
-        for g in range(len(configs)):
-            yield g, first, np.concatenate(gammas[g]), np.concatenate(nus[g])
+    groups = [[g] for g in range(len(configs))] if profile.is_random else [range(len(configs))]
+    for group in groups:
+        dims = [configs[g].ambient_modes for g in group]
+        step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
+        streams = block_streams(configs[0].master_seed, lo, hi)
+        fixed = [] if profile.is_random else [draw_squeezing(profile, d) for d in dims]
+        for first in range(lo, hi, stack):
+            last = min(first + stack, hi)
+            gammas, nus = [[] for _ in group], [[] for _ in group]
+            for k in range(first, last, step):
+                rows = np.empty((min(k + step, last) - k, 2 * max(dims) * m))
+                if profile.is_random:
+                    specs = []
+                    for row, rng in zip(rows, streams):
+                        specs.append(draw_squeezing(profile, dims[0], rng))
+                        rng.standard_normal(out=row)
+                    drawn = [(np.array([s.gram for s in specs]), np.array([s.nu for s in specs]))]
+                else:
+                    for row, rng in zip(rows, streams):
+                        rng.standard_normal(out=row)
+                    drawn = [(spec.gram[None], np.full(len(rows), spec.nu)) for spec in fixed]
+                for j, (gram, nu) in enumerate(drawn):
+                    gammas[j] += _kernel(configs[group[j]], rows, gram, k)
+                    nus[j].append(nu)
+            for j, g in enumerate(group):
+                yield g, first, np.concatenate(gammas[j]), np.concatenate(nus[j])
 
 
 def sample_block(config: RandomStateConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

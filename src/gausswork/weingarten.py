@@ -122,7 +122,7 @@ def _z_ratio(analytic: float, estimate: float, std_error: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> list[dict]:
+def mc_moments(config: RandomStateConfig, samples: int, threads: int = 1) -> list[dict]:
     """Monte Carlo estimates of the moments next to their analytic values:
     the ``moments`` command's entries ``{quantity, analytic, estimate,
     std_error, n_samples, z_ratio}``, one per entry of ``QUANTITIES``, in
@@ -137,7 +137,7 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     and standard error are accumulated with compensated summation.
     """
     # the moment rows: one float per quantity and sample
-    n_samples = config_int("n_samples", n_samples, 2, sampling.MAX_ENTRIES // len(QUANTITIES))
+    samples = config_int("samples", samples, 2, sampling.MAX_ENTRIES // len(QUANTITIES))
     if config.profile.is_random:
         raise InvalidConfig(
             "analytic moments need a deterministic profile; the flat measure "
@@ -146,21 +146,21 @@ def mc_moments(config: RandomStateConfig, n_samples: int, threads: int = 1) -> l
     spec = draw_squeezing(config.profile, config.ambient_modes)
     try:
         analytics = [_ANALYTIC[q](spec, config) for q in QUANTITIES]
-        rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), n_samples, threads))
+        rows = np.concatenate(parallel.run_chunked(_moment_chunk, (config,), samples, threads))
         reports = []
         for quantity, analytic, values in zip(QUANTITIES, analytics, rows.T):
-            mean = math.fsum(values.tolist()) / n_samples
+            mean = math.fsum(values.tolist()) / samples
             # pow(x, 2) is x ** 2, libm's pow, which rounds some squares
             # differently from numpy's x * x
             squares = map(pow, (values - mean).tolist(), itertools.repeat(2))
-            var = math.fsum(squares) / (n_samples - 1)
-            std_error = math.sqrt(var / n_samples)
+            var = math.fsum(squares) / (samples - 1)
+            std_error = math.sqrt(var / samples)
             if not all(map(math.isfinite, (analytic, mean, std_error))):
                 raise OverflowError(
                     f"analytic={analytic!r}, estimate={mean!r}, std_error={std_error!r}"
                 )
             reports.append({"quantity": quantity, "analytic": analytic, "estimate": mean,
-                            "std_error": std_error, "n_samples": n_samples,
+                            "std_error": std_error, "n_samples": samples,
                             "z_ratio": _z_ratio(analytic, mean, std_error)})
     except OverflowError as exc:
         # squeezing that SqueezingSpec accepts can still overflow the squares

@@ -13,11 +13,11 @@ values, or argparse's wording, and with them the hashes.  A refactor of
 the command line must leave every digest unchanged; a deliberate change
 of output updates the table in the same commit.
 
-The OpenBLAS thread count could change the bytes of a wide sample (its
-Gram matrices reduce long columns, which OpenBLAS may split across
-threads); the package pins OpenBLAS to one thread before its first
-sample, so every case runs in-process, and child processes check the
-wide case at other thread settings.  At m = 1 no BLAS routine touches a
+The OpenBLAS thread count can change the bytes of an m >= 2 sample
+(unpinned, a direct d = m = 64 sample differs at one and two threads);
+the package pins OpenBLAS to one thread before its first sample, so every
+case runs in-process, and child processes check that sample and the wide
+case at other thread settings.  At m = 1 no BLAS routine touches a
 sampled value, so those cases give the same bytes under any OpenBLAS CPU
 kernel; child processes check that too, on x86-64.
 """
@@ -211,14 +211,31 @@ def test_every_case_pinned():
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-@pytest.mark.parametrize("threads", ["1", "2", None], ids=["one", "two", "unset"])
-def test_wide_sample_bytes_at_any_blas_thread_count(threads, golden_dir):
-    # d m = 2^15; unpinned, two OpenBLAS threads gave another digest under
-    # the QR route that the Gram matrices replaced
+def blas_env(threads):
+    """This process's environment with OpenBLAS's thread count set, or unset."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    assert observe("sample-past-budget", golden_dir, env) == GOLDEN["sample-past-budget"]
+    return env
+
+
+@pytest.mark.parametrize("threads", ["1", "2", None], ids=["one", "two", "unset"])
+def test_wide_sample_bytes_at_any_blas_thread_count(threads, golden_dir):
+    # d m = 2^15, one block per sample
+    assert observe("sample-past-budget", golden_dir, blas_env(threads)) == GOLDEN["sample-past-budget"]
+
+
+def test_square_sample_bytes_at_any_blas_thread_count():
+    # direct d = m = 64: unpinned, two OpenBLAS threads gave other bytes
+    # than one; compared with each other, not with a digest, so any CPU
+    # kernel passes
+    argv = "sample --n 64 --m 64 --pipeline direct --z-profile power:0.2 --samples 6 --seed 11"
+    runs = {threads: subprocess.run([sys.executable, "-m", "gausswork", *argv.split()],
+                                    capture_output=True, text=True, env=blas_env(threads))
+            for threads in ("1", "2", None)}
+    assert runs["1"].returncode == 0 and not runs["1"].stderr, runs["1"].stderr
+    assert runs["2"].stdout == runs["1"].stdout
+    assert runs[None].stdout == runs["1"].stdout
 
 
 # OpenBLAS kernel -> the CPU feature it needs, as numpy detects it

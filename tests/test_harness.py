@@ -141,13 +141,13 @@ class TestBlockKernel:
 
     def test_chunk_blocks_capped(self, monkeypatch):
         seen = []
-        draw_block = sampling._draw_block
+        kernel = sampling._kernel
 
-        def counting(configs, lo, hi, *chunk):
-            seen.append((lo, hi))
-            return draw_block(configs, lo, hi, *chunk)
+        def counting(config, rows, gram, first):
+            seen.append((first, first + len(rows)))
+            return kernel(config, rows, gram, first)
 
-        monkeypatch.setattr(sampling, "_draw_block", counting)
+        monkeypatch.setattr(sampling, "_kernel", counting)
         # d = 4096, m = 8 is one block per sample
         wide = RandomStateConfig(n_full=2048, m_sys=8, profile=ZProfile("uniform", 1.1),
                                  master_seed=2)
@@ -160,11 +160,11 @@ class TestBlockKernel:
         assert len(harness._record_chunk([small], 0, per_block + 5)[0]) == per_block + 5
         assert seen == [(0, per_block), (per_block, per_block + 5)]
         # a grid of d = 16 and d = 4096 draws 32 indices at a time, the
-        # draw cap's worth of the largest config
+        # draw cap's worth of the largest config, which both configs read
         seen.clear()
         grid = [small, uniform_config(n_full=2048)]
         assert list(map(len, harness._record_chunk(grid, 0, 70))) == [70, 70]
-        assert seen == [(0, 32), (32, 64), (64, 70)]
+        assert seen == [(0, 32), (0, 32), (32, 64), (32, 64), (64, 70), (64, 70)]
 
     @pytest.mark.parametrize("config, hi, blocks", [
         # d = 4096, m = 8: one sample per draw, 32 per covariance stack
@@ -177,17 +177,17 @@ class TestBlockKernel:
     ], ids=["wide", "direct"])
     def test_record_stacks_gather_blocks(self, monkeypatch, config, hi, blocks):
         drawn, stacks = [], []
-        draw_block, evaluate_block = sampling._draw_block, stats.evaluate_block
+        kernel, evaluate_block = sampling._kernel, stats.evaluate_block
 
-        def drawing(configs, lo, hi, *chunk):
-            drawn.append((lo, hi))
-            return draw_block(configs, lo, hi, *chunk)
+        def drawing(config, rows, gram, first):
+            drawn.append((first, first + len(rows)))
+            return kernel(config, rows, gram, first)
 
         def evaluating(gammas, nu, config, first):
             stacks.append(gammas.size)
             return evaluate_block(gammas, nu, config, first)
 
-        monkeypatch.setattr(sampling, "_draw_block", drawing)
+        monkeypatch.setattr(sampling, "_kernel", drawing)
         monkeypatch.setattr(stats, "evaluate_block", evaluating)
         (records,) = harness._record_chunk([config], 0, hi)
         assert records["sample_index"].tolist() == list(range(hi))
@@ -264,6 +264,9 @@ class TestGridDraw:
         ("power:0.3", "direct", 2, 2**64 + 7, (3, 17, 64)),
         ("vacuum", "purified", 3, 11, (3, 40)),
         ("power:0.2", "purified", 3, 2**70 + 1, (5, 9)),
+        # a random profile's grid draws each point from its own streams
+        ("flat:6.0", "purified", 1, 3, (1, 2)),
+        ("flat:6.0", "direct", 2, 2**64 + 9, (2, 3)),
     ])
     def test_sweep_equals_points_alone(self, profile, pipeline, m_sys, seed, grid):
         samples = 500

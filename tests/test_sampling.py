@@ -983,17 +983,17 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
 
     def test_hook_runs_once_before_the_first_draw(self, monkeypatch):
         # whatever the size of the first block, the process pins glibc's
-        # thresholds before it draws it, and only once
+        # thresholds before it opens the streams it draws from, and only once
         events = []
-        draw_block = sm._draw_block
+        block_streams = sm.block_streams
         monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: events.append("pin")))
-        monkeypatch.setattr(sm, "_draw_block", lambda *a: events.append("draw") or draw_block(*a))
+        monkeypatch.setattr(sm, "block_streams", lambda *a: events.append("streams") or block_streams(*a))
         profile, flat = self.BUDGET.profile, ZProfile("flat", 6.0)
         # blocks of several samples each (d m = 16, 128 and 4096), a flat
         # grid, then one and two samples per block
         sm.sample_block(RandomStateConfig(n_full=8, m_sys=1, profile=profile,
                                           master_seed=3), 0, 3 * sm.BLOCK_ENTRIES // 16)
-        assert events[:2] == ["pin", "draw"]
+        assert events[:2] == ["pin", "streams"]
         list(sm.iter_blocks([RandomStateConfig(n_full=n, m_sys=4, profile=profile, master_seed=3)
                              for n in (16, 512)], 0, 3))
         list(sm.iter_blocks([RandomStateConfig(n_full=n, m_sys=1, profile=flat, master_seed=3)
@@ -1029,7 +1029,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
 class TestKernel:
     @staticmethod
     def stream_rows(configs, lo, hi):
-        """The rows and Gram diagonals that _draw_block hands the kernel,
+        """The rows and Gram diagonals that iter_blocks hands the kernel,
         drawn with freshly allocated arrays: per config one (1, 2d)
         diagonal of a deterministic profile, or (rows, 2d), one per sample."""
         m, d_max = configs[0].m_sys, max(c.ambient_modes for c in configs)
@@ -1052,8 +1052,9 @@ class TestKernel:
         configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=ZProfile.parse(profile),
                                      master_seed=19, pipeline=pipeline) for n in grid]
         lo, hi = 5, 5 + sm.BLOCK_ENTRIES // (configs[0].ambient_modes * m_sys) + 3
-        blocks = sm._kernel(configs, *self.stream_rows(configs, lo, hi), lo)
-        for config, gammas in zip(configs, blocks):
+        rows, grams = self.stream_rows(configs, lo, hi)
+        for config, gram in zip(configs, grams):
+            gammas = sm._kernel(config, rows, gram, lo)
             assert np.array_equal(np.concatenate(gammas), sm.sample_block(config, lo, hi)[0])
 
 
@@ -1065,11 +1066,11 @@ class TestKernel:
                                    master_seed=19)
         d, lo = config.ambient_modes, 40
         step = sm.BLOCK_ENTRIES // (d * 3)
-        rows, grams = self.stream_rows([config], lo, lo + 2 * step)
+        rows, (gram,) = self.stream_rows([config], lo, lo + 2 * step)
         for k in (step + 7, step + 30):
             rows[k, : 2 * d * 3].reshape(2, d, 3)[:, :, 1] = 0.0
         with pytest.raises(NumericalFailure, match=rf"^sample {lo + step + 7}: ") as info:
-            sm._kernel([config], rows, grams, lo)
+            sm._kernel(config, rows, gram, lo)
         assert info.value.exit_code == 3
 
 class TestEnergyScaling:

@@ -325,13 +325,13 @@ class TestAsymptoticLimits:
 
 
 class TestMcMoment:
-    @pytest.mark.parametrize("n_samples, threads, name", [
-        (3.5, 1, "n_samples"), (True, 1, "n_samples"), (1, 1, "n_samples"),
+    @pytest.mark.parametrize("samples, threads, name", [
+        (3.5, 1, "samples"), (True, 1, "samples"), (1, 1, "samples"),
         (4, 2.5, "threads"), (4, np.True_, "threads"), (4, 0, "threads"),
     ])
-    def test_counts_refused(self, n_samples, threads, name):
+    def test_counts_refused(self, samples, threads, name):
         with pytest.raises(InvalidConfig, match=f"^{name} must be"):
-            wg.mc_moments(uniform_config(4, 1, 1.5, 1), n_samples, threads)
+            wg.mc_moments(uniform_config(4, 1, 1.5, 1), samples, threads)
 
     def test_largest_count_numpy_can_shape_kept(self, monkeypatch):
         # one row of QUANTITIES floats per sample; the count is read before
@@ -343,7 +343,7 @@ class TestMcMoment:
 
         monkeypatch.setattr(wg.parallel, "run_chunked", no_draws)
         config = uniform_config(4, 1, 1.5, 1)
-        with pytest.raises(InvalidConfig, match=f"^n_samples must be <= {most}, got {most + 1}$"):
+        with pytest.raises(InvalidConfig, match=f"^samples must be <= {most}, got {most + 1}$"):
             wg.mc_moments(config, most + 1)
         with pytest.raises(AssertionError, match="reached the fan-out"):
             wg.mc_moments(config, most)
