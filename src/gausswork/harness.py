@@ -99,13 +99,13 @@ def _records(configs, samples: int, threads: int, csv: bool) -> tuple[np.recarra
 
 
 def compute_records(
-    config: RandomStateConfig, n_samples: int, threads: int = 1, return_csv: bool = False
+    config: RandomStateConfig, samples: int, threads: int = 1, return_csv: bool = False
 ):
-    """Records for sample indices 0..n_samples-1, in index order, as one
+    """Records for sample indices 0..samples-1, in index order, as one
     :data:`stats.RECORD_DTYPE` array; with ``return_csv``, the pair
     (records, ``records_csv(records, config)``), the rows formatted by the
     workers."""
-    records, text = _records([config], n_samples, threads, return_csv)
+    records, text = _records([config], samples, threads, return_csv)
     return (records, text) if return_csv else records
 
 

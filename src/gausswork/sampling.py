@@ -17,6 +17,8 @@ import math
 import numbers
 import os
 from collections.abc import Iterator
+# the in-place re-seed's types, bound apart from the library lookups through ctypes.CDLL
+from ctypes import c_uint64, c_void_p
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +118,33 @@ def _pcg64_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), high and low word
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products a b of uint64s, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    mid = (a0 * b0 >> 32) + (a0 * b1 & _MASK32) + (a1 * b0 & _MASK32)
+    return a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """(N, 4) uint64: the 128-bit (state, inc) that numpy's
+    ``pcg64_set_seed`` sets from each row w0..w3 of the (N, 4) uint64 seed
+    words ``seeds`` (:func:`_pcg64_seeds`), as state low, state high, inc
+    low, inc high: inc = 2 (w2 2^64 + w3) + 1 and
+    state = ((w0 2^64 + w1) + inc) M + inc mod 2^128, M PCG64's multiplier."""
+    w0, w1, w2, w3 = seeds.T
+    inc_lo, inc_hi = w3 << 1 | 1, w2 << 1 | w3 >> 63
+    x_lo = w1 + inc_lo
+    x_hi = w0 + inc_hi + (x_lo < w1)  # the carry of the low words' sum
+    state_lo = x_lo * _PCG_MULT_LO + inc_lo
+    state_hi = (_mulhi64(x_lo, _PCG_MULT_LO) + x_lo * _PCG_MULT_HI + x_hi * _PCG_MULT_LO
+                + inc_hi + (state_lo < inc_lo))
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
 class _GivenStates(np.random.bit_generator.ISeedSequence):
     """Seed sequence of precomputed PCG64 seed words, an iterable of one
     row per index: each PCG64 seeded from it takes the next index's row."""
@@ -144,6 +173,53 @@ def block_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Gene
               for k in range(lo, hi, BLOCK_ENTRIES))
     seeds = _GivenStates(itertools.chain.from_iterable(blocks))
     return (np.random.Generator(np.random.PCG64(seeds)) for _ in range(lo, hi))
+
+
+# seed words of the layout check: four distinct words whose low-word sums
+# carry and whose w3 has its top bit set
+_PROBE_SEEDS = np.array([[0x0123456789ABCDEF, 0xF0E1D2C3B4A59687,
+                          0xFEDCBA9876543210, 0x8F1E2D3C4B5A6978]], np.uint64)
+
+
+@functools.cache
+def _pcg64_state_offset() -> int | None:
+    """Offset of the 32 bytes of (state, inc) in a ``np.random.PCG64``
+    object, once per process, or None where this numpy lays them out
+    otherwise.  Read-only: the pointer at the head of the bit generator's
+    C state must point inside the object, and the 4 words there must be
+    :func:`_pcg64_states`' for a PCG64 that numpy seeds from the same
+    seed words."""
+    bit_generator = np.random.PCG64(_GivenStates(_PROBE_SEEDS))
+    offset = (c_void_p.from_address(bit_generator.ctypes.state_address).value or 0) - id(bit_generator)
+    if not 0 <= offset <= type(bit_generator).__basicsize__ - 32:
+        return None
+    words = list((c_uint64 * 4).from_address(id(bit_generator) + offset))
+    return offset if words == _pcg64_states(_PROBE_SEEDS)[0].tolist() else None
+
+
+def _index_streams(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """The streams of indices lo..hi-1 as :func:`iter_blocks` draws from
+    them, each bit for bit :func:`block_streams`': one Generator, yielded
+    per index once that index's (state, inc) is written into its PCG64,
+    which costs less than a PCG64 and a Generator per index; where
+    :func:`_pcg64_state_offset` finds no offset, :func:`block_streams`'
+    own.  A stream is valid until the next is taken; the draws use
+    PCG64's 64-bit output only, so no buffered 32-bit word carries over."""
+    streams = block_streams(master_seed, lo, hi)  # refuses a bad seed or range
+    offset = _pcg64_state_offset()
+    if offset is None:
+        yield from streams
+        return
+    # seeded from given words, which costs less than hashing a seed
+    rng = np.random.Generator(np.random.PCG64(_GivenStates(_PROBE_SEEDS)))
+    state = memoryview((c_uint64 * 4).from_address(id(rng.bit_generator) + offset)).cast("B")
+    for k in range(int(lo), int(hi), BLOCK_ENTRIES):
+        # native-order bytes, 32 per index: a slice copies faster than 4 ints
+        seeds = _pcg64_seeds(int(master_seed), k, min(k + BLOCK_ENTRIES, int(hi)))
+        words = _pcg64_states(seeds).tobytes()
+        for j in range(0, len(words), 32):
+            state[:] = words[j:j + 32]
+            yield rng
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
@@ -642,8 +718,9 @@ def iter_blocks(configs, lo: int, hi: int):
     profile.
 
     Deterministic in (seed, index): index i draws from its own
-    :func:`block_streams` stream, in a fixed order, a random profile's
-    squeezing vector, then 2 d m normals, the real and the imaginary part
+    :func:`block_streams` stream, set in place (:func:`_index_streams`),
+    in a fixed order, a random profile's squeezing vector, then 2 d m
+    normals, the real and the imaginary part
     of its d x m Ginibre block.  A deterministic profile's grid draws the
     2 d_max m normals once and a config of dimension d reads the first
     2 d m (``standard_normal(out=...)`` fills in sequence); a random
@@ -667,7 +744,7 @@ def iter_blocks(configs, lo: int, hi: int):
     for group in groups:
         dims = [configs[g].ambient_modes for g in group]
         step = max(1, min(BLOCK_ENTRIES // (min(dims) * m), DRAW_ENTRIES // (max(dims) * m)))
-        streams = block_streams(configs[0].master_seed, lo, hi)
+        streams = _index_streams(configs[0].master_seed, lo, hi)
         fixed = [] if profile.is_random else [draw_squeezing(profile, d) for d in dims]
         for first in range(lo, hi, stack):
             last = min(first + stack, hi)

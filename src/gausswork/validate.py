@@ -88,13 +88,13 @@ def check_purification(per_size: int, rng) -> None:
         )
 
 
-def check_bound_chain(n_samples: int, rng_seed: int) -> None:
+def check_bound_chain(samples: int, rng_seed: int) -> None:
     # compute_records reaches stats.evaluate_block, which raises
     # NumericalFailure when work > sqrt(m * delta)
     config = RandomStateConfig(
         n_full=8, m_sys=2, profile=ZProfile("uniform", 1.4), master_seed=rng_seed
     )
-    harness.compute_records(config, n_samples)
+    harness.compute_records(config, samples)
 
 
 # Lipschitz pairs per stacked draw: 64 pairs of 8 x 8 unitaries (8192

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from gausswork import harness, sampling, stats, weingarten
+from gausswork import harness, sampling, stats, validate, weingarten
 from gausswork.errors import DimensionMismatch, InvalidConfig
 from gausswork.sampling import RandomStateConfig, ZProfile
 from gausswork.stats import CSV_HEADER
@@ -37,6 +37,13 @@ class TestComputeRecords:
     def test_rejects_empty(self):
         with pytest.raises(InvalidConfig):
             harness.compute_records(uniform_config(), 0)
+
+    def test_count_by_keyword(self):
+        # the count is named samples, as in run_sweep and mc_moments
+        config = uniform_config()
+        assert np.array_equal(harness.compute_records(config, samples=7),
+                              harness.compute_records(config, 7))
+        assert validate.check_bound_chain(samples=20, rng_seed=3) is None
 
     @pytest.mark.parametrize("n_samples, threads, name", [
         (2.0, 1, "samples"), (True, 1, "samples"), (3, 2.5, "threads"), (3, True, "threads"),
@@ -540,13 +547,13 @@ class TestMoments:
         config = uniform_config(n_full=4)
         unpatched = weingarten.mc_moments(config, 40)
         calls = []
-        open_streams = sampling.block_streams
+        open_streams = sampling._index_streams
 
         def counting(master_seed, lo, hi):
             calls.extend(range(lo, hi))
             return open_streams(master_seed, lo, hi)
 
-        monkeypatch.setattr(sampling, "block_streams", counting)
+        monkeypatch.setattr(sampling, "_index_streams", counting)
         reports = weingarten.mc_moments(config, 40)
         assert calls == list(range(40))
         assert reports == unpatched

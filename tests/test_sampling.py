@@ -17,7 +17,7 @@ except ImportError:  # not on Windows
 import numpy as np
 import pytest
 
-from gausswork import harness
+from gausswork import cli, harness
 from gausswork import phasespace as ps
 from gausswork import sampling as sm
 from gausswork.errors import (
@@ -71,6 +71,17 @@ class TestStreams:
                 assert np.array_equal(own_words, oracle.generate_state(4, np.uint64))
                 expected = np.random.Generator(np.random.PCG64(oracle)).standard_normal(16)
                 assert np.array_equal(stream.standard_normal(16), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_pcg64(self, seed):
+        # the (state, inc) written in place are those numpy's own seeding sets
+        for lo, hi in self.RANGES:
+            states = sm._pcg64_states(sm._pcg64_seeds(seed, lo, hi))
+            for index, words in zip(range(lo, hi), states.tolist()):
+                oracle = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+                state = oracle.state["state"]
+                assert words[0] | words[1] << 64 == state["state"]
+                assert words[2] | words[3] << 64 == state["inc"]
 
     def test_one_index_block(self):
         for seed, index in [(3, 0), (3, 7), (2**70 + 12345, 2**32), (np.int64(3), np.int64(7))]:
@@ -985,9 +996,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
         # whatever the size of the first block, the process pins glibc's
         # thresholds before it opens the streams it draws from, and only once
         events = []
-        block_streams = sm.block_streams
+        index_streams = sm._index_streams
         monkeypatch.setattr(sm, "_keep_freed_memory", functools.cache(lambda: events.append("pin")))
-        monkeypatch.setattr(sm, "block_streams", lambda *a: events.append("streams") or block_streams(*a))
+        monkeypatch.setattr(sm, "_index_streams", lambda *a: events.append("streams") or index_streams(*a))
         profile, flat = self.BUDGET.profile, ZProfile("flat", 6.0)
         # blocks of several samples each (d m = 16, 128 and 4096), a flat
         # grid, then one and two samples per block
@@ -1058,6 +1069,28 @@ class TestKernel:
             assert np.array_equal(np.concatenate(gammas), sm.sample_block(config, lo, hi)[0])
 
 
+    @pytest.mark.parametrize("grid, profile, pipeline", [
+        ((8, 32), "power:0.3", "direct"), ((2, 3), "flat:6.0", "purified"),
+    ])
+    @pytest.mark.parametrize("m_sys", [1, 2])
+    def test_grid_equals_stream_rows(self, grid, profile, pipeline, m_sys):
+        # the streams set in place draw block_streams' rows: a deterministic
+        # grid shares each index's draw, a flat grid's configs draw alone
+        configs = [RandomStateConfig(n_full=n, m_sys=m_sys, profile=ZProfile.parse(profile),
+                                     master_seed=2**64 + 9, pipeline=pipeline) for n in grid]
+        lo, hi = 2**32 - 40, 2**32 + 3 * sm.BLOCK_ENTRIES // (grid[0] * m_sys)
+        gammas = [[] for _ in configs]
+        for g, _, stack, _ in sm.iter_blocks(configs, lo, hi):
+            gammas[g].append(stack)
+        if configs[0].profile.is_random:
+            drawn = [self.stream_rows([config], lo, hi) for config in configs]
+        else:
+            rows, grams = self.stream_rows(configs, lo, hi)
+            drawn = [(rows, [gram]) for gram in grams]
+        for config, stacks, (rows, (gram,)) in zip(configs, gammas, drawn):
+            expected = np.concatenate(sm._kernel(config, rows, gram, lo))
+            assert np.array_equal(np.concatenate(stacks), expected)
+
     def test_singular_gram_names_first_sample(self):
         # a kept Ginibre column of zeros leaves X^H X singular; the first
         # such sample is named, in the second block of its draw, and the
@@ -1072,6 +1105,56 @@ class TestKernel:
         with pytest.raises(NumericalFailure, match=rf"^sample {lo + step + 7}: ") as info:
             sm._kernel(config, rows, gram, lo)
         assert info.value.exit_code == 3
+
+
+class TestLayoutFallback:
+    # where the read-only layout check fails, iter_blocks draws from
+    # block_streams' own Generators: the same bytes either way
+    CONFIG = RandomStateConfig(n_full=5, m_sys=2, profile=ZProfile("flat", 6.0),
+                               master_seed=7, pipeline="direct")
+    SWEEP = ("sweep --n-grid 2,3 --m 2 --pipeline direct --z-profile flat:6.0 --samples 200 "
+             "--seed 4 --threads 2").split()
+
+    @staticmethod
+    def fail_check(monkeypatch, how):
+        if how == "pointer-outside":
+            null = types.SimpleNamespace(value=None)
+            monkeypatch.setattr(sm, "c_void_p", types.SimpleNamespace(from_address=lambda a: null))
+        else:  # the words in another order, as a 128-bit type of two halves high first
+            states = sm._pcg64_states
+            monkeypatch.setattr(sm, "_pcg64_states", lambda *a: states(*a)[:, [1, 0, 3, 2]])
+        sm._pcg64_state_offset.cache_clear()
+        assert sm._pcg64_state_offset() is None
+
+    @pytest.fixture(params=["pointer-outside", "words-differ"])
+    def check_fails(self, request, monkeypatch):
+        yield lambda: self.fail_check(monkeypatch, request.param)
+        monkeypatch.undo()
+        sm._pcg64_state_offset.cache_clear()  # the next draw checks the real layout again
+
+    def test_offset_found_holds_seeded_words(self):
+        offset = sm._pcg64_state_offset()
+        if offset is None:
+            pytest.skip("this numpy's PCG64 layout is not the one the in-place write needs")
+        for seed, index in [(0, 0), (958438296, 2**32 - 1), (2**128 - 1, 2**64)]:
+            bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+            words = ctypes.string_at(id(bit_generator) + offset, 32)
+            assert words == sm._pcg64_states(sm._pcg64_seeds(seed, index, index + 1)).tobytes()
+
+    def test_sample_block_bytes(self, check_fails):
+        expected = sm.sample_block(self.CONFIG, 3, 40)
+        check_fails()
+        fallback = sm.sample_block(self.CONFIG, 3, 40)
+        assert all(np.array_equal(a, b) for a, b in zip(fallback, expected))
+
+    def test_forked_sweep_bytes(self, check_fails, tmp_path):
+        assert cli.main([*self.SWEEP, "--out", str(tmp_path / "fast.json")]) == 0
+        check_fails()
+        assert cli.main([*self.SWEEP, "--out", str(tmp_path / "fallback.json")]) == 0
+        for suffix in (".json", ".csv"):
+            fast, fallback = (tmp_path / f"{name}{suffix}" for name in ("fast", "fallback"))
+            assert fallback.read_bytes() == fast.read_bytes()
+
 
 class TestEnergyScaling:
     def test_purified_input_energy_grows_polynomially(self):
